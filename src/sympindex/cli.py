@@ -20,7 +20,6 @@ import numpy as np
 from .core import as_array, is_symplectic
 from .errors import SympindexError
 from .cz import conley_zehnder, maslov_loop, winding
-from .halfint import HalfInt
 from .lagrangian import lagrangian_rs_index, vertical_frame
 from .normal_form import normal_form
 from .paths import evaluate_array, path_from_json
@@ -100,31 +99,8 @@ def _run_cz(path_spec, tol, seed, trace_file):
     }
 
 
-def _run_rs(path_spec, tol, trace_file):
-    result = rs_index(path_spec, tol)
-    if trace_file:
-        _write_csv(trace_file, ["t", "smin", "kernel_dim"],
-                   [(float(t), float(s), int(k)) for t, s, k in result.trace])
-    return {
-        "value": str(result.value),
-        "diagnostics": {
-            "crossings": [
-                {"t": _fmt_float(c.t), "kernel_dim": c.kernel_dim,
-                 "signature": c.signature, "regular": c.regular,
-                 "weight": c.weight}
-                for c in result.crossings
-            ],
-        },
-    }
-
-
-def _run_rs2(path_spec, tol, trace_file):
-    v = vertical_frame(path_spec.n)
-
-    def frames(t):
-        return evaluate_array(path_spec, t) @ v.frame
-
-    value, reports, trace = lagrangian_rs_index(frames, v, tol)
+def _crossing_report(value, crossings, trace, trace_file) -> dict:
+    """Report of a crossing-form index, writing its sigma_min scan if asked."""
     if trace_file:
         _write_csv(trace_file, ["t", "smin", "kernel_dim"],
                    [(float(t), float(s), int(k)) for t, s, k in trace])
@@ -135,10 +111,26 @@ def _run_rs2(path_spec, tol, trace_file):
                 {"t": _fmt_float(c.t), "kernel_dim": c.kernel_dim,
                  "signature": c.signature, "regular": c.regular,
                  "weight": c.weight}
-                for c in reports
+                for c in crossings
             ],
         },
     }
+
+
+def _run_rs(path_spec, tol, trace_file):
+    result = rs_index(path_spec, tol)
+    return _crossing_report(result.value, result.crossings, result.trace,
+                            trace_file)
+
+
+def _run_rs2(path_spec, tol, trace_file):
+    v = vertical_frame(path_spec.n)
+
+    def frames(t):
+        return evaluate_array(path_spec, t) @ v.frame
+
+    value, reports, trace = lagrangian_rs_index(frames, v, tol)
+    return _crossing_report(value, reports, trace, trace_file)
 
 
 def _run_maslov(path_spec, tol, trace_file):

@@ -26,16 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .core import (as_array, direct_sum_many, j_matrix, normalize_unit,
-                   omega_matrix, rho_hat, rho_polar)
+from .core import as_array, direct_sum_many, normalize_unit, rho_hat, rho_polar
 from .errors import (AdmissibilityError, ContractError,
                      IllConditionedSpectrumError, InternalConsistencyError,
                      KreinDegenerateError, ParameterError,
                      WindingResolutionError)
 from .halfint import HalfInt
 from .lagrangian import _golden_min
-from .normal_form import NormalFormBlock, normal_form
-from .normal_form import semisimple_perturb
+from .normal_form import normal_form, semisimple_perturb
 from .paths import PathSpec, evaluate_array
 from .spectral import rho
 from .tolerances import DEFAULT_TOL, ToleranceProfile
@@ -207,7 +205,6 @@ class _Extension:
     def __init__(self, a_end: np.ndarray, tol: ToleranceProfile, seed: int):
         a_end = as_array(a_end)
         dim = a_end.shape[0]
-        n = dim // 2
         det_gap = float(np.linalg.det(a_end - np.eye(dim)))
         if abs(det_gap) <= tol.tol_kernel:
             raise AdmissibilityError(
@@ -280,7 +277,6 @@ class _Extension:
         # blockwise deformers on [0, 1]
         deformers = []
         blocks = report.blocks
-        i_pos = 0
         pending = None
         for idx in order:
             b = blocks[idx]
@@ -324,7 +320,6 @@ class _Extension:
         if pending is not None:
             raise InternalConsistencyError("unpaired positive eigenvalue pair")
         self._deformers = deformers
-        del i_pos
 
         # bridge log and final unwinding of the conjugation
         self.a_end = a_end

@@ -9,7 +9,7 @@ index is the signature sum over crossings with half weight at the endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,7 +98,7 @@ def _signature(gamma: np.ndarray, tol_form: float):
     return sig, regular
 
 
-def _as_frame(value, omega) -> np.ndarray:
+def _as_frame(value) -> np.ndarray:
     if isinstance(value, LagrangianFrame):
         return value.frame
     return np.asarray(value, dtype=float)
@@ -127,13 +127,12 @@ def lagrangian_crossing_form(frames, t0: float, v: LagrangianFrame,
     finite difference and restricted to the intersection with V.
     """
     om = v.omega
-    f0 = _as_frame(frames(t0), om)
+    f0 = _as_frame(frames(t0))
     q0, _ = np.linalg.qr(f0)
     if w_frame is None:
         w = -om @ q0
     else:
         w = np.asarray(w_frame, dtype=float)
-    m2 = q0.shape[0]
     basis = np.hstack([q0, w])
     if np.linalg.cond(basis) > 1e8:
         raise ConditioningError(
@@ -143,7 +142,7 @@ def lagrangian_crossing_form(frames, t0: float, v: LagrangianFrame,
     pairing = q0.T @ om @ w
 
     def graph_map(t: float) -> np.ndarray:
-        c = np.linalg.solve(basis, _as_frame(frames(t), om))
+        c = np.linalg.solve(basis, _as_frame(frames(t)))
         x, y = c[: q0.shape[1]], c[q0.shape[1]:]
         return y @ np.linalg.inv(x)
 
@@ -283,14 +282,13 @@ def lagrangian_rs_index(frames, v: LagrangianFrame,
     half of it.  Returns (HalfInt, crossing reports, smin trace) where the
     trace rows are (t, smin, kernel_dim estimate).
     """
-    om = v.omega
     v_q = v.orthonormal()
 
     def smin(t):
-        return _stacked_smin(_as_frame(frames(t), om), v_q)
+        return _stacked_smin(_as_frame(frames(t)), v_q)
 
     def kdim(t):
-        return _kernel_dim(_as_frame(frames(t), om), v_q, tol)
+        return _kernel_dim(_as_frame(frames(t)), v_q, tol)
 
     crossings, trace, all_plateau = _scan_crossings(smin, kdim, tol, grid)
     if all_plateau:
@@ -299,7 +297,7 @@ def lagrangian_rs_index(frames, v: LagrangianFrame,
     doubled = 0
     reports = []
     for t_star in crossings:
-        f_star = _as_frame(frames(t_star), om)
+        f_star = _as_frame(frames(t_star))
         q_star, _ = np.linalg.qr(f_star)
         coords = _intersection_coords(q_star, v_q, tol.tol_kernel)
         k = coords.shape[1]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_array, direct_sum_many, is_symplectic, omega_matrix, symplectic_residual
+from .core import as_array, direct_sum_many, omega_matrix, symplectic_residual
 from .errors import NormalFormError, ParameterError, PerturbationFailureError
 from .spectral import eigen_quadruples, generalized_eigenspace
 from .tolerances import DEFAULT_TOL, ToleranceProfile
@@ -37,9 +37,6 @@ __all__ = [
     "invariants_of",
     "semisimple_perturb",
 ]
-
-CASES = ("OffCircleReal", "OffCircleComplex", "PlusMinusOne",
-         "UnitNonRealEven", "UnitNonRealOdd")
 
 
 @dataclass(frozen=True)
@@ -264,14 +261,9 @@ def _case_off_circle(a, om, lam, mult, is_real, tol):
                 case="OffCircleReal", size=2 * (p + 1),
                 lambda_param=(float(lam.real),), jordan_order=p + 1, d=None))
         else:
-            E = np.zeros((a.shape[0], 2 * (p + 1)))
-            F = np.zeros((a.shape[0], 2 * (p + 1)))
-            s2 = np.sqrt(2.0)
-            for idx, (e, f) in enumerate(zip(e_cols, f_cols)):
-                E[:, 2 * idx] = s2 * e.real
-                E[:, 2 * idx + 1] = -s2 * e.imag
-                F[:, 2 * idx] = s2 * f.real
-                F[:, 2 * idx + 1] = s2 * f.imag
+            xs, ys = _realify_pairs(e_cols, f_cols)
+            E = np.column_stack(xs)
+            F = np.column_stack(ys)
             r, phi = abs(lam), float(np.angle(lam))
             blocks.append(NormalFormBlock(
                 case="OffCircleComplex", size=4 * (p + 1),
@@ -474,17 +466,10 @@ def _case_unit(a, om, lam, mult, tol):
             Bbar = np.linalg.solve(Rmat, np.linalg.solve(alpha.T, X))
             Bcoef = Bbar.conj()
             Fv = [Vhi @ alpha[:, i] + Vlo @ Bcoef[:, i] for i in range(k)]
-            Fu = [f.conj() for f in Fv]
 
-            xs, ys_v = [], []
-            s2 = np.sqrt(2.0)
-            for j in range(k):
-                xs.append(s2 * u_lo[j].real)
-                xs.append(-s2 * u_lo[j].imag)
-                ys_v.append(s2 * Fv[j].real)
-                ys_v.append(s2 * Fv[j].imag)
+            xs, ys = _realify_pairs(u_lo, Fv)
             E = np.column_stack(xs)
-            F = np.column_stack(ys_v)
+            F = np.column_stack(ys)
             phi = abs(float(np.angle(lam_cur)))
             payload = _block_payload(a, om, E, F)
             blocks.append(NormalFormBlock(
@@ -512,14 +497,12 @@ def _case_unit(a, om, lam, mult, tol):
             v_lo = [u.conj() for u in u_lo]
             v_mid = u_mid.conj()
             v_hi = [u.conj() for u in u_hi]
-            f_mid = 1j * u_mid
 
-            Fv, Fu = [], []
+            Fv = []
             if k > 0:
                 A1 = np.array([[_pair(om, um, vc) for vc in v_hi] for um in u_lo])
                 alpha = np.linalg.inv(A1)
                 Vhi = np.column_stack(v_hi)
-                Ulo = np.column_stack(u_lo)
                 Vlo = np.column_stack(v_lo)
                 row_mid = np.array([_pair(om, u_mid, vc) for vc in v_hi])
                 c_coef = 1j * (row_mid @ alpha)     # coefficients of v_mid
@@ -531,15 +514,9 @@ def _case_unit(a, om, lam, mult, tol):
                 Bbar = np.linalg.solve(Rt, -0.5 * G)
                 Bcoef = Bbar.conj()
                 Fv = [W[:, i] + Vlo @ Bcoef[:, i] for i in range(k)]
-                Fu = [f.conj() for f in Fv]
 
+            xs, ys = _realify_pairs(u_lo, Fv)
             s2 = np.sqrt(2.0)
-            xs, ys = [], []
-            for j in range(k):
-                xs.append(s2 * u_lo[j].real)
-                xs.append(-s2 * u_lo[j].imag)
-                ys.append(s2 * Fv[j].real)
-                ys.append(s2 * Fv[j].imag)
             xs.append(s2 * v_mid.real)
             ys.append(s2 * v_mid.imag)
             E = np.column_stack(xs)

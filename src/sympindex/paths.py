@@ -496,7 +496,7 @@ def _node_to_json(path: PathSpec) -> dict:
             raise ParameterError("only affine shears are JSON-serializable")
         return {"type": "shear", "B0": path.b0.tolist(), "B1": path.b1.tolist()}
     if isinstance(path, LoopPath):
-        return {"type": "loop", "wind": path.wind}
+        return {"type": "loop", "wind": path.wind, "n": path.dim_n}
     raise ParameterError(f"unknown path node {type(path).__name__}")
 
 
@@ -532,7 +532,8 @@ def _node_from_json(node: dict, n: int) -> PathSpec:
         return ShearPath(b0=np.array(node["B0"], dtype=float),
                          b1=np.array(node["B1"], dtype=float))
     if kind == "loop":
-        return LoopPath(wind=int(node["wind"]), dim_n=n)
+        # hand-written inputs may leave out n: the enclosing n applies
+        return LoopPath(wind=int(node["wind"]), dim_n=int(node.get("n", n)))
     raise ParameterError(f"unknown path node type {kind!r}")
 
 

@@ -9,7 +9,7 @@ e^{±i phi} is "of the first kind".  The rotation map is
     rho(A) = (-1)^{m_minus/2} * prod_{unit non-real lam} lam^{m_plus(lam)/2}
 
 which equals the product of the phases of the n first-kind eigenvalues.
-Both routes are computed and required to agree.
+Both routes are read off one spectral summary and required to agree.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ __all__ = [
     "first_kind_eigenvalues",
     "rho",
 ]
-
-REGIMES = ("UnitNonReal", "PlusOne", "MinusOne", "RealPositive",
-           "RealNegative", "OffCircleComplex")
 
 
 @dataclass(frozen=True)
@@ -173,6 +170,9 @@ def eigen_quadruples(A, tol: ToleranceProfile = DEFAULT_TOL) -> list[EigenQuadru
         if claimed[i]:
             continue
         claimed[i] = True
+        if rep == 0:
+            # a symplectic matrix has no zero eigenvalue: precision was lost
+            raise IllConditionedSpectrumError("an eigenvalue rounds to zero")
         targets = {rep}
         for t in (np.conj(rep), 1.0 / rep, 1.0 / np.conj(rep)):
             t = complex(t)
@@ -334,9 +334,8 @@ def _spectral_summary(A, tol: ToleranceProfile):
     return quads, krein
 
 
-def first_kind_eigenvalues(A, tol: ToleranceProfile = DEFAULT_TOL) -> list[complex]:
-    """The n eigenvalues of the first kind, with multiplicity."""
-    quads, krein = _spectral_summary(A, tol)
+def _first_kind(quads, krein, n: int) -> list[complex]:
+    """The n first-kind eigenvalues, read off a spectral summary."""
     out: list[complex] = []
     for q in quads:
         m = q.multiplicity
@@ -355,7 +354,6 @@ def first_kind_eigenvalues(A, tol: ToleranceProfile = DEFAULT_TOL) -> list[compl
             r, s = krein[lam].signature
             out.extend([lam] * r)
             out.extend([np.conj(lam)] * s)
-    n = as_array(A).shape[0] // 2
     if len(out) != n:
         raise IllConditionedSpectrumError(
             f"selected {len(out)} first-kind eigenvalues, expected {n}"
@@ -363,9 +361,16 @@ def first_kind_eigenvalues(A, tol: ToleranceProfile = DEFAULT_TOL) -> list[compl
     return out
 
 
+def first_kind_eigenvalues(A, tol: ToleranceProfile = DEFAULT_TOL) -> list[complex]:
+    """The n eigenvalues of the first kind, with multiplicity."""
+    a = as_array(A)
+    return _first_kind(*_spectral_summary(a, tol), a.shape[0] // 2)
+
+
 def rho(A, tol: ToleranceProfile = DEFAULT_TOL) -> complex:
     """The canonical rotation map, computed by two routes that must agree."""
-    quads, krein = _spectral_summary(A, tol)
+    a = as_array(A)
+    quads, krein = _spectral_summary(a, tol)
 
     # Route 1: the closed formula over negative-real and unit eigenvalues.
     m_minus = 0
@@ -386,7 +391,7 @@ def rho(A, tol: ToleranceProfile = DEFAULT_TOL) -> complex:
 
     # Route 2: product of first-kind phases.
     prod = 1.0 + 0.0j
-    for z in first_kind_eigenvalues(A, tol):
+    for z in _first_kind(quads, krein, a.shape[0] // 2):
         prod *= normalize_unit(complex(z))
     prod = normalize_unit(prod)
 

@@ -137,6 +137,16 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert json.loads(out)["error"]
 
+    def test_eigenvalue_rounding_to_zero_exit_2(self, tmp_path, capsys):
+        job = {"n": 1, "path": {"type": "exp",
+                                "S": [[-12.49052763, 12.03765861],
+                                      [12.03765861, 16.53431942]]}}
+        inp = write_json(tmp_path, "illcond.json", job)
+        code, out, _ = run_cli(capsys, "--input", inp, "--command", "cz")
+        assert code == 2
+        rep = json.loads(out)
+        assert rep["error"] and rep["message"]
+
     def test_parse_errors_exit_1(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{not json")

@@ -4,9 +4,10 @@ import pytest
 from sympindex import (AdmissibilityError, CatPath, ConjPath, ConstPath,
                        ContractError, DEFAULT_TOL, DirectSumPath, ExpPath,
                        HalfInt, ParameterError, ProdPath, ReversePath,
-                       SampledPath, WindingResolutionError, conley_zehnder,
-                       cz_dim2_closed_form, evaluate_array, extension_winding,
-                       make_loop, maslov_loop, random_symplectic, winding)
+                       SampledPath, SympindexError, WindingResolutionError,
+                       conley_zehnder, cz_dim2_closed_form, evaluate_array,
+                       extension_winding, make_loop, maslov_loop,
+                       random_symplectic, winding)
 
 
 def exp_path(n=1, seed=0, scale=1.0, duration=1.0):
@@ -104,6 +105,13 @@ class TestExtension:
         a = random_symplectic(1, seed=3)
         with pytest.raises(AdmissibilityError):
             conley_zehnder(ConstPath(a))
+
+    def test_eigenvalue_rounding_to_zero_is_typed(self):
+        # cond(psi_1) ~ 1.7e16: an eigenvalue of the endpoint rounds to 0
+        p = ExpPath(s_matrix=np.array([[-12.49052763, 12.03765861],
+                                       [12.03765861, 16.53431942]]))
+        with pytest.raises(SympindexError):
+            conley_zehnder(p)
 
 
 class TestIndexProperties:

@@ -185,6 +185,7 @@ class TestJson:
             ConjPath(phi=ConstPath(random_symplectic(1, seed=3)), psi=a),
             DirectSumPath(parts=(a, make_shear((np.eye(1), -np.eye(1))))),
             make_loop(-2, 2),
+            DirectSumPath(parts=(make_loop(1, 1), ExpPath(np.diag([1.0, 2.0])))),
         ]
         for p in paths:
             q = path_from_json(path_to_json(p))

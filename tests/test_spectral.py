@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import sympindex.spectral as spectral
 from sympindex import (DEFAULT_TOL, IllConditionedSpectrumError,
                        direct_sum_many, eigen_quadruples,
                        first_kind_eigenvalues, generalized_eigenspace,
@@ -113,6 +114,19 @@ class TestRho:
     def test_product_of_commuting_blocks(self):
         a = direct_sum_many([rotation(0.5), rotation(1.1)])
         assert rho(a) == pytest.approx(np.exp(1j * 1.6), abs=1e-12)
+
+    def test_one_spectral_analysis_per_call(self, monkeypatch):
+        calls = []
+        original = spectral.eigen_quadruples
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigen_quadruples", counted)
+        a = direct_sum_many([rotation(0.7), np.diag([2.0, 0.5])])
+        assert rho(a) == pytest.approx(np.exp(0.7j), abs=1e-12)
+        assert len(calls) == 1
 
 
 class TestFirstKind:
