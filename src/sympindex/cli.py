@@ -95,6 +95,8 @@ def _run_cz(path_spec, tol, seed, trace_file):
             "extension_winding": _fmt_float(result.extension_winding),
             "det_gap": _fmt_float(result.diagnostics["det_gap"]),
             "refinement_depth": result.diagnostics["refinement_depth"],
+            "rho_fallbacks": result.diagnostics["rho_fallbacks"],
+            "krein_nudges": result.diagnostics["krein_nudges"],
         },
     }
 

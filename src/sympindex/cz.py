@@ -21,6 +21,7 @@ is computed three ways and cross-checked:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,31 +118,38 @@ def winding(f, max_refine: int = 40, coarse: int = 64, anchor_ts=None):
     return turns, list(zip(trace_t, trace_phase)), max_depth
 
 
-def _nudged(f, eps=1e-9):
-    """Wrap a sampler so isolated Krein degeneracies are stepped over."""
+def _nudged(f, events: Counter, eps=1e-9):
+    """Wrap a sampler so isolated Krein degeneracies are stepped over.
+
+    Every step taken is counted in ``events["krein_nudges"]``.
+    """
 
     def g(t):
         try:
             return f(t)
         except KreinDegenerateError:
+            events["krein_nudges"] += 1
             s = t + eps if t < 0.5 else t - eps
             return f(s)
 
     return g
 
 
-def _rho_robust(a: np.ndarray, tol: ToleranceProfile) -> complex:
+def _rho_robust(a: np.ndarray, tol: ToleranceProfile, events: Counter) -> complex:
     """rho with a tolerance cascade for continuously splitting clusters.
 
     rho is continuous in the matrix, so when a cluster gap lands inside the
     clustering ambiguity band the value is insensitive to how the cluster is
-    resolved; rescaling tol_eig moves the band off the gap.
+    resolved; rescaling tol_eig moves the band off the gap.  Every tolerance
+    that fails is counted in ``events["rho_fallbacks"]``.
     """
     last = None
     for factor in (1.0, 0.05, 20.0, 0.0025, 400.0):
         try:
-            return rho(a, tol.with_overrides(tol_eig=factor * tol.tol_eig))
+            return rho(a, tol if factor == 1.0 else
+                       tol.with_overrides(tol_eig=factor * tol.tol_eig))
         except IllConditionedSpectrumError as exc:
+            events["rho_fallbacks"] += 1
             last = exc
     raise last
 
@@ -166,7 +174,9 @@ def _unit_passage_times(sample, dim: int, grid: int = 256) -> list[float]:
         return float(min(s1, s2))
 
     ts = np.linspace(0.0, 1.0, grid + 1)
-    vals = [dist(t) for t in ts]
+    stack = np.array([sample(t) for t in ts])
+    vals = np.minimum(np.linalg.svd(stack - eye, compute_uv=False)[:, -1],
+                      np.linalg.svd(stack + eye, compute_uv=False)[:, -1])
     out = []
     # a passage refines to a window boundary where the map is back at +-1;
     # geometric offsets on both sides guarantee a sample inside the window
@@ -371,7 +381,9 @@ def extension_winding(A, tol: ToleranceProfile = DEFAULT_TOL, seed: int = 0):
     nearby semisimple matrix plus the analytic unit-spectrum sum.
     """
     ext = _Extension(as_array(A), tol, seed)
-    f = _nudged(lambda t: _rho_robust(ext.bridge_at(t), ext.tol) ** 2)
+    events = Counter()
+    f = _nudged(lambda t: _rho_robust(ext.bridge_at(t), ext.tol, events) ** 2,
+                events)
     bridge_turns, _, _ = winding(f, tol.max_refine, coarse=16)
     return bridge_turns + ext.plan.total_increment, ext.endpoint
 
@@ -400,7 +412,9 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
     # main [0,1] windings for the three circle maps
     anchors = _unit_passage_times(lambda t: evaluate_array(path, t),
                                   a_end.shape[0])
-    f_rho = _nudged(lambda t: _rho_robust(evaluate_array(path, t), tol) ** 2)
+    events = Counter()
+    f_rho = _nudged(
+        lambda t: _rho_robust(evaluate_array(path, t), tol, events) ** 2, events)
     w_rho, trace, depth = winding(f_rho, tol.max_refine, anchor_ts=anchors)
     w_polar, _, _ = winding(lambda t: rho_polar(evaluate_array(path, t), tol) ** 2,
                             tol.max_refine)
@@ -408,7 +422,8 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
                           tol.max_refine)
 
     # extension windings
-    f_bridge = _nudged(lambda t: _rho_robust(ext.bridge_at(t), ext.tol) ** 2)
+    f_bridge = _nudged(
+        lambda t: _rho_robust(ext.bridge_at(t), ext.tol, events) ** 2, events)
     e_rho, _, _ = winding(f_bridge, tol.max_refine, coarse=16)
     e_rho += ext.plan.total_increment
     e_polar, _, _ = winding(lambda t: rho_polar(ext.at(t), tol) ** 2,
@@ -442,6 +457,8 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
             "det_gap": ext.det_gap,
             "smin_end": smin_end,
             "windings": totals,
+            "rho_fallbacks": events["rho_fallbacks"],
+            "krein_nudges": events["krein_nudges"],
         },
     )
 
@@ -475,7 +492,9 @@ def maslov_loop(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL) -> int:
         raise ContractError("maslov_loop requires a loop")
     anchors = _unit_passage_times(lambda t: evaluate_array(path, t),
                                   p0.shape[0])
-    f = _nudged(lambda t: _rho_robust(evaluate_array(path, t), tol))
+    events = Counter()
+    f = _nudged(lambda t: _rho_robust(evaluate_array(path, t), tol, events),
+                events)
     turns, _, _ = winding(f, tol.max_refine, anchor_ts=anchors)
     r = int(round(turns))
     if abs(turns - r) > 0.1:

@@ -66,44 +66,65 @@ class KreinData:
     signature: tuple[int, int]  # (m_plus, m_minus), summing to dim_C E_lam
 
 
+def _pairwise(values: np.ndarray) -> np.ndarray:
+    """Matrix of the distances |values[i] - values[j]|."""
+    return np.abs(values[:, None] - values[None, :])
+
+
 def _cluster(values: np.ndarray, radius: float):
-    """Greedy union-find clustering of complex values at the given radius."""
+    """Connected components of the graph joining values at most ``radius`` apart.
+
+    Min-label propagation: every value takes the smallest label among its
+    neighbours until the labels are stable, so each component is labelled by
+    its smallest index and the components come out in that order.  Returns
+    the component means and sizes.
+    """
     m = len(values)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(values[i] - values[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    clusters = []
-    for idx in groups.values():
-        vals = values[idx]
-        clusters.append((complex(np.mean(vals)), len(idx), idx))
-    return clusters
+    adjacent = _pairwise(values) <= radius
+    if np.count_nonzero(adjacent) == m:
+        # no edges: every value is a component of its own
+        return values, np.ones(m, dtype=int)
+    index = np.arange(m)
+    labels = index
+    while True:
+        spread = np.where(adjacent, labels, m).min(axis=1)
+        if (spread == labels).all():
+            break
+        labels = spread
+    members = labels == index[labels == index, None]
+    sizes = np.count_nonzero(members, axis=1)
+    return members @ values / sizes, sizes
 
 
-def _snap(rep: complex, tol: float) -> complex:
-    """Project a cluster representative onto the exact regime structure."""
-    if abs(rep.imag) <= tol * max(1.0, abs(rep)):
-        rep = complex(rep.real, 0.0)
-    if abs(abs(rep) - 1.0) <= tol:
-        rep = rep / abs(rep)
-    if abs(rep - 1.0) <= tol:
-        rep = 1.0 + 0.0j
-    elif abs(rep + 1.0) <= tol:
-        rep = -1.0 + 0.0j
-    return rep
+def _snap(reps: np.ndarray, tol: float) -> np.ndarray:
+    """Project cluster representatives onto the exact regime structure."""
+    re = reps.real
+    im = np.where(np.abs(reps.imag) <= tol * np.maximum(1.0, np.abs(reps)),
+                  0.0, reps.imag)
+    size = np.hypot(re, im)
+    # divide the parts: a complex array divided by a real one is multiplied
+    # by the reciprocal, which rounds differently from a complex / float
+    scale = np.where(np.abs(size - 1.0) <= tol, size, 1.0)
+    z = re / scale + 1j * (im / scale)
+    z[np.abs(z - 1.0) <= tol] = 1.0
+    z[np.abs(z + 1.0) <= tol] = -1.0
+    return z
+
+
+def _merge_clouds(snapped: np.ndarray, mults: np.ndarray, tol: float):
+    """Merge snapped clusters that lie within ``tol`` (relative) of each other."""
+    merged: list[list] = []
+    for rep, mult in zip(snapped.tolist(), mults.tolist()):
+        for entry in merged:
+            if abs(entry[0] - rep) <= tol * max(1.0, abs(rep)):
+                total = entry[1] + mult
+                entry[0] = (entry[0] * entry[1] + rep * mult) / total
+                entry[1] = total
+                break
+        else:
+            merged.append([rep, mult])
+    return (np.array([complex(r) for r, _ in merged]),
+            np.array([int(m) for _, m in merged]))
 
 
 def _regime(rep: complex) -> str:
@@ -124,73 +145,63 @@ def eigen_quadruples(A, tol: ToleranceProfile = DEFAULT_TOL) -> list[EigenQuadru
     if not is_symplectic(a, tol):
         raise ContractError("eigen_quadruples requires a symplectic matrix")
     n = a.shape[0] // 2
-    evals = np.linalg.eigvals(a)
-    clusters = _cluster(evals, tol.tol_eig)
-
-    snap_tol = 10 * tol.tol_eig
-    raw_snapped = [(_snap(rep, snap_tol), mult) for rep, mult, _ in clusters]
+    tol_eig = tol.tol_eig
+    means, mults = _cluster(np.linalg.eigvals(a), tol_eig)
+    snapped = _snap(means, 10 * tol_eig)
 
     # Ambiguity guard: two clusters closer than 10*tol_eig but neither merged
     # nor identified by snapping onto the same structural value.
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            d = abs(clusters[i][0] - clusters[j][0])
-            if tol.tol_eig < d <= 10 * tol.tol_eig and \
-                    abs(raw_snapped[i][0] - raw_snapped[j][0]) > tol.tol_eig:
-                raise IllConditionedSpectrumError(
-                    f"cluster gap {d:.3e} inside the ambiguity band "
-                    f"({tol.tol_eig:.1e}, {10 * tol.tol_eig:.1e})"
-                )
+    gaps = _pairwise(means)
+    apart = _pairwise(snapped)
+    band = (gaps > tol_eig) & (gaps <= 10 * tol_eig) & (apart > tol_eig)
+    if np.count_nonzero(band):
+        # symmetric with an empty diagonal: the first hit in row order has i < j
+        i, j = np.argwhere(band)[0]
+        raise IllConditionedSpectrumError(
+            f"cluster gap {gaps[i, j]:.3e} inside the ambiguity band "
+            f"({tol_eig:.1e}, {10 * tol_eig:.1e})"
+        )
 
     # Defective eigenvalues split into small clouds whose members may land in
-    # separate clusters yet snap to the same value; merge those.
-    merged: list[list] = []
-    for rep, mult in raw_snapped:
-        for entry in merged:
-            if abs(entry[0] - rep) <= tol.tol_eig * max(1.0, abs(rep)):
-                total = entry[1] + mult
-                entry[0] = (entry[0] * entry[1] + rep * mult) / total
-                entry[1] = total
-                break
-        else:
-            merged.append([rep, mult])
-    snapped = [(complex(r), int(m)) for r, m in merged]
+    # separate clusters yet snap to the same value; merge those.  Unless two
+    # snapped values are that close (in either order), the merge is a no-op.
+    within = apart <= tol_eig * np.maximum(1.0, np.abs(snapped))
+    if np.count_nonzero(within) > len(snapped):
+        snapped, mults = _merge_clouds(snapped, mults, tol_eig)
 
-    match_tol = 10 * tol.tol_eig
-    claimed = [False] * len(snapped)
+    match_tol = 10 * tol_eig
+    values, counts = snapped.tolist(), mults.tolist()
+    claimed = [False] * len(values)
     quadruples: list[EigenQuadruple] = []
-
-    def _find(target: complex):
-        for k, (rep, _) in enumerate(snapped):
-            if not claimed[k] and abs(rep - target) <= match_tol * max(1.0, abs(target)):
-                return k
-        return None
-
-    for i, (rep, mult) in enumerate(snapped):
+    for i, (rep, mult) in enumerate(zip(values, counts)):
         if claimed[i]:
             continue
         claimed[i] = True
         if rep == 0:
             # a symplectic matrix has no zero eigenvalue: precision was lost
             raise IllConditionedSpectrumError("an eigenvalue rounds to zero")
-        targets = {rep}
-        for t in (np.conj(rep), 1.0 / rep, 1.0 / np.conj(rep)):
-            t = complex(t)
-            if all(abs(t - s) > match_tol * max(1.0, abs(t)) for s in targets):
-                targets.add(t)
+        # the partners farther than their reach from rep and from each other;
+        # the conjugate inverse is rounded by numpy's complex division, whose
+        # real part orders the two inverses among the members
+        targets = []
+        for t in (rep.conjugate(), 1.0 / rep, complex(1.0 / np.conj(rep))):
+            reach = match_tol * max(1.0, abs(t))
+            if abs(t - rep) > reach and all(abs(t - s) > reach for s, _ in targets):
+                targets.append((t, reach))
         members = [rep]
-        for t in sorted(targets - {rep}, key=lambda z: (z.real, z.imag)):
-            k = _find(t)
-            if k is None:
+        for t, reach in sorted(targets, key=lambda tr: (tr[0].real, tr[0].imag)):
+            j = next((j for j, z in enumerate(values)
+                      if not claimed[j] and abs(z - t) <= reach), None)
+            if j is None:
                 raise IllConditionedSpectrumError(
                     f"missing quadruple partner {t:.6g} of eigenvalue {rep:.6g}"
                 )
-            claimed[k] = True
-            if snapped[k][1] != mult:
+            claimed[j] = True
+            if counts[j] != mult:
                 raise IllConditionedSpectrumError(
                     f"multiplicity mismatch within quadruple of {rep:.6g}"
                 )
-            members.append(snapped[k][0])
+            members.append(values[j])
 
         regime = _regime(rep)
         canonical = rep
@@ -277,27 +288,36 @@ def _krein_matrix(basis: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return 0.5 * (q + q.T)
 
 
+def _unit_eigenvalue(lam: complex, tol: ToleranceProfile) -> complex:
+    """``lam`` projected onto the circle, if it is a unit non-real eigenvalue."""
+    if abs(abs(lam) - 1.0) > 10 * tol.tol_eig or abs(lam.imag) <= 10 * tol.tol_eig:
+        raise ContractError(f"{lam:.6g} is not a unit non-real eigenvalue")
+    return lam / abs(lam)
+
+
+def _krein_data(lam: complex, q: np.ndarray, w: list[float],
+                tol: ToleranceProfile) -> KreinData:
+    """Signature of the Krein matrix ``q`` with eigenvalues ``w``."""
+    smallest = min(abs(x) for x in w)
+    if smallest <= tol.tol_form:
+        raise KreinDegenerateError(
+            f"Krein form at {lam:.6g} has eigenvalue {smallest:.3e} "
+            "below tol_form (eigenvalue drifting off the circle?)"
+        )
+    return KreinData(lam=lam, q_matrix=q,
+                     signature=(sum(x > 0 for x in w), sum(x < 0 for x in w)))
+
+
 def krein_form(A, lam: complex, tol: ToleranceProfile = DEFAULT_TOL,
                basis: np.ndarray | None = None,
                multiplicity: int | None = None) -> KreinData:
     """Krein form and signature at a unit-modulus, non-real eigenvalue."""
     a = as_array(A)
-    if abs(abs(lam) - 1.0) > 10 * tol.tol_eig or abs(lam.imag) <= 10 * tol.tol_eig:
-        raise ContractError(f"{lam:.6g} is not a unit non-real eigenvalue")
-    lam = lam / abs(lam)
+    lam = _unit_eigenvalue(lam, tol)
     if basis is None:
         basis = generalized_eigenspace(a, lam, tol, multiplicity)
-    om = omega_matrix(a.shape[0] // 2)
-    q = _krein_matrix(basis, om)
-    w = np.linalg.eigvalsh(q)
-    if np.min(np.abs(w)) <= tol.tol_form:
-        raise KreinDegenerateError(
-            f"Krein form at {lam:.6g} has eigenvalue {np.min(np.abs(w)):.3e} "
-            "below tol_form (eigenvalue drifting off the circle?)"
-        )
-    m_plus = int(np.sum(w > 0))
-    m_minus = int(np.sum(w < 0))
-    return KreinData(lam=lam, q_matrix=q, signature=(m_plus, m_minus))
+    q = _krein_matrix(basis, omega_matrix(a.shape[0] // 2))
+    return _krein_data(lam, q, np.linalg.eigvalsh(q).tolist(), tol)
 
 
 def _unit_basis_fast(a: np.ndarray, lam: complex, mult: int,
@@ -317,20 +337,37 @@ def _unit_basis_fast(a: np.ndarray, lam: complex, mult: int,
 
 
 def _spectral_summary(A, tol: ToleranceProfile):
-    """Quadruples plus Krein signatures for every unit non-real pair."""
+    """Quadruples plus Krein signatures for every unit non-real pair.
+
+    A simple unit eigenvalue (multiplicity 1, and the only eigenvalue within
+    10*tol_eig) spans E_lam with its eigenvector, so one product over the
+    unit-normalised eigenvectors gives the Krein forms of all of them.
+    Larger clusters take the generalized-eigenspace route.
+    """
     a = as_array(A)
     quads = eigen_quadruples(a, tol)
-    need_vectors = any(q.regime == "UnitNonReal" for q in quads)
-    evals = evecs = None
-    if need_vectors:
-        evals, evecs = np.linalg.eig(a.astype(complex))
+    units = [q for q in quads if q.regime == "UnitNonReal"]
     krein: dict[complex, KreinData] = {}
-    for q in quads:
-        if q.regime != "UnitNonReal":
-            continue
-        lam = q.representative  # Im > 0 by canonicalization
-        basis = _unit_basis_fast(a, lam, q.multiplicity, evals, evecs, tol)
-        krein[lam] = krein_form(a, lam, tol, basis=basis)
+    if not units:
+        return quads, krein
+    # eig of the real matrix costs about half of the complex one and still
+    # returns conjugate eigenvector pairs
+    evals, evecs = np.linalg.eig(a)
+    lams = np.array([q.representative for q in units])  # Im > 0 by canonicalization
+    near = np.abs(evals - lams[:, None]) <= 10 * tol.tol_eig
+    simple = (near.sum(axis=1) == 1) & (np.array([q.multiplicity for q in units]) == 1)
+    # eig returns unit-length eigenvectors
+    vecs = evecs[:, near[simple].argmax(axis=1)]
+    forms = iter(np.diag(_krein_matrix(vecs, omega_matrix(a.shape[0] // 2))).tolist())
+    for q, one in zip(units, simple):
+        lam = q.representative
+        if one:
+            form = next(forms)
+            krein[lam] = _krein_data(_unit_eigenvalue(lam, tol), np.array([[form]]),
+                                     [form], tol)
+        else:
+            basis = _unit_basis_fast(a, lam, q.multiplicity, evals, evecs, tol)
+            krein[lam] = krein_form(a, lam, tol, basis=basis)
     return quads, krein
 
 

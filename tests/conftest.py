@@ -81,6 +81,21 @@ def unit_jordan_real(phi: float, m: int) -> np.ndarray:
     return A
 
 
+def rotation(phi: float) -> np.ndarray:
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([[c, -s], [s, c]])
+
+
+def krein_degenerate_rotation(phi: float) -> np.ndarray:
+    """Rotation conjugated by diag(k, 1/k), k = 2^16.
+
+    The eigenvalues stay exact, but the Krein form of the unit eigenvector
+    shrinks to about 5e-10, below the default tol_form.
+    """
+    k = 2.0 ** 16
+    return np.diag([k, 1 / k]) @ rotation(phi) @ np.diag([1 / k, k])
+
+
 def random_canonical_blocks(rng: np.random.Generator, n_total: int):
     """A random multiset of payload-free canonical blocks of half-dim n_total."""
     blocks = []

@@ -39,6 +39,8 @@ class TestCommands:
         assert rep["command"] == "cz"
         assert rep["value"] == "1"
         assert rep["diagnostics"]["endpoint"] in ("W+", "W-")
+        assert rep["diagnostics"]["rho_fallbacks"] == 0
+        assert rep["diagnostics"]["krein_nudges"] == 0
 
     def test_rs_and_rs2(self, tmp_path, capsys):
         inp = write_json(tmp_path, "s.json", shear_job())

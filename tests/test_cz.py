@@ -1,3 +1,7 @@
+import json
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,11 @@ from sympindex import (AdmissibilityError, CatPath, ConjPath, ConstPath,
                        SampledPath, SympindexError, WindingResolutionError,
                        conley_zehnder, cz_dim2_closed_form, evaluate_array,
                        extension_winding, make_loop, maslov_loop,
-                       random_symplectic, winding)
+                       path_from_json, random_symplectic, rho, winding)
+from sympindex.cz import _nudged
+from conftest import krein_degenerate_rotation, rotation
+
+DATA = Path(__file__).parent / "data"
 
 
 def exp_path(n=1, seed=0, scale=1.0, duration=1.0):
@@ -183,6 +191,31 @@ class TestIndexProperties:
         assert res.winding_trace[-1][0] == 1.0
         assert res.endpoint in ("W+", "W-")
         assert res.diagnostics["smin_end"] > 0
+        assert res.diagnostics["rho_fallbacks"] == 0
+        assert res.diagnostics["krein_nudges"] == 0
+
+    def test_tolerance_fallback_is_recorded(self):
+        # n = 8, spectral radius 12: one sample of the main winding has a
+        # cluster gap inside the ambiguity band at the default tol_eig
+        path = path_from_json(json.loads(
+            (DATA / "rho_fallback_path.json").read_text()))
+        res = conley_zehnder(path)
+        assert res.value == HalfInt.from_int(2)
+        assert res.diagnostics["rho_fallbacks"] == 1
+        assert res.diagnostics["krein_nudges"] == 0
+
+    def test_krein_nudge_is_recorded(self):
+        # a sampler that meets a degenerate Krein form at one parameter only
+        def sample(t):
+            return rho(krein_degenerate_rotation(0.7) if t == 0.25
+                       else rotation(0.7 + t))
+
+        events = Counter()
+        g = _nudged(sample, events)
+        assert g(0.25) == pytest.approx(np.exp(1j * (0.7 + 0.25 + 1e-9)))
+        assert events == {"krein_nudges": 1}
+        assert g(0.5) == pytest.approx(np.exp(1.2j))
+        assert events == {"krein_nudges": 1}
 
 
 class TestMaslovLoop:

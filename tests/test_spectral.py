@@ -4,10 +4,10 @@ import scipy.linalg as sla
 
 import sympindex.spectral as spectral
 from sympindex import (DEFAULT_TOL, IllConditionedSpectrumError,
-                       direct_sum_many, eigen_quadruples,
+                       KreinDegenerateError, direct_sum_many, eigen_quadruples,
                        first_kind_eigenvalues, generalized_eigenspace,
                        j_matrix, krein_form, random_symplectic, rho)
-from conftest import unit_jordan_real
+from conftest import krein_degenerate_rotation, unit_jordan_real
 
 
 def rotation(phi):
@@ -20,6 +20,56 @@ def w_minus(n):
     d[0] = 2.0
     d[n] = 0.5
     return np.diag(d)
+
+
+def union_find_clusters(values, radius):
+    """Pairwise union-find clustering: the reference for ``_cluster``."""
+    m = len(values)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if abs(values[i] - values[j]) <= radius:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+class TestCluster:
+    def test_chain_is_one_cluster_ordered_by_smallest_index(self):
+        tol = 1e-7
+        a, b, c = 2.0, 2.0 + 0.8 * tol, 2.0 + 1.6 * tol
+        assert abs(a - c) > tol
+        values = np.array([c, 5.0, a, 7.0j, b])
+        means, sizes = spectral._cluster(values, tol)
+        assert sizes.tolist() == [3, 1, 1]
+        assert means[0] == pytest.approx(2.0 + 0.8 * tol, abs=1e-15)
+        assert means[1:].tolist() == [5.0, 7.0j]
+
+    def test_matches_union_find(self):
+        rng = np.random.default_rng(5)
+        radius = 1e-3
+        for _ in range(200):
+            m = int(rng.integers(1, 17))
+            # steps of 0.5 or 1.5 radii along a shuffled walk make chains
+            steps = rng.choice([0.5, 1.5], size=m) * radius
+            walk = np.cumsum(steps * np.exp(1j * rng.uniform(0, 0.2, m)))
+            values = rng.permutation(walk)
+            means, sizes = spectral._cluster(values, radius)
+            groups = union_find_clusters(values, radius)
+            assert sizes.tolist() == [len(g) for g in groups]
+            for mean, idx in zip(means, groups):
+                assert abs(mean - np.mean(values[idx])) <= 1e-15
 
 
 class TestQuadruples:
@@ -79,6 +129,62 @@ class TestKrein:
         assert (krein_form(a, np.exp(1j * phi), multiplicity=2).signature
                 == krein_form(b, np.exp(1j * phi), multiplicity=2).signature
                 == (1, 1))
+
+
+def krein_cases():
+    """Seeded conjugated direct sums, n = 1..4, keyed by a label."""
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+    minus_shear = np.array([[-1.0, 1.0], [0.0, -1.0]])
+    sums = {
+        "one pair": [rotation(0.9)],
+        "mixed simple pairs": [rotation(2.1), rotation(-0.4)],
+        "double mixed pair": [rotation(1.3), rotation(-1.3), np.diag([2.0, 0.5])],
+        "defective -1 block": [rotation(0.6), minus_shear, rotation(-2.5),
+                               np.diag([-3.0, -1 / 3.0])],
+        "defective +1 block": [shear, rotation(-0.8), rotation(1.9)],
+    }
+    for seed, (label, blocks) in enumerate(sums.items()):
+        n = len(blocks)
+        k = random_symplectic(n, seed=40 + seed, max_cond=20)
+        yield label, k @ direct_sum_many(blocks) @ np.linalg.inv(k)
+
+
+class TestKreinRoutes:
+    @pytest.mark.parametrize("label,a", list(krein_cases()))
+    def test_one_product_matches_krein_form(self, label, a, monkeypatch):
+        # simple pairs take the one-product route; only clusters of
+        # multiplicity >= 2 may reach krein_form
+        calls = []
+        original = spectral.krein_form
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "krein_form", counted)
+        quads, krein = spectral._spectral_summary(a, DEFAULT_TOL)
+        monkeypatch.undo()
+        units = [q for q in quads if q.regime == "UnitNonReal"]
+        assert units
+        assert len(calls) == sum(q.multiplicity > 1 for q in units)
+        for q in units:
+            lam = q.representative
+            ref = krein_form(a, lam, DEFAULT_TOL, multiplicity=q.multiplicity)
+            assert krein[lam].signature == ref.signature
+            if q.multiplicity == 1:
+                assert krein[lam].q_matrix == pytest.approx(ref.q_matrix, abs=1e-9)
+            else:
+                assert ref.signature == (1, 1)
+
+    def test_degenerate_simple_pair_raises(self):
+        a = krein_degenerate_rotation(0.7)
+        with pytest.raises(KreinDegenerateError):
+            krein_form(a, np.exp(0.7j), multiplicity=1)
+        with pytest.raises(KreinDegenerateError):
+            rho(a)
+        # the same pair is nondegenerate once tol_form is below its form
+        assert rho(a, DEFAULT_TOL.with_overrides(tol_form=1e-11)) == \
+            pytest.approx(np.exp(0.7j), abs=1e-9)
 
 
 class TestRho:
