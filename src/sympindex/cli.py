@@ -19,7 +19,9 @@ import numpy as np
 
 from .core import as_array, is_symplectic
 from .errors import SympindexError
-from .cz import conley_zehnder, maslov_loop, winding
+from .cz import _loop_winding, conley_zehnder
+# not called here, but bench/tracing.py wraps sympindex.cli.winding
+from .cz import winding  # noqa: F401
 from .lagrangian import lagrangian_rs_index, vertical_frame
 from .normal_form import normal_form
 from .paths import evaluate_array, path_from_json
@@ -77,17 +79,22 @@ def _write_csv(path: str, header: list[str], rows) -> None:
                              for v in row])
 
 
+def _write_winding_csv(path: str, column: str, path_spec, trace) -> None:
+    """The (t, phase) samples of a winding, with sigma_min(psi_t - Id)."""
+    dim = 2 * path_spec.n
+    rows = []
+    for t, phase in trace:
+        smin = float(np.linalg.svd(
+            evaluate_array(path_spec, t) - np.eye(dim), compute_uv=False)[-1])
+        rows.append((float(t), float(phase), smin))
+    _write_csv(path, ["t", column, "smin_psi_minus_id"], rows)
+
+
 def _run_cz(path_spec, tol, seed, trace_file):
     result = conley_zehnder(path_spec, tol, seed=seed)
     if trace_file:
-        dim = 2 * path_spec.n
-        rows = []
-        for t, phase in result.winding_trace:
-            smin = float(np.linalg.svd(
-                evaluate_array(path_spec, t) - np.eye(dim),
-                compute_uv=False)[-1])
-            rows.append((float(t), float(phase), smin))
-        _write_csv(trace_file, ["t", "phase_rho2", "smin_psi_minus_id"], rows)
+        _write_winding_csv(trace_file, "phase_rho2", path_spec,
+                           result.winding_trace)
     return {
         "value": str(result.value),
         "diagnostics": {
@@ -136,20 +143,10 @@ def _run_rs2(path_spec, tol, trace_file):
 
 
 def _run_maslov(path_spec, tol, trace_file):
-    value = maslov_loop(path_spec, tol)
-    report = {"value": value, "diagnostics": {}}
+    value, trace = _loop_winding(path_spec, tol)
     if trace_file:
-        turns, trace, _ = winding(
-            lambda t: rho(evaluate_array(path_spec, t), tol), tol.max_refine)
-        dim = 2 * path_spec.n
-        rows = []
-        for t, phase in trace:
-            smin = float(np.linalg.svd(
-                evaluate_array(path_spec, t) - np.eye(dim),
-                compute_uv=False)[-1])
-            rows.append((float(t), float(phase), smin))
-        _write_csv(trace_file, ["t", "phase_rho", "smin_psi_minus_id"], rows)
-    return report
+        _write_winding_csv(trace_file, "phase_rho", path_spec, trace)
+    return {"value": value, "diagnostics": {}}
 
 
 def _run_rho(matrix, tol):

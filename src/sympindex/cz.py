@@ -34,7 +34,7 @@ from .errors import (AdmissibilityError, ContractError,
                      WindingResolutionError)
 from .halfint import HalfInt
 from .lagrangian import _golden_min
-from .normal_form import normal_form, semisimple_perturb
+from .normal_form import _rot, normal_form, semisimple_perturb
 from .paths import PathSpec, evaluate_array
 from .spectral import rho
 from .tolerances import DEFAULT_TOL, ToleranceProfile
@@ -154,16 +154,28 @@ def _rho_robust(a: np.ndarray, tol: ToleranceProfile, events: Counter) -> comple
     raise last
 
 
+def _rho_map(sample, tol: ToleranceProfile, events: Counter, power: int):
+    """t -> rho(sample(t)) ** power, with the tolerance cascade and nudges."""
+    return _nudged(lambda t: _rho_robust(sample(t), tol, events) ** power,
+                   events)
+
+
 # ---------------------------------------------------------------------------
 # canonical extension of an endpoint to W+/-
 
 
-def _unit_passage_times(sample, dim: int, grid: int = 256) -> list[float]:
+# sigma_min(psi_t -+ Id) samples of the passage search: PASSAGE_GRID + 1
+PASSAGE_GRID = 256
+
+
+def _unit_passage_times(sample, dim: int) -> list[float]:
     """Parameters where an eigenvalue of the sampled path passes +-1.
 
     The spectral rotation map is locally constant on hyperbolic stretches, so
     a full circle sweep between two passages is invisible to a uniform grid;
-    the refined passage parameters anchor the winding sampler there.
+    the refined passage parameters anchor the winding sampler there.  A
+    passage candidate is a grid sample no larger than either neighbour and
+    smaller than at least one, so a flat run (a constant path) yields none.
     """
     eye = np.eye(dim)
 
@@ -173,7 +185,7 @@ def _unit_passage_times(sample, dim: int, grid: int = 256) -> list[float]:
         s2 = np.linalg.svd(a + eye, compute_uv=False)[-1]
         return float(min(s1, s2))
 
-    ts = np.linspace(0.0, 1.0, grid + 1)
+    ts = np.linspace(0.0, 1.0, PASSAGE_GRID + 1)
     stack = np.array([sample(t) for t in ts])
     vals = np.minimum(np.linalg.svd(stack - eye, compute_uv=False)[:, -1],
                       np.linalg.svd(stack + eye, compute_uv=False)[:, -1])
@@ -181,20 +193,16 @@ def _unit_passage_times(sample, dim: int, grid: int = 256) -> list[float]:
     # a passage refines to a window boundary where the map is back at +-1;
     # geometric offsets on both sides guarantee a sample inside the window
     # (mid-sweep) whatever its width, down to ~1e-9
-    offsets = [2.0 ** -k / grid for k in range(30)]
-    for i in range(1, grid):
-        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
+    offsets = [2.0 ** -k / PASSAGE_GRID for k in range(30)]
+    for i in range(1, PASSAGE_GRID):
+        lo, hi = sorted((vals[i - 1], vals[i + 1]))
+        if vals[i] <= lo and vals[i] < hi:
             t_star, _ = _golden_min(dist, float(ts[i - 1]), float(ts[i + 1]),
                                     width=1e-8)
             out.append(t_star)
             out.extend(t_star + d for d in offsets)
             out.extend(t_star - d for d in offsets)
     return [min(max(t, 0.0), 1.0) for t in out]
-
-
-def _rot(phi):
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, -s], [s, c]])
 
 
 def _pair_block(lam_t):
@@ -293,7 +301,7 @@ class _Extension:
             if idx == survivor:
                 lam = b.lambda_param[0]
                 deformers.append(
-                    (1, lambda t, lam=lam: _pair_block((1 - t) * lam + 2 * t)))
+                    lambda t, lam=lam: _pair_block((1 - t) * lam + 2 * t))
             elif b.case == "OffCircleReal" and b.lambda_param[0] > 0:
                 if pending is None:
                     pending = b.lambda_param[0]
@@ -311,22 +319,22 @@ class _Extension:
                         s = 2 * t - 1
                         return _quad_block(1 + (lam1 - 1) * (1 - s), np.pi * s)
 
-                    deformers.append((2, pos_pair))
+                    deformers.append(pos_pair)
             elif b.case == "OffCircleReal":
                 lam = b.lambda_param[0]
                 deformers.append(
-                    (1, lambda t, lam=lam: _pair_block((1 - t) * lam - t)))
+                    lambda t, lam=lam: _pair_block((1 - t) * lam - t))
             elif b.case == "OffCircleComplex":
                 r0, th0 = b.lambda_param
                 deformers.append(
-                    (2, lambda t, r0=r0, th0=th0: _quad_block(
-                        1 + (r0 - 1) * (1 - t), th0 + (np.pi - th0) * t)))
+                    lambda t, r0=r0, th0=th0: _quad_block(
+                        1 + (r0 - 1) * (1 - t), th0 + (np.pi - th0) * t))
             else:
                 phi = b.lambda_param[0]
                 target = np.pi if phi > 0 else -np.pi
                 deformers.append(
-                    (1, lambda t, phi=phi, target=target: _rot(
-                        (1 - t) * phi + t * target)))
+                    lambda t, phi=phi, target=target: _rot(
+                        (1 - t) * phi + t * target))
         if pending is not None:
             raise InternalConsistencyError("unpaired positive eigenvalue pair")
         self._deformers = deformers
@@ -334,12 +342,11 @@ class _Extension:
         # bridge log and final unwinding of the conjugation
         self.a_end = a_end
         self._bridge_log = sla.logm(np.linalg.solve(a_end, aprime)).real
-        self.aprime = aprime
         self._w_matrix = self._deform(1.0)
         self._unwind = self._build_unwind(self.k_perm)
 
     def _deform(self, t: float) -> np.ndarray:
-        return direct_sum_many([fn(t) for _, fn in self._deformers])
+        return direct_sum_many([fn(t) for fn in self._deformers])
 
     @staticmethod
     def _build_unwind(k: np.ndarray):
@@ -363,6 +370,16 @@ class _Extension:
     def bridge_at(self, t: float) -> np.ndarray:
         return self.a_end @ sla.expm(t * self._bridge_log)
 
+    def rho_winding(self, events: Counter) -> float:
+        """Turns of rho^2 along the extension.
+
+        The sampled bridge winding to the nearby semisimple matrix plus the
+        analytic unit-spectrum sum.
+        """
+        turns, _, _ = winding(_rho_map(self.bridge_at, self.tol, events, 2),
+                              self.tol.max_refine, coarse=16)
+        return turns + self.plan.total_increment
+
     def at(self, t: float) -> np.ndarray:
         """The full materialized extension on [0, 1]."""
         if t <= 1.0 / 3.0:
@@ -381,15 +398,31 @@ def extension_winding(A, tol: ToleranceProfile = DEFAULT_TOL, seed: int = 0):
     nearby semisimple matrix plus the analytic unit-spectrum sum.
     """
     ext = _Extension(as_array(A), tol, seed)
-    events = Counter()
-    f = _nudged(lambda t: _rho_robust(ext.bridge_at(t), ext.tol, events) ** 2,
-                events)
-    bridge_turns, _, _ = winding(f, tol.max_refine, coarse=16)
-    return bridge_turns + ext.plan.total_increment, ext.endpoint
+    return ext.rho_winding(Counter()), ext.endpoint
 
 
 # ---------------------------------------------------------------------------
 # the index
+
+
+def _path_winding(path: PathSpec, tol: ToleranceProfile, power: int,
+                  events: Counter):
+    """Winding of rho ** power along the path, anchored at its +-1 passages."""
+    def sample(t):
+        return evaluate_array(path, t)
+
+    anchors = _unit_passage_times(sample, 2 * path.n)
+    return winding(_rho_map(sample, tol, events, power), tol.max_refine,
+                   anchor_ts=anchors)
+
+
+def _rounded(name: str, turns: float) -> int:
+    """The integer a winding must be, within 0.1."""
+    r = int(round(turns))
+    if abs(turns - r) > 0.1:
+        raise InternalConsistencyError(
+            f"{name} winding {turns:.6f} is not within 0.1 of an integer")
+    return r
 
 
 def _check_starts_at_identity(path: PathSpec, tol: ToleranceProfile):
@@ -410,22 +443,15 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
     ext = _Extension(a_end, tol, seed)
 
     # main [0,1] windings for the three circle maps
-    anchors = _unit_passage_times(lambda t: evaluate_array(path, t),
-                                  a_end.shape[0])
     events = Counter()
-    f_rho = _nudged(
-        lambda t: _rho_robust(evaluate_array(path, t), tol, events) ** 2, events)
-    w_rho, trace, depth = winding(f_rho, tol.max_refine, anchor_ts=anchors)
+    w_rho, trace, depth = _path_winding(path, tol, 2, events)
     w_polar, _, _ = winding(lambda t: rho_polar(evaluate_array(path, t), tol) ** 2,
                             tol.max_refine)
     w_hat, _, _ = winding(lambda t: rho_hat(evaluate_array(path, t), tol) ** 2,
                           tol.max_refine)
 
     # extension windings
-    f_bridge = _nudged(
-        lambda t: _rho_robust(ext.bridge_at(t), ext.tol, events) ** 2, events)
-    e_rho, _, _ = winding(f_bridge, tol.max_refine, coarse=16)
-    e_rho += ext.plan.total_increment
+    e_rho = ext.rho_winding(events)
     e_polar, _, _ = winding(lambda t: rho_polar(ext.at(t), tol) ** 2,
                             tol.max_refine, coarse=96)
     e_hat, _, _ = winding(lambda t: rho_hat(ext.at(t), tol) ** 2,
@@ -433,13 +459,7 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
 
     totals = {"spectral": w_rho + e_rho, "polar": w_polar + e_polar,
               "clinear": w_hat + e_hat}
-    rounded = {}
-    for name, val in totals.items():
-        r = int(round(val))
-        if abs(val - r) > 0.1:
-            raise InternalConsistencyError(
-                f"{name} winding {val:.6f} is not within 0.1 of an integer")
-        rounded[name] = r
+    rounded = {name: _rounded(name, val) for name, val in totals.items()}
     if len(set(rounded.values())) != 1:
         raise InternalConsistencyError(
             f"circle maps disagree on the index: {rounded}")
@@ -484,20 +504,16 @@ def cz_dim2_closed_form(S, T: float) -> HalfInt:
     return HalfInt((1 + 2 * k) * sign_s)
 
 
-def maslov_loop(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL) -> int:
-    """Integer winding of the rotation map along a loop."""
+def _loop_winding(path: PathSpec, tol: ToleranceProfile):
+    """Integer winding of the rotation map along a loop, with its trace."""
     p0 = evaluate_array(path, 0.0)
     p1 = evaluate_array(path, 1.0)
     if np.linalg.norm(p0 - p1) > 1e3 * tol.tol_symp * (1.0 + np.linalg.norm(p0)):
         raise ContractError("maslov_loop requires a loop")
-    anchors = _unit_passage_times(lambda t: evaluate_array(path, t),
-                                  p0.shape[0])
-    events = Counter()
-    f = _nudged(lambda t: _rho_robust(evaluate_array(path, t), tol, events),
-                events)
-    turns, _, _ = winding(f, tol.max_refine, anchor_ts=anchors)
-    r = int(round(turns))
-    if abs(turns - r) > 0.1:
-        raise InternalConsistencyError(
-            f"loop winding {turns:.6f} is not within 0.1 of an integer")
-    return r
+    turns, trace, _ = _path_winding(path, tol, 1, Counter())
+    return _rounded("loop", turns), trace
+
+
+def maslov_loop(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL) -> int:
+    """Integer winding of the rotation map along a loop."""
+    return _loop_winding(path, tol)[0]

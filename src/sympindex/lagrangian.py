@@ -175,6 +175,10 @@ def _stacked_smin(f_t: np.ndarray, v_q: np.ndarray) -> float:
     return float(s[-1])
 
 
+# sigma_min samples of a crossing scan: SCAN_GRID + 1 points on [0, 1]
+SCAN_GRID = 512
+
+
 def _golden_min(f, a: float, b: float, width: float = 1e-10):
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
@@ -193,14 +197,14 @@ def _golden_min(f, a: float, b: float, width: float = 1e-10):
     return t, f(t)
 
 
-def _crossing_windows(flags: list[bool], grid: int):
+def _crossing_windows(flags: list[bool]):
     """Group flagged grid indices into isolated windows or plateaus."""
     runs = []
     i = 0
-    while i <= grid:
+    while i <= SCAN_GRID:
         if flags[i]:
             j = i
-            while j + 1 <= grid and flags[j + 1]:
+            while j + 1 <= SCAN_GRID and flags[j + 1]:
                 j += 1
             runs.append((i, j))
             i = j + 1
@@ -209,8 +213,7 @@ def _crossing_windows(flags: list[bool], grid: int):
     return runs
 
 
-def _scan_crossings(smin, kernel_dim_at, tol: ToleranceProfile,
-                    grid: int = 512):
+def _scan_crossings(smin, kernel_dim_at, tol: ToleranceProfile):
     """Locate the zeros of a sampled sigma_min curve on [0, 1].
 
     Every local minimum of the grid samples is bracketed and refined by
@@ -219,6 +222,7 @@ def _scan_crossings(smin, kernel_dim_at, tol: ToleranceProfile,
     dimension is constant across the run, rejected otherwise.  Returns
     (crossing times, trace rows (t, smin, flag), all_plateau flag).
     """
+    grid = SCAN_GRID
     ts = np.linspace(0.0, 1.0, grid + 1)
     vals = [smin(t) for t in ts]
     near = np.sqrt(tol.tol_kernel)
@@ -235,7 +239,7 @@ def _scan_crossings(smin, kernel_dim_at, tol: ToleranceProfile,
         return [], trace, True
 
     plateau_idx = set()
-    for i0, i1 in _crossing_windows(flags, grid):
+    for i0, i1 in _crossing_windows(flags):
         if i1 - i0 > 2:
             dims = {kernel_dim_at(ts[i]) for i in range(i0, i1 + 1)}
             if len(dims) != 1:
@@ -273,54 +277,57 @@ def _scan_crossings(smin, kernel_dim_at, tol: ToleranceProfile,
     return merged, trace, False
 
 
-def lagrangian_rs_index(frames, v: LagrangianFrame,
-                        tol: ToleranceProfile = DEFAULT_TOL,
-                        grid: int = 512):
-    """Signature sum over the crossings of a Lagrangian path with V.
+def _crossing_sum(smin, kernel_at, form_at, tol: ToleranceProfile):
+    """Signature sum over the zeros of ``smin`` on [0, 1].
 
-    Interior regular crossings contribute their signature, the endpoints
-    half of it.  Returns (HalfInt, crossing reports, smin trace) where the
-    trace rows are (t, smin, kernel_dim estimate).
+    ``kernel_at(t)`` is a basis (columns) of the intersection at t and
+    ``form_at(t, kernel)`` the crossing form on it.  Interior regular
+    crossings contribute their signature, the endpoints half of it.
+    Returns (HalfInt, crossing reports, smin trace).
     """
-    v_q = v.orthonormal()
-
-    def smin(t):
-        return _stacked_smin(_as_frame(frames(t)), v_q)
-
-    def kdim(t):
-        return _kernel_dim(_as_frame(frames(t)), v_q, tol)
-
-    crossings, trace, all_plateau = _scan_crossings(smin, kdim, tol, grid)
+    crossings, trace, all_plateau = _scan_crossings(
+        smin, lambda t: kernel_at(t).shape[1], tol)
     if all_plateau:
         return HalfInt(0), [], trace
 
     doubled = 0
     reports = []
     for t_star in crossings:
-        f_star = _as_frame(frames(t_star))
-        q_star, _ = np.linalg.qr(f_star)
-        coords = _intersection_coords(q_star, v_q, tol.tol_kernel)
-        k = coords.shape[1]
+        kernel = kernel_at(t_star)
+        k = kernel.shape[1]
         if k == 0:
             continue
-        gamma = lagrangian_crossing_form(frames, t_star, v, tol=tol)
+        gamma = form_at(t_star, kernel)
         sig, regular = _signature(gamma, tol.tol_form)
         if not regular:
             raise IrregularCrossingError(
-                f"irregular Lagrangian crossing at t={t_star:.8g}")
+                f"irregular crossing at t={t_star:.8g} "
+                f"(kernel dimension {k})")
         weight = 0.5 if t_star in (0.0, 1.0) else 1.0
         reports.append(CrossingReport(
-            t=float(t_star), kernel_dim=k, kernel_basis=q_star @ coords,
-            gamma=gamma, signature=sig, regular=regular, weight=weight))
+            t=float(t_star), kernel_dim=k, kernel_basis=kernel, gamma=gamma,
+            signature=sig, regular=regular, weight=weight))
         doubled += sig if weight == 0.5 else 2 * sig
     return HalfInt(doubled), reports, trace
 
 
-def _kernel_dim(f_t: np.ndarray, v_q: np.ndarray, tol: ToleranceProfile) -> int:
-    q, _ = np.linalg.qr(f_t)
-    proj = q - v_q @ (v_q.T @ q)
-    s = np.linalg.svd(proj, compute_uv=False)
-    return int(np.sum(s < np.sqrt(tol.tol_kernel)))
+def lagrangian_rs_index(frames, v: LagrangianFrame,
+                        tol: ToleranceProfile = DEFAULT_TOL):
+    """Signature sum over the crossings of a Lagrangian path with V.
+
+    Interior regular crossings contribute their signature, the endpoints
+    half of it.  Returns (HalfInt, crossing reports, smin trace) where the
+    trace rows are (t, smin, near-zero flag).
+    """
+    v_q = v.orthonormal()
+
+    def kernel_at(t):
+        q, _ = np.linalg.qr(_as_frame(frames(t)))
+        return q @ _intersection_coords(q, v_q, tol.tol_kernel)
+
+    return _crossing_sum(
+        lambda t: _stacked_smin(_as_frame(frames(t)), v_q), kernel_at,
+        lambda t, _: lagrangian_crossing_form(frames, t, v, tol=tol), tol)
 
 
 def graph_lagrangian(a) -> LagrangianFrame:

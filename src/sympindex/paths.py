@@ -462,9 +462,7 @@ def generator(path: PathSpec, t: float, h: float | None = None) -> GeneratorSamp
     d = (4.0 * deriv(h / 2) - deriv(h)) / 3.0
     s_mat = -jm @ d @ np.linalg.inv(psi)
     s_mat = 0.5 * (s_mat + s_mat.T)
-    flagged = one_sided and t not in (0.0, 1.0) and bool(
-        [j for j in junction_parameters(path) if abs(j - t) < 2 * h])
-    return GeneratorSample(t=t, s_matrix=s_mat, one_sided=flagged or one_sided)
+    return GeneratorSample(t=t, s_matrix=s_mat, one_sided=one_sided)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IrregularCrossingError
 from .halfint import HalfInt
-from .lagrangian import (CrossingReport, _scan_crossings, _signature,
-                         lagrangian_rs_index, vertical_frame)
+from .lagrangian import (CrossingReport, _crossing_sum, lagrangian_rs_index,
+                         vertical_frame)
 from .paths import (CatPath, ExpPath, PathSpec, ShearPath, evaluate_array,
                     generator)
 from .tolerances import DEFAULT_TOL, ToleranceProfile
@@ -59,8 +58,7 @@ def _closed_form_shear(path: ShearPath, tol: ToleranceProfile):
     return RSResult(value=HalfInt(doubled), crossings=(), trace=())
 
 
-def _generic_rs(path: PathSpec, tol: ToleranceProfile,
-                grid: int = 512) -> RSResult:
+def _generic_rs(path: PathSpec, tol: ToleranceProfile) -> RSResult:
     dim = 2 * path.n
     eye = np.eye(dim)
 
@@ -73,34 +71,12 @@ def _generic_rs(path: PathSpec, tol: ToleranceProfile,
         k = int(np.sum(s < np.sqrt(tol.tol_kernel)))
         return vt[dim - k:, :].T
 
-    crossings, trace, all_plateau = _scan_crossings(
-        smin, lambda t: kernel_at(t).shape[1], tol, grid)
-    trace = tuple(trace)
-    if all_plateau:
-        return RSResult(value=HalfInt(0), crossings=(), trace=trace)
+    def form_at(t: float, kernel: np.ndarray) -> np.ndarray:
+        gamma = kernel.T @ generator(path, t).s_matrix @ kernel
+        return 0.5 * (gamma + gamma.T)
 
-    doubled = 0
-    reports = []
-    for t_star in crossings:
-        kernel = kernel_at(t_star)
-        k = kernel.shape[1]
-        if k == 0:
-            continue
-        s_t = generator(path, t_star).s_matrix
-        gamma = kernel.T @ s_t @ kernel
-        gamma = 0.5 * (gamma + gamma.T)
-        sig, regular = _signature(gamma, tol.tol_form)
-        if not regular:
-            raise IrregularCrossingError(
-                f"irregular crossing at t={t_star:.8g} "
-                f"(kernel dimension {k})")
-        weight = 0.5 if t_star in (0.0, 1.0) else 1.0
-        reports.append(CrossingReport(
-            t=float(t_star), kernel_dim=k, kernel_basis=kernel, gamma=gamma,
-            signature=sig, regular=regular, weight=weight))
-        doubled += sig if weight == 0.5 else 2 * sig
-    return RSResult(value=HalfInt(doubled), crossings=tuple(reports),
-                    trace=trace)
+    value, reports, trace = _crossing_sum(smin, kernel_at, form_at, tol)
+    return RSResult(value=value, crossings=tuple(reports), trace=tuple(trace))
 
 
 def rs_index(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL) -> RSResult:

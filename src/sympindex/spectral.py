@@ -62,7 +62,7 @@ class KreinData:
     """Krein form of a unit non-real eigenvalue on a basis of E_lam."""
 
     lam: complex
-    q_matrix: np.ndarray       # real symmetric matrix of the Hermitian form
+    q_matrix: np.ndarray       # Hermitian matrix of the form on the basis
     signature: tuple[int, int]  # (m_plus, m_minus), summing to dim_C E_lam
 
 
@@ -282,10 +282,14 @@ def generalized_eigenspace(A, lam: complex, tol: ToleranceProfile = DEFAULT_TOL,
 
 
 def _krein_matrix(basis: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Real symmetric matrix of the Krein Hermitian form on the given basis."""
-    k1 = basis.T @ omega @ basis.conj()
-    q = np.imag(k1)
-    return 0.5 * (q + q.T)
+    """Hermitian matrix H = -i B^T Omega conj(B) of the Krein form on basis B.
+
+    Its diagonal is Im(b^T Omega conj(b)) per column; off the diagonal both
+    parts count, and only the whole of H has a signature that does not
+    depend on the basis.
+    """
+    h = -1j * (basis.T @ omega @ basis.conj())
+    return 0.5 * (h + h.conj().T)
 
 
 def _unit_eigenvalue(lam: complex, tol: ToleranceProfile) -> complex:
@@ -309,31 +313,13 @@ def _krein_data(lam: complex, q: np.ndarray, w: list[float],
 
 
 def krein_form(A, lam: complex, tol: ToleranceProfile = DEFAULT_TOL,
-               basis: np.ndarray | None = None,
                multiplicity: int | None = None) -> KreinData:
     """Krein form and signature at a unit-modulus, non-real eigenvalue."""
     a = as_array(A)
     lam = _unit_eigenvalue(lam, tol)
-    if basis is None:
-        basis = generalized_eigenspace(a, lam, tol, multiplicity)
+    basis = generalized_eigenspace(a, lam, tol, multiplicity)
     q = _krein_matrix(basis, omega_matrix(a.shape[0] // 2))
     return _krein_data(lam, q, np.linalg.eigvalsh(q).tolist(), tol)
-
-
-def _unit_basis_fast(a: np.ndarray, lam: complex, mult: int,
-                     evals: np.ndarray, evecs: np.ndarray,
-                     tol: ToleranceProfile) -> np.ndarray:
-    """Basis of E_lam from plain eigenvectors when the cluster is semisimple."""
-    sel = np.abs(evals - lam) <= 10 * tol.tol_eig
-    if int(np.sum(sel)) != mult:
-        return generalized_eigenspace(a, lam, tol, multiplicity=mult)
-    V = evecs[:, sel]
-    s = np.linalg.svd(V, compute_uv=False)
-    if s[-1] < 1e-6 * s[0]:
-        # nearly parallel eigenvectors: defective, use the robust route
-        return generalized_eigenspace(a, lam, tol, multiplicity=mult)
-    q, _ = np.linalg.qr(V)
-    return q
 
 
 def _spectral_summary(A, tol: ToleranceProfile):
@@ -342,7 +328,7 @@ def _spectral_summary(A, tol: ToleranceProfile):
     A simple unit eigenvalue (multiplicity 1, and the only eigenvalue within
     10*tol_eig) spans E_lam with its eigenvector, so one product over the
     unit-normalised eigenvectors gives the Krein forms of all of them.
-    Larger clusters take the generalized-eigenspace route.
+    Larger clusters take ``krein_form`` on their generalized eigenspace.
     """
     a = as_array(A)
     quads = eigen_quadruples(a, tol)
@@ -358,7 +344,8 @@ def _spectral_summary(A, tol: ToleranceProfile):
     simple = (near.sum(axis=1) == 1) & (np.array([q.multiplicity for q in units]) == 1)
     # eig returns unit-length eigenvectors
     vecs = evecs[:, near[simple].argmax(axis=1)]
-    forms = iter(np.diag(_krein_matrix(vecs, omega_matrix(a.shape[0] // 2))).tolist())
+    h = _krein_matrix(vecs, omega_matrix(a.shape[0] // 2))
+    forms = iter(np.diag(h).real.tolist())
     for q, one in zip(units, simple):
         lam = q.representative
         if one:
@@ -366,8 +353,7 @@ def _spectral_summary(A, tol: ToleranceProfile):
             krein[lam] = _krein_data(_unit_eigenvalue(lam, tol), np.array([[form]]),
                                      [form], tol)
         else:
-            basis = _unit_basis_fast(a, lam, q.multiplicity, evals, evecs, tol)
-            krein[lam] = krein_form(a, lam, tol, basis=basis)
+            krein[lam] = krein_form(a, lam, tol, multiplicity=q.multiplicity)
     return quads, krein
 
 

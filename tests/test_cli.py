@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from sympindex import evaluate_array, make_loop, rho
 from sympindex.cli import main
+from sympindex.cz import _unit_passage_times, winding
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +122,30 @@ class TestTraces:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "smin", "kernel_dim"]
         assert len(rows) > 100
+
+    @pytest.mark.parametrize("wind,n", [(1, 1), (2, 2)])
+    def test_maslov_trace_is_the_valued_winding(self, tmp_path, capsys,
+                                                wind, n):
+        # the rows are the samples of the anchored rho winding that gave
+        # the value, not of a second, unanchored one
+        inp = write_json(tmp_path, "l.json",
+                         {"n": n, "path": {"type": "loop", "wind": wind}})
+        trace = tmp_path / "trace.csv"
+        code, out, _ = run_cli(capsys, "--input", inp, "--command", "maslov",
+                               "--trace", str(trace))
+        assert code == 0
+        assert json.loads(out)["value"] == wind
+        path = make_loop(wind, n)
+        turns, samples, _ = winding(
+            lambda t: rho(evaluate_array(path, t)),
+            anchor_ts=_unit_passage_times(
+                lambda t: evaluate_array(path, t), 2 * n))
+        assert round(turns) == wind
+        with open(trace) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "phase_rho", "smin_psi_minus_id"]
+        assert [(float(t), float(p)) for t, p, _ in rows[1:]] == [
+            (float(f"{t:.12g}"), float(f"{p:.12g}")) for t, p in samples]
 
 
 class TestErrorsAndDeterminism:

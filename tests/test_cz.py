@@ -12,7 +12,7 @@ from sympindex import (AdmissibilityError, CatPath, ConjPath, ConstPath,
                        conley_zehnder, cz_dim2_closed_form, evaluate_array,
                        extension_winding, make_loop, maslov_loop,
                        path_from_json, random_symplectic, rho, winding)
-from sympindex.cz import _nudged
+from sympindex.cz import _nudged, _unit_passage_times
 from conftest import krein_degenerate_rotation, rotation
 
 DATA = Path(__file__).parent / "data"
@@ -221,8 +221,12 @@ class TestIndexProperties:
 class TestMaslovLoop:
     def test_canonical_loops(self):
         for n in (1, 2):
-            for k in (-1, 1, 3):
+            for k in (-1, 0, 1, 3):
                 assert maslov_loop(make_loop(k, n)) == k
+
+    def test_constant_path_has_no_passage_candidates(self):
+        # a flat sigma_min run is not a run of local minima
+        assert _unit_passage_times(lambda t: np.eye(4), 4) == []
 
     def test_product_of_loops_adds(self):
         p = ProdPath(left=make_loop(2, 2), right=make_loop(-1, 2))

@@ -130,6 +130,21 @@ class TestKrein:
                 == krein_form(b, np.exp(1j * phi), multiplicity=2).signature
                 == (1, 1))
 
+    @pytest.mark.parametrize("kinds", [(1, -1), (1, 1, -1), (1, 1, 1, -1)])
+    def test_mixed_cluster_signature_is_basis_free(self, kinds):
+        # the real part of the Hermitian form alone has a signature that
+        # depends on the basis of the generalized eigenspace
+        phi = 1.3
+        a = direct_sum_many([rotation(k * phi) for k in kinds])
+        m_plus, m_minus = kinds.count(1), kinds.count(-1)
+        lam = np.exp(1j * phi)
+        for seed in range(100):
+            k = random_symplectic(len(kinds), seed=seed, max_cond=20)
+            b = k @ a @ np.linalg.inv(k)
+            kd = krein_form(b, lam, multiplicity=len(kinds))
+            assert kd.signature == (m_plus, m_minus), seed
+            assert abs(rho(b) - lam ** (m_plus - m_minus)) < 1e-8, seed
+
 
 def krein_cases():
     """Seeded conjugated direct sums, n = 1..4, keyed by a label."""
