@@ -104,6 +104,8 @@ def _run_cz(path_spec, tol, seed, trace_file):
             "refinement_depth": result.diagnostics["refinement_depth"],
             "rho_fallbacks": result.diagnostics["rho_fallbacks"],
             "krein_nudges": result.diagnostics["krein_nudges"],
+            "passages": result.diagnostics["passages"],
+            "anchored_passages": result.diagnostics["anchored_passages"],
         },
     }
 
@@ -111,7 +113,7 @@ def _run_cz(path_spec, tol, seed, trace_file):
 def _crossing_report(value, crossings, trace, trace_file) -> dict:
     """Report of a crossing-form index, writing its sigma_min scan if asked."""
     if trace_file:
-        _write_csv(trace_file, ["t", "smin", "kernel_dim"],
+        _write_csv(trace_file, ["t", "smin", "near_zero"],
                    [(float(t), float(s), int(k)) for t, s, k in trace])
     return {
         "value": str(value),

@@ -75,12 +75,18 @@ class ExtensionPlan:
 # winding engine
 
 
+# the sampler refines every interval whose phase step is not below this; the
+# passage screen keeps a passage's anchors when the spectrum moves this much
+PHASE_STEP = 0.5 * np.pi
+
+
 def winding(f, max_refine: int = 40, coarse: int = 64, anchor_ts=None):
     """Total unwrapped phase change of a unit-circle map over [0,1], in turns.
 
-    Adaptive bisection until every consecutive phase step is below pi/2;
-    returns (turns, trace, max_depth) where trace is the ordered list of
-    (t, cumulative phase in radians).  ``anchor_ts`` adds extra initial
+    Adaptive bisection until every consecutive phase step is below
+    ``PHASE_STEP``; returns (turns, trace, max_depth) where trace is the
+    ordered list of (t, cumulative phase in radians).  ``anchor_ts`` adds
+    extra initial
     sample parameters so features invisible to the uniform grid (a full
     sweep between two equal values) still trigger refinement.
     """
@@ -98,7 +104,7 @@ def winding(f, max_refine: int = 40, coarse: int = 64, anchor_ts=None):
     def rec(t0, z0, t1, z1, depth):
         nonlocal max_depth
         dphi = float(np.angle(z1 / z0))
-        if abs(dphi) < 0.5 * np.pi:
+        if abs(dphi) < PHASE_STEP:
             trace_t.append(t1)
             trace_phase.append(trace_phase[-1] + dphi)
             return
@@ -168,7 +174,7 @@ def _rho_map(sample, tol: ToleranceProfile, events: Counter, power: int):
 PASSAGE_GRID = 256
 
 
-def _unit_passage_times(sample, dim: int) -> list[float]:
+def _unit_passage_times(sample, dim: int, events: Counter) -> list[float]:
     """Parameters where an eigenvalue of the sampled path passes +-1.
 
     The spectral rotation map is locally constant on hyperbolic stretches, so
@@ -176,6 +182,10 @@ def _unit_passage_times(sample, dim: int) -> list[float]:
     the refined passage parameters anchor the winding sampler there.  A
     passage candidate is a grid sample no larger than either neighbour and
     smaller than at least one, so a flat run (a constant path) yields none.
+    A candidate keeps its anchors only when ``_spectrum_moves`` says a turn
+    could hide between them.  Candidates are counted in
+    ``events["passages"]``, the ones that keep anchors in
+    ``events["anchored_passages"]``.
     """
     eye = np.eye(dim)
 
@@ -193,16 +203,33 @@ def _unit_passage_times(sample, dim: int) -> list[float]:
     # a passage refines to a window boundary where the map is back at +-1;
     # geometric offsets on both sides guarantee a sample inside the window
     # (mid-sweep) whatever its width, down to ~1e-9
-    offsets = [2.0 ** -k / PASSAGE_GRID for k in range(30)]
+    offsets = [0.0] + [sign * 2.0 ** -k / PASSAGE_GRID
+                       for sign in (1, -1) for k in range(30)]
     for i in range(1, PASSAGE_GRID):
         lo, hi = sorted((vals[i - 1], vals[i + 1]))
         if vals[i] <= lo and vals[i] < hi:
+            events["passages"] += 1
             t_star, _ = _golden_min(dist, float(ts[i - 1]), float(ts[i + 1]),
                                     width=1e-8)
-            out.append(t_star)
-            out.extend(t_star + d for d in offsets)
-            out.extend(t_star - d for d in offsets)
-    return [min(max(t, 0.0), 1.0) for t in out]
+            anchors = [min(max(t_star + d, 0.0), 1.0) for d in offsets]
+            if _spectrum_moves(sample, [ts[i - 1], ts[i + 1]] + anchors):
+                events["anchored_passages"] += 1
+                out.extend(anchors)
+    return out
+
+
+def _spectrum_moves(sample, times) -> bool:
+    """Whether rho^2 can move by ``PHASE_STEP`` across the sampled times.
+
+    arg rho is a signed sum of the angles of the first-kind unit eigenvalues
+    plus pi per negative real pair, and every unit pair appears twice among
+    the |arg| of the eigenvalues.  So the total variation, along the sorted
+    times, of the sorted |arg| profile bounds how far rho^2 moves there.
+    """
+    ts = np.sort(np.asarray(times, dtype=float))
+    lam = np.linalg.eigvals(np.array([sample(t) for t in ts]))
+    profile = np.sort(np.abs(np.angle(lam)), axis=1)
+    return float(np.abs(np.diff(profile, axis=0)).sum()) >= PHASE_STEP
 
 
 def _pair_block(lam_t):
@@ -411,7 +438,7 @@ def _path_winding(path: PathSpec, tol: ToleranceProfile, power: int,
     def sample(t):
         return evaluate_array(path, t)
 
-    anchors = _unit_passage_times(sample, 2 * path.n)
+    anchors = _unit_passage_times(sample, 2 * path.n, events)
     return winding(_rho_map(sample, tol, events, power), tol.max_refine,
                    anchor_ts=anchors)
 
@@ -479,6 +506,8 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
             "windings": totals,
             "rho_fallbacks": events["rho_fallbacks"],
             "krein_nudges": events["krein_nudges"],
+            "passages": events["passages"],
+            "anchored_passages": events["anchored_passages"],
         },
     )
 

@@ -28,7 +28,7 @@ __all__ = ["RSResult", "rs_index", "rs2_index"]
 class RSResult:
     value: HalfInt
     crossings: tuple          # CrossingReport, in parameter order
-    trace: tuple              # (t, smin of psi_t - Id, kernel_dim flag)
+    trace: tuple              # (t, smin of psi_t - Id, near-zero flag)
 
 
 def _sign_count(w: np.ndarray, tol_form: float) -> int:

@@ -1,5 +1,6 @@
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -43,6 +44,9 @@ class TestCommands:
         assert rep["diagnostics"]["endpoint"] in ("W+", "W-")
         assert rep["diagnostics"]["rho_fallbacks"] == 0
         assert rep["diagnostics"]["krein_nudges"] == 0
+        # exp(t pi J0) reaches -1 at t = 1 only: no passage inside [0, 1]
+        assert rep["diagnostics"]["passages"] == 0
+        assert rep["diagnostics"]["anchored_passages"] == 0
 
     def test_rs_and_rs2(self, tmp_path, capsys):
         inp = write_json(tmp_path, "s.json", shear_job())
@@ -120,7 +124,8 @@ class TestTraces:
         assert code == 0
         with open(trace) as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "smin", "kernel_dim"]
+        # the third column is the near-zero flag, not a kernel dimension
+        assert rows[0] == ["t", "smin", "near_zero"]
         assert len(rows) > 100
 
     @pytest.mark.parametrize("wind,n", [(1, 1), (2, 2)])
@@ -139,7 +144,7 @@ class TestTraces:
         turns, samples, _ = winding(
             lambda t: rho(evaluate_array(path, t)),
             anchor_ts=_unit_passage_times(
-                lambda t: evaluate_array(path, t), 2 * n))
+                lambda t: evaluate_array(path, t), 2 * n, Counter()))
         assert round(turns) == wind
         with open(trace) as fh:
             rows = list(csv.reader(fh))

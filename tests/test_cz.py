@@ -7,7 +7,8 @@ import pytest
 
 from sympindex import (AdmissibilityError, CatPath, ConjPath, ConstPath,
                        ContractError, DEFAULT_TOL, DirectSumPath, ExpPath,
-                       HalfInt, ParameterError, ProdPath, ReversePath,
+                       HalfInt, InternalConsistencyError, ParameterError,
+                       ProdPath, ReversePath,
                        SampledPath, SympindexError, WindingResolutionError,
                        conley_zehnder, cz_dim2_closed_form, evaluate_array,
                        extension_winding, make_loop, maslov_loop,
@@ -193,6 +194,9 @@ class TestIndexProperties:
         assert res.diagnostics["smin_end"] > 0
         assert res.diagnostics["rho_fallbacks"] == 0
         assert res.diagnostics["krein_nudges"] == 0
+        # exp(t pi J0) reaches -1 at t = 1 only: no passage inside [0, 1]
+        assert res.diagnostics["passages"] == 0
+        assert res.diagnostics["anchored_passages"] == 0
 
     def test_tolerance_fallback_is_recorded(self):
         # n = 8, spectral radius 12: one sample of the main winding has a
@@ -218,6 +222,61 @@ class TestIndexProperties:
         assert events == {"krein_nudges": 1}
 
 
+class TestPassageScreen:
+    """A +-1 passage keeps its anchors only when the spectrum moves enough
+    across its bracket to hide a turn of rho^2 from the grid."""
+
+    LOOP_PRODUCT_S = [[-2.0475799163981367, -13.738604255225596],
+                      [-13.738604255225596, 0.14910221974364662]]
+
+    def test_loop_product_keeps_anchors(self, monkeypatch):
+        path = ProdPath(left=make_loop(-2, 1),
+                        right=ExpPath(s_matrix=self.LOOP_PRODUCT_S))
+        res = conley_zehnder(path)
+        assert res.value == HalfInt.from_int(-4)
+        assert {round(w) for w in res.diagnostics["windings"].values()} == {-4}
+        assert res.diagnostics["passages"] == 5
+        assert res.diagnostics["anchored_passages"] == 3
+        # without anchors the spectral winding misses turns
+        monkeypatch.setattr("sympindex.cz._unit_passage_times",
+                            lambda sample, dim, events: [])
+        with pytest.raises(InternalConsistencyError,
+                           match="circle maps disagree"):
+            conley_zehnder(path)
+
+    def test_slow_rotation_has_no_anchors(self):
+        res = conley_zehnder(ExpPath(s_matrix=np.diag([12.0, 12.0])))
+        assert res.value == cz_dim2_closed_form(np.diag([12.0, 12.0]), 1.0)
+        assert res.diagnostics["passages"] == 3
+        assert res.diagnostics["anchored_passages"] == 0
+
+    def test_fast_rotation_keeps_every_anchor(self):
+        s = np.diag([300.0, 300.0])
+        res = conley_zehnder(ExpPath(s_matrix=s))
+        assert res.value == cz_dim2_closed_form(s, 1.0) == HalfInt.from_int(95)
+        assert res.diagnostics["passages"] == 95
+        assert res.diagnostics["anchored_passages"] == 95
+
+    def test_loop_shift_sweep(self):
+        # psi = loop_k * exp(t J S): the family where anchors decide the
+        # spectral winding; S random symmetric of spectral radius 2-20
+        rng = np.random.default_rng(0)
+        anchored = 0
+        for _ in range(20):
+            n = int(rng.integers(1, 3))
+            radius = rng.uniform(2.0, 20.0)
+            k = int(rng.integers(-2, 3))
+            s = rng.normal(size=(2 * n, 2 * n))
+            s = s + s.T
+            s *= radius / np.max(np.abs(np.linalg.eigvalsh(s)))
+            base = conley_zehnder(ExpPath(s_matrix=s)).value
+            res = conley_zehnder(
+                ProdPath(left=make_loop(k, n), right=ExpPath(s_matrix=s)))
+            assert res.value == base + HalfInt.from_int(2 * k)
+            anchored += res.diagnostics["anchored_passages"]
+        assert anchored > 0
+
+
 class TestMaslovLoop:
     def test_canonical_loops(self):
         for n in (1, 2):
@@ -226,7 +285,9 @@ class TestMaslovLoop:
 
     def test_constant_path_has_no_passage_candidates(self):
         # a flat sigma_min run is not a run of local minima
-        assert _unit_passage_times(lambda t: np.eye(4), 4) == []
+        events = Counter()
+        assert _unit_passage_times(lambda t: np.eye(4), 4, events) == []
+        assert events["passages"] == 0
 
     def test_product_of_loops_adds(self):
         p = ProdPath(left=make_loop(2, 2), right=make_loop(-1, 2))
