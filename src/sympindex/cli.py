@@ -20,12 +20,13 @@ import numpy as np
 from .core import as_array, is_symplectic
 from .errors import SympindexError
 from .cz import _loop_winding, conley_zehnder
-# not called here, but bench/tracing.py wraps sympindex.cli.winding
+# neither is called here, but bench/tracing.py wraps sympindex.cli.winding
+# and sympindex.cli.lagrangian_rs_index
 from .cz import winding  # noqa: F401
-from .lagrangian import lagrangian_rs_index, vertical_frame
+from .lagrangian import lagrangian_rs_index  # noqa: F401
 from .normal_form import normal_form
 from .paths import evaluate_array, path_from_json
-from .rs import rs_index
+from .rs import _rs2, rs_index
 from .spectral import first_kind_eigenvalues, rho
 from .tolerances import DEFAULT_TOL
 
@@ -110,38 +111,23 @@ def _run_cz(path_spec, tol, seed, trace_file):
     }
 
 
-def _crossing_report(value, crossings, trace, trace_file) -> dict:
+def _run_crossing_index(index, path_spec, tol, trace_file):
     """Report of a crossing-form index, writing its sigma_min scan if asked."""
+    result = index(path_spec, tol)
     if trace_file:
         _write_csv(trace_file, ["t", "smin", "near_zero"],
-                   [(float(t), float(s), int(k)) for t, s, k in trace])
+                   [(float(t), float(s), int(k)) for t, s, k in result.trace])
     return {
-        "value": str(value),
+        "value": str(result.value),
         "diagnostics": {
             "crossings": [
                 {"t": _fmt_float(c.t), "kernel_dim": c.kernel_dim,
                  "signature": c.signature, "regular": c.regular,
                  "weight": c.weight}
-                for c in crossings
+                for c in result.crossings
             ],
         },
     }
-
-
-def _run_rs(path_spec, tol, trace_file):
-    result = rs_index(path_spec, tol)
-    return _crossing_report(result.value, result.crossings, result.trace,
-                            trace_file)
-
-
-def _run_rs2(path_spec, tol, trace_file):
-    v = vertical_frame(path_spec.n)
-
-    def frames(t):
-        return evaluate_array(path_spec, t) @ v.frame
-
-    value, reports, trace = lagrangian_rs_index(frames, v, tol)
-    return _crossing_report(value, reports, trace, trace_file)
 
 
 def _run_maslov(path_spec, tol, trace_file):
@@ -192,10 +178,9 @@ def run(args) -> dict:
 
     if args.command == "cz":
         body = _run_cz(payload, tol, args.seed, args.trace)
-    elif args.command == "rs":
-        body = _run_rs(payload, tol, args.trace)
-    elif args.command == "rs2":
-        body = _run_rs2(payload, tol, args.trace)
+    elif args.command in ("rs", "rs2"):
+        body = _run_crossing_index(rs_index if args.command == "rs" else _rs2,
+                                   payload, tol, args.trace)
     elif args.command == "maslov":
         body = _run_maslov(payload, tol, args.trace)
     elif args.command == "rho":

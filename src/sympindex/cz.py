@@ -27,15 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .core import as_array, direct_sum_many, normalize_unit, rho_hat, rho_polar
+from .core import as_array, direct_sum_many, rho_hat, rho_polar
 from .errors import (AdmissibilityError, ContractError,
                      IllConditionedSpectrumError, InternalConsistencyError,
-                     KreinDegenerateError, ParameterError,
-                     WindingResolutionError)
+                     KreinDegenerateError, ParameterError)
 from .halfint import HalfInt
-from .lagrangian import _golden_min
 from .normal_form import _rot, normal_form, semisimple_perturb
 from .paths import PathSpec, evaluate_array
+from .sampling import PHASE_STEP, local_minima, winding
 from .spectral import rho
 from .tolerances import DEFAULT_TOL, ToleranceProfile
 
@@ -72,56 +71,7 @@ class ExtensionPlan:
 
 
 # ---------------------------------------------------------------------------
-# winding engine
-
-
-# the sampler refines every interval whose phase step is not below this; the
-# passage screen keeps a passage's anchors when the spectrum moves this much
-PHASE_STEP = 0.5 * np.pi
-
-
-def winding(f, max_refine: int = 40, coarse: int = 64, anchor_ts=None):
-    """Total unwrapped phase change of a unit-circle map over [0,1], in turns.
-
-    Adaptive bisection until every consecutive phase step is below
-    ``PHASE_STEP``; returns (turns, trace, max_depth) where trace is the
-    ordered list of (t, cumulative phase in radians).  ``anchor_ts`` adds
-    extra initial
-    sample parameters so features invisible to the uniform grid (a full
-    sweep between two equal values) still trigger refinement.
-    """
-    ts = [i / coarse for i in range(coarse + 1)]
-    if anchor_ts:
-        ts = sorted({round(min(max(float(t), 0.0), 1.0), 12) for t in ts}
-                    | {round(min(max(float(t), 0.0), 1.0), 12)
-                       for t in anchor_ts})
-    zs = [normalize_unit(complex(f(t))) for t in ts]
-
-    trace_t = [0.0]
-    trace_phase = [0.0]
-    max_depth = 0
-
-    def rec(t0, z0, t1, z1, depth):
-        nonlocal max_depth
-        dphi = float(np.angle(z1 / z0))
-        if abs(dphi) < PHASE_STEP:
-            trace_t.append(t1)
-            trace_phase.append(trace_phase[-1] + dphi)
-            return
-        if depth >= max_refine:
-            raise WindingResolutionError(
-                f"phase step {dphi:.3f} at t in [{t0:.6g},{t1:.6g}] "
-                f"not resolved within depth {max_refine}")
-        max_depth = max(max_depth, depth + 1)
-        tm = 0.5 * (t0 + t1)
-        zm = normalize_unit(complex(f(tm)))
-        rec(t0, z0, tm, zm, depth + 1)
-        rec(tm, zm, t1, z1, depth + 1)
-
-    for i in range(len(ts) - 1):
-        rec(ts[i], zs[i], ts[i + 1], zs[i + 1], 0)
-    turns = trace_phase[-1] / (2.0 * np.pi)
-    return turns, list(zip(trace_t, trace_phase)), max_depth
+# circle-map sampling
 
 
 def _nudged(f, events: Counter, eps=1e-9):
@@ -180,8 +130,8 @@ def _unit_passage_times(sample, dim: int, events: Counter) -> list[float]:
     The spectral rotation map is locally constant on hyperbolic stretches, so
     a full circle sweep between two passages is invisible to a uniform grid;
     the refined passage parameters anchor the winding sampler there.  A
-    passage candidate is a grid sample no larger than either neighbour and
-    smaller than at least one, so a flat run (a constant path) yields none.
+    passage candidate is a ``local_minima`` candidate of sigma_min(psi_t -+
+    Id) on the grid, so a flat run (a constant path) yields none.
     A candidate keeps its anchors only when ``_spectrum_moves`` says a turn
     could hide between them.  Candidates are counted in
     ``events["passages"]``, the ones that keep anchors in
@@ -189,32 +139,24 @@ def _unit_passage_times(sample, dim: int, events: Counter) -> list[float]:
     """
     eye = np.eye(dim)
 
-    def dist(t: float) -> float:
-        a = sample(t)
-        s1 = np.linalg.svd(a - eye, compute_uv=False)[-1]
-        s2 = np.linalg.svd(a + eye, compute_uv=False)[-1]
-        return float(min(s1, s2))
+    def smin(ts):
+        stack = np.array([sample(t) for t in ts])
+        return np.minimum(np.linalg.svd(stack - eye, compute_uv=False)[:, -1],
+                          np.linalg.svd(stack + eye, compute_uv=False)[:, -1])
 
     ts = np.linspace(0.0, 1.0, PASSAGE_GRID + 1)
-    stack = np.array([sample(t) for t in ts])
-    vals = np.minimum(np.linalg.svd(stack - eye, compute_uv=False)[:, -1],
-                      np.linalg.svd(stack + eye, compute_uv=False)[:, -1])
     out = []
     # a passage refines to a window boundary where the map is back at +-1;
     # geometric offsets on both sides guarantee a sample inside the window
     # (mid-sweep) whatever its width, down to ~1e-9
     offsets = [0.0] + [sign * 2.0 ** -k / PASSAGE_GRID
                        for sign in (1, -1) for k in range(30)]
-    for i in range(1, PASSAGE_GRID):
-        lo, hi = sorted((vals[i - 1], vals[i + 1]))
-        if vals[i] <= lo and vals[i] < hi:
-            events["passages"] += 1
-            t_star, _ = _golden_min(dist, float(ts[i - 1]), float(ts[i + 1]),
-                                    width=1e-8)
-            anchors = [min(max(t_star + d, 0.0), 1.0) for d in offsets]
-            if _spectrum_moves(sample, [ts[i - 1], ts[i + 1]] + anchors):
-                events["anchored_passages"] += 1
-                out.extend(anchors)
+    for i, t_star, _ in local_minima(smin, ts, smin(ts), 1e-8, ()):
+        events["passages"] += 1
+        anchors = [min(max(t_star + d, 0.0), 1.0) for d in offsets]
+        if _spectrum_moves(sample, [ts[i - 1], ts[i + 1]] + anchors):
+            events["anchored_passages"] += 1
+            out.extend(anchors)
     return out
 
 

@@ -18,6 +18,7 @@ from .errors import (ConditioningError, ContractError, DimensionError,
                      IrregularCrossingError, NoCrossingError,
                      UnsupportedStructureError, WindingResolutionError)
 from .halfint import HalfInt
+from .sampling import difference_quotient, local_minima
 from .tolerances import DEFAULT_TOL, ToleranceProfile
 
 __all__ = [
@@ -104,14 +105,15 @@ def _as_frame(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _kernel(m: np.ndarray, tol_kernel: float) -> np.ndarray:
+    """Right singular vectors (columns) of m below sqrt(tol_kernel)."""
+    _, s, vt = np.linalg.svd(m)
+    return vt[len(s) - int(np.sum(s < np.sqrt(tol_kernel))):].T
+
+
 def _intersection_coords(f0_q: np.ndarray, v_q: np.ndarray, tol_kernel: float):
     """Coordinates (in the f0_q column basis) of span(f0_q) & span(v_q)."""
-    proj = f0_q - v_q @ (v_q.T @ f0_q)
-    u, s, vt = np.linalg.svd(proj)
-    k = int(np.sum(s < np.sqrt(tol_kernel)))
-    if k == 0:
-        return np.zeros((f0_q.shape[1], 0))
-    return vt[-k:, :].T
+    return _kernel(f0_q - v_q @ (v_q.T @ f0_q), tol_kernel)
 
 
 def lagrangian_crossing_form(frames, t0: float, v: LagrangianFrame,
@@ -146,19 +148,9 @@ def lagrangian_crossing_form(frames, t0: float, v: LagrangianFrame,
         x, y = c[: q0.shape[1]], c[q0.shape[1]:]
         return y @ np.linalg.inv(x)
 
-    lo, hi = 0.0, 1.0
-    if t0 - h >= lo and t0 + h <= hi:
-        def diff(step):
-            return (graph_map(t0 + step) - graph_map(t0 - step)) / (2 * step)
-    elif t0 + 2 * h <= hi:
-        def diff(step):
-            return (-3 * graph_map(t0) + 4 * graph_map(t0 + step)
-                    - graph_map(t0 + 2 * step)) / (2 * step)
-    else:
-        def diff(step):
-            return (3 * graph_map(t0) - 4 * graph_map(t0 - step)
-                    + graph_map(t0 - 2 * step)) / (2 * step)
-    mdot = (4.0 * diff(0.5 * h) - diff(h)) / 3.0
+    side = 0.0 if t0 - h >= 0.0 and t0 + h <= 1.0 else \
+        1.0 if t0 + 2 * h <= 1.0 else -1.0
+    mdot = difference_quotient(graph_map, t0, h, side)
 
     q_full = pairing @ mdot
     q_full = 0.5 * (q_full + q_full.T)
@@ -169,35 +161,11 @@ def lagrangian_crossing_form(frames, t0: float, v: LagrangianFrame,
     return coords.T @ q_full @ coords
 
 
-def _stacked_smin(f_t: np.ndarray, v_q: np.ndarray) -> float:
-    q, _ = np.linalg.qr(f_t)
-    s = np.linalg.svd(np.hstack([q, v_q]), compute_uv=False)
-    return float(s[-1])
-
-
 # sigma_min samples of a crossing scan: SCAN_GRID + 1 points on [0, 1]
 SCAN_GRID = 512
 
 
-def _golden_min(f, a: float, b: float, width: float = 1e-10):
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > width:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    t = 0.5 * (a + b)
-    return t, f(t)
-
-
-def _crossing_windows(flags: list[bool]):
+def _crossing_windows(flags: np.ndarray):
     """Group flagged grid indices into isolated windows or plateaus."""
     runs = []
     i = 0
@@ -214,9 +182,9 @@ def _crossing_windows(flags: list[bool]):
 
 
 def _scan_crossings(smin, kernel_dim_at, tol: ToleranceProfile):
-    """Locate the zeros of a sampled sigma_min curve on [0, 1].
+    """Locate the zeros of a vectorised sigma_min curve on [0, 1].
 
-    Every local minimum of the grid samples is bracketed and refined by
+    Every ``local_minima`` candidate of the grid samples is refined by
     golden section; minima that refine to (numerical) zero are crossings.
     Sustained near-zero runs are plateaus: scored 0 when the kernel
     dimension is constant across the run, rejected otherwise.  Returns
@@ -224,14 +192,14 @@ def _scan_crossings(smin, kernel_dim_at, tol: ToleranceProfile):
     """
     grid = SCAN_GRID
     ts = np.linspace(0.0, 1.0, grid + 1)
-    vals = [smin(t) for t in ts]
+    vals = smin(ts)
     near = np.sqrt(tol.tol_kernel)
     hit = 100.0 * tol.tol_kernel
-    flags = [s < near for s in vals]
+    flags = vals < near
     trace = [(float(t), float(s), int(f))
              for t, s, f in zip(ts, vals, flags)]
 
-    if all(flags):
+    if flags.all():
         dims = {kernel_dim_at(t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)}
         if len(dims) != 1:
             raise UnsupportedStructureError(
@@ -251,12 +219,7 @@ def _scan_crossings(smin, kernel_dim_at, tol: ToleranceProfile):
     crossings = []
     if vals[0] < hit and 0 not in plateau_idx:
         crossings.append(0.0)
-    for i in range(1, grid):
-        if i in plateau_idx:
-            continue
-        if not (vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]):
-            continue
-        t_star, s_star = _golden_min(smin, ts[i - 1], ts[i + 1])
+    for _, t_star, s_star in local_minima(smin, ts, vals, 1e-10, plateau_idx):
         if s_star < hit:
             if t_star < ts[1]:
                 t_star = 0.0 if vals[0] < hit else t_star
@@ -325,8 +288,13 @@ def lagrangian_rs_index(frames, v: LagrangianFrame,
         q, _ = np.linalg.qr(_as_frame(frames(t)))
         return q @ _intersection_coords(q, v_q, tol.tol_kernel)
 
+    def smin(ts):
+        q, _ = np.linalg.qr(np.array([_as_frame(frames(t)) for t in ts]))
+        pairs = np.concatenate([q, np.broadcast_to(v_q, q.shape)], axis=2)
+        return np.linalg.svd(pairs, compute_uv=False)[:, -1]
+
     return _crossing_sum(
-        lambda t: _stacked_smin(_as_frame(frames(t)), v_q), kernel_at,
+        smin, kernel_at,
         lambda t, _: lagrangian_crossing_form(frames, t, v, tol=tol), tol)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import as_array, direct_sum_many, omega_matrix, symplectic_residual
 from .errors import NormalFormError, ParameterError, PerturbationFailureError
-from .spectral import eigen_quadruples, generalized_eigenspace
+from .spectral import _nullspace, eigen_quadruples, generalized_eigenspace
 from .tolerances import DEFAULT_TOL, ToleranceProfile
 
 __all__ = [
@@ -170,18 +170,6 @@ def _omega_of(dim2n: int) -> np.ndarray:
 def _pair(om: np.ndarray, x: np.ndarray, y: np.ndarray):
     """Bilinear symplectic pairing, extended complex-bilinearly."""
     return x @ om @ y
-
-
-def _nullspace(M: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
-    if M.shape[0] == 0:
-        return np.eye(M.shape[1], dtype=M.dtype)
-    u, s, vh = np.linalg.svd(M)
-    scale = s[0] if len(s) and s[0] > 0 else 1.0
-    k = int(np.sum(s <= rtol * max(1.0, scale)))
-    k = max(k, M.shape[1] - M.shape[0]) if M.shape[1] > M.shape[0] else k
-    if k == 0:
-        return np.zeros((M.shape[1], 0), dtype=M.dtype)
-    return vh[-k:].conj().T
 
 
 def _real_gen_eigenspace(a: np.ndarray, lam: float, mult: int) -> np.ndarray:

@@ -17,6 +17,7 @@ import scipy.linalg as sla
 from .core import (SympMatrix, as_array, direct_sum_many, j_matrix,
                    symplectic_residual)
 from .errors import DimensionError, ParameterError, SamplingError
+from .sampling import difference_quotient
 from .tolerances import DEFAULT_TOL
 
 __all__ = [
@@ -435,8 +436,9 @@ def generator(path: PathSpec, t: float, h: float | None = None) -> GeneratorSamp
     """Symmetric generator S_t with psi'_t = J0 S_t psi_t.
 
     Exponential segments return their generator exactly; everything else uses
-    a central finite difference with one Richardson level (one-sided with a
-    flag at junctions and global endpoints).
+    a central finite difference with one Richardson level, one-sided with a
+    flag within 2h of a junction or global endpoint, stepping away from the
+    nearest one (forward for t <= 1/2 when t is on it).
     """
     t = _check_t(t)
     if isinstance(path, ExpPath):
@@ -448,21 +450,14 @@ def generator(path: PathSpec, t: float, h: float | None = None) -> GeneratorSamp
         h = 1e-5 * max(1.0, float(np.linalg.norm(psi)))
 
     near = [j for j in [0.0, 1.0] + junction_parameters(path) if abs(j - t) < 2 * h]
-    one_sided = bool(near)
-
-    def deriv(step: float) -> np.ndarray:
-        if not one_sided:
-            return (evaluate_array(path, t + step) -
-                    evaluate_array(path, t - step)) / (2 * step)
-        sgn = 1.0 if t <= 0.5 else -1.0
-        s = sgn * step
-        return (-3.0 * psi + 4.0 * evaluate_array(path, t + s)
-                - evaluate_array(path, t + 2 * s)) / (2 * s)
-
-    d = (4.0 * deriv(h / 2) - deriv(h)) / 3.0
+    side = 0.0
+    if near:
+        j = min(near, key=lambda j: abs(j - t))
+        side = 1.0 if t > j or (t == j and t <= 0.5) else -1.0
+    d = difference_quotient(lambda u: evaluate_array(path, u), t, h, side)
     s_mat = -jm @ d @ np.linalg.inv(psi)
     s_mat = 0.5 * (s_mat + s_mat.T)
-    return GeneratorSample(t=t, s_matrix=s_mat, one_sided=one_sided)
+    return GeneratorSample(t=t, s_matrix=s_mat, one_sided=bool(side))
 
 
 # ---------------------------------------------------------------------------

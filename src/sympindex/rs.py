@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfint import HalfInt
-from .lagrangian import (CrossingReport, _crossing_sum, lagrangian_rs_index,
-                         vertical_frame)
+from .lagrangian import (CrossingReport, _crossing_sum, _kernel,
+                         lagrangian_rs_index, vertical_frame)
 from .paths import (CatPath, ExpPath, PathSpec, ShearPath, evaluate_array,
                     generator)
 from .tolerances import DEFAULT_TOL, ToleranceProfile
@@ -28,7 +28,7 @@ __all__ = ["RSResult", "rs_index", "rs2_index"]
 class RSResult:
     value: HalfInt
     crossings: tuple          # CrossingReport, in parameter order
-    trace: tuple              # (t, smin of psi_t - Id, near-zero flag)
+    trace: tuple              # (t, sigma_min of the scan, near-zero flag)
 
 
 def _sign_count(w: np.ndarray, tol_form: float) -> int:
@@ -59,17 +59,14 @@ def _closed_form_shear(path: ShearPath, tol: ToleranceProfile):
 
 
 def _generic_rs(path: PathSpec, tol: ToleranceProfile) -> RSResult:
-    dim = 2 * path.n
-    eye = np.eye(dim)
+    eye = np.eye(2 * path.n)
 
-    def smin(t: float) -> float:
-        return float(np.linalg.svd(evaluate_array(path, t) - eye,
-                                   compute_uv=False)[-1])
+    def smin(ts):
+        stack = np.array([evaluate_array(path, t) for t in ts])
+        return np.linalg.svd(stack - eye, compute_uv=False)[:, -1]
 
     def kernel_at(t: float) -> np.ndarray:
-        u, s, vt = np.linalg.svd(evaluate_array(path, t) - eye)
-        k = int(np.sum(s < np.sqrt(tol.tol_kernel)))
-        return vt[dim - k:, :].T
+        return _kernel(evaluate_array(path, t) - eye, tol.tol_kernel)
 
     def form_at(t: float, kernel: np.ndarray) -> np.ndarray:
         gamma = kernel.T @ generator(path, t).s_matrix @ kernel
@@ -103,12 +100,14 @@ def rs_index(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL) -> RSResult:
     return _generic_rs(path, tol)
 
 
+def _rs2(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL) -> RSResult:
+    """Crossings of the evolved vertical Lagrangian t -> psi_t ({0} x R^n)."""
+    v = vertical_frame(path.n)
+    value, reports, trace = lagrangian_rs_index(
+        lambda t: evaluate_array(path, t) @ v.frame, v, tol)
+    return RSResult(value=value, crossings=tuple(reports), trace=tuple(trace))
+
+
 def rs2_index(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL) -> HalfInt:
     """Index of the evolved vertical Lagrangian t -> psi_t ({0} x R^n)."""
-    v = vertical_frame(path.n)
-
-    def frames(t: float):
-        return evaluate_array(path, t) @ v.frame
-
-    value, _, _ = lagrangian_rs_index(frames, v, tol)
-    return value
+    return _rs2(path, tol).value

@@ -227,13 +227,20 @@ def eigen_quadruples(A, tol: ToleranceProfile = DEFAULT_TOL) -> list[EigenQuadru
     return quadruples
 
 
-def _kernel_basis_complex(M: np.ndarray, thresh: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of M."""
+def _nullspace(M: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+    """Orthonormal basis (columns) of the numerical kernel of M.
+
+    Singular values up to rtol * max(1, largest) count as zero; a wide M
+    keeps at least its column excess.
+    """
+    if M.shape[0] == 0:
+        return np.eye(M.shape[1], dtype=M.dtype)
     _, s, vh = np.linalg.svd(M)
     scale = s[0] if len(s) and s[0] > 0 else 1.0
-    k = int(np.sum(s <= thresh * max(1.0, scale)))
+    k = int(np.sum(s <= rtol * max(1.0, scale)))
+    k = max(k, M.shape[1] - M.shape[0])
     if k == 0:
-        return np.zeros((M.shape[1], 0), dtype=complex)
+        return np.zeros((M.shape[1], 0), dtype=M.dtype)
     return vh[-k:].conj().T
 
 
@@ -267,14 +274,14 @@ def generalized_eigenspace(A, lam: complex, tol: ToleranceProfile = DEFAULT_TOL,
                 f"(residual {res:.3e})")
         return basis
 
-    basis = _kernel_basis_complex(M, thresh)
+    basis = _nullspace(M, thresh)
     if basis.shape[1] == 0:
         raise NotAnEigenvalueError(f"{lam:.6g} is not an eigenvalue within tolerance")
     prev = basis.shape[1]
     P = M.copy()
     for _ in range(1, dim):
         P = P @ M
-        nb = _kernel_basis_complex(P, thresh)
+        nb = _nullspace(P, thresh)
         if nb.shape[1] <= prev:
             break
         basis, prev = nb, nb.shape[1]

@@ -157,6 +157,21 @@ class TestGenerator:
         assert generator(p, 0.0).one_sided
         assert not generator(p, 0.25).one_sided
 
+    def test_one_sided_difference_steps_away_from_the_junction(self):
+        # a nested path whose interior junction at t = 1/2 is a kink
+        s1, s2 = np.diag([-3.0, -1.0]), np.diag([2.0, 5.0])
+        head = ExpPath(s_matrix=s1)
+        tail = ProdPath(left=ExpPath(s_matrix=s2),
+                        right=ConstPath(sla.expm(j_matrix(1) @ s1)))
+        p = CatPath(parts=(head, tail))
+        # the catenation runs each part at double speed
+        for t, want in ((0.5 - 1e-6, 2 * s1), (0.5 + 1e-6, 2 * s2)):
+            g = generator(p, t)
+            assert g.one_sided
+            assert np.linalg.norm(g.s_matrix - want) < 1e-6
+        # exactly on the junction the forward side is kept
+        assert np.linalg.norm(generator(p, 0.5).s_matrix - 2 * s2) < 1e-6
+
     def test_junction_parameters(self):
         a = exp_path(seed=1)
         cont = ProdPath(left=ConstPath(evaluate_array(a, 1.0)),

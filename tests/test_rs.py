@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from sympindex import (CatPath, ConjPath, ConstPath, DEFAULT_TOL, ExpPath,
-                       HalfInt, LagrangianFrame, NoCrossingError, SampledPath,
-                       conley_zehnder, evaluate_array, graph_lagrangian,
-                       horizontal_frame, lagrangian_crossing_form,
-                       lagrangian_rs_index, make_loop, make_shear,
-                       random_symplectic, rs2_index, rs_index,
-                       vertical_frame)
+from sympindex import (CatPath, ConjPath, ConstPath, DEFAULT_TOL,
+                       DirectSumPath, ExpPath, HalfInt, LagrangianFrame,
+                       NoCrossingError, ReversePath, SampledPath, ShearPath,
+                       UnsupportedStructureError, conley_zehnder,
+                       evaluate_array, graph_lagrangian, horizontal_frame,
+                       lagrangian_crossing_form, lagrangian_rs_index,
+                       make_loop, make_shear, random_symplectic, rs2_index,
+                       rs_index, vertical_frame)
+from sympindex import sampling
 
 
 def exp_path(n=1, seed=0, scale=1.0, duration=1.0):
@@ -76,6 +78,54 @@ class TestGenericEngine:
 
     def test_constant_identity_path_is_zero(self):
         assert rs_index(ConstPath(np.eye(4))).value == HalfInt(0)
+
+
+def _turn_hold_return():
+    """A full turn, a wobble within 1e-6 of Id, and the turn undone.
+
+    The wobble keeps the whole kernel (dimension 2) over [1/3, 2/3] and its
+    sigma_min has a strict grid minimum at t = 1/2.  Wrapped in a reversal,
+    so the crossing scan sees the catenation as one path.
+    """
+    turn = ExpPath(s_matrix=np.diag([2 * np.pi, 2 * np.pi]))
+    tiny = ExpPath(s_matrix=np.diag([1e-6, 1e-6]))
+    wobble = CatPath(parts=(tiny, ReversePath(inner=tiny)) * 2)
+    return CatPath(parts=(turn, wobble, ReversePath(inner=turn)))
+
+
+class TestScanPlateaus:
+    def test_interior_plateau_scores_zero_without_a_search(self, monkeypatch):
+        brackets = []
+        golden = sampling._golden_min
+
+        def spy(curve, a, b, width):
+            brackets.append((a, b))
+            return golden(curve, a, b, width)
+
+        monkeypatch.setattr(sampling, "_golden_min", spy)
+        res = rs_index(ReversePath(inner=_turn_hold_return()))
+        assert res.value == HalfInt(0)
+        assert [(c.t, c.signature) for c in res.crossings] == [(0.0, 2),
+                                                              (1.0, -2)]
+        near = [t for t, _, flag in res.trace if flag]
+        assert min(near) < 0.34 and max(near) > 0.66
+        assert not [ab for ab in brackets if 0.33 < ab[1] and ab[0] < 0.67]
+
+    def test_interior_plateau_with_varying_kernel_raises(self):
+        # the second summand returns to Id at t = 1/2, inside the plateau
+        p = DirectSumPath(parts=(
+            _turn_hold_return(),
+            ExpPath(s_matrix=np.diag([4 * np.pi, 4 * np.pi]))))
+        with pytest.raises(UnsupportedStructureError,
+                           match="crossing plateau near t=0.334"):
+            rs_index(p)
+
+    def test_full_length_plateau_with_varying_kernel_raises(self):
+        # a shear always has a kernel; B(1/2) = 0 doubles it
+        shear = ShearPath(b0=np.array([[1.0]]), b1=np.array([[-1.0]]))
+        with pytest.raises(UnsupportedStructureError,
+                           match="full-length plateau"):
+            rs_index(DirectSumPath(parts=(shear,)))
 
 
 class TestVerticalIndex:
