@@ -193,27 +193,16 @@ def rho_hat(A, tol: ToleranceProfile = DEFAULT_TOL) -> complex:
     return normalize_unit(d)
 
 
-def _interleave_indices(sizes_n: list[int]) -> list[np.ndarray]:
-    """Index maps placing each summand's {e..,f..} block into the joint basis."""
-    total = sum(sizes_n)
-    out = []
-    offset = 0
-    for m in sizes_n:
-        idx = np.concatenate([np.arange(offset, offset + m),
-                              np.arange(total + offset, total + offset + m)])
-        out.append(idx)
-        offset += m
-    return out
-
-
 def direct_sum_many(mats: list[np.ndarray]) -> np.ndarray:
     """Symplectic direct sum with the interleaved {e',e'',f',f''} layout."""
     arrs = [as_array(m) for m in mats]
     sizes = [_check_even_square(a) for a in arrs]
     total = sum(sizes)
     out = np.zeros((2 * total, 2 * total))
-    for a, idx in zip(arrs, _interleave_indices(sizes)):
-        out[np.ix_(idx, idx)] = a
+    # (e/f half, index within it) on both axes: summands sit on the diagonal
+    quad = out.reshape(2, total, 2, total)
+    for a, m, o in zip(arrs, sizes, np.cumsum([0] + sizes)):
+        quad[:, o:o + m, :, o:o + m] = a.reshape(2, m, 2, m)
     return out
 
 

@@ -186,12 +186,13 @@ def _quad_block(r, th):
     return out
 
 
-class _Extension:
+class _Extension(PathSpec):
     """Materialized deformation of a semisimple endpoint to W+/-."""
 
     def __init__(self, a_end: np.ndarray, tol: ToleranceProfile, seed: int):
         a_end = as_array(a_end)
         dim = a_end.shape[0]
+        self._init_cache()
         det_gap = float(np.linalg.det(a_end - np.eye(dim)))
         if abs(det_gap) <= tol.tol_kernel:
             raise AdmissibilityError(
@@ -253,12 +254,10 @@ class _Extension:
 
         sizes = [b.size // 2 for b in report.blocks]
         offsets = np.concatenate([[0], np.cumsum(sizes)])
-        half = int(offsets[-1])
-        perm = []
-        for idx in order:
-            perm.extend(range(offsets[idx], offsets[idx + 1]))
-        perm = perm + [half + j for j in perm]
-        self.k_perm = report.basis[:, perm]
+        # basis columns by (e/f half, index): each block keeps both halves
+        halves = report.basis.reshape(dim, 2, dim // 2)
+        self.k_perm = np.concatenate([halves[:, :, offsets[i]:offsets[i + 1]]
+                                      for i in order], axis=2).reshape(dim, dim)
         self.k_perm_inv = np.linalg.inv(self.k_perm)
 
         # blockwise deformers on [0, 1]
@@ -349,7 +348,11 @@ class _Extension:
                               self.tol.max_refine, coarse=16)
         return turns + self.plan.total_increment
 
-    def at(self, t: float) -> np.ndarray:
+    @property
+    def n(self) -> int:
+        return self.a_end.shape[0] // 2
+
+    def _evaluate(self, t: float) -> np.ndarray:
         """The full materialized extension on [0, 1]."""
         if t <= 1.0 / 3.0:
             return self.bridge_at(3.0 * t)
@@ -421,9 +424,9 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
 
     # extension windings
     e_rho = ext.rho_winding(events)
-    e_polar, _, _ = winding(lambda t: rho_polar(ext.at(t), tol) ** 2,
+    e_polar, _, _ = winding(lambda t: rho_polar(evaluate_array(ext, t), tol) ** 2,
                             tol.max_refine, coarse=96)
-    e_hat, _, _ = winding(lambda t: rho_hat(ext.at(t), tol) ** 2,
+    e_hat, _, _ = winding(lambda t: rho_hat(evaluate_array(ext, t), tol) ** 2,
                           tol.max_refine, coarse=96)
 
     totals = {"spectral": w_rho + e_rho, "polar": w_polar + e_polar,

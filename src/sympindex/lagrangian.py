@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import omega_matrix
+from .core import direct_sum_many, omega_matrix
 from .errors import (ConditioningError, ContractError, DimensionError,
                      IrregularCrossingError, NoCrossingError,
                      UnsupportedStructureError, WindingResolutionError)
@@ -35,12 +35,7 @@ __all__ = [
 
 def doubled_omega(n: int) -> np.ndarray:
     """The form (-Omega0) (+) Omega0 on R^{4n}, in the interleaved layout."""
-    out = np.zeros((4 * n, 4 * n))
-    idx1 = np.concatenate([np.arange(n), np.arange(2 * n, 3 * n)])
-    idx2 = np.concatenate([np.arange(n, 2 * n), np.arange(3 * n, 4 * n)])
-    out[np.ix_(idx1, idx1)] = -omega_matrix(n)
-    out[np.ix_(idx2, idx2)] = omega_matrix(n)
-    return out
+    return direct_sum_many([-omega_matrix(n), omega_matrix(n)])
 
 
 @dataclass(frozen=True)
@@ -117,7 +112,6 @@ def _intersection_coords(f0_q: np.ndarray, v_q: np.ndarray, tol_kernel: float):
 
 
 def lagrangian_crossing_form(frames, t0: float, v: LagrangianFrame,
-                             h: float = 1e-5,
                              tol: ToleranceProfile = DEFAULT_TOL,
                              w_frame: np.ndarray | None = None) -> np.ndarray:
     """Quadratic crossing form on Lambda_{t0} & V for a Lagrangian path.
@@ -148,6 +142,7 @@ def lagrangian_crossing_form(frames, t0: float, v: LagrangianFrame,
         x, y = c[: q0.shape[1]], c[q0.shape[1]:]
         return y @ np.linalg.inv(x)
 
+    h = 1e-5
     side = 0.0 if t0 - h >= 0.0 and t0 + h <= 1.0 else \
         1.0 if t0 + 2 * h <= 1.0 else -1.0
     mdot = difference_quotient(graph_map, t0, h, side)
@@ -307,10 +302,10 @@ def graph_lagrangian(a) -> LagrangianFrame:
         raise ContractError("graph_lagrangian requires a symplectic matrix")
     n = arr.shape[0] // 2
     frame = np.zeros((4 * n, 2 * n))
-    idx1 = np.concatenate([np.arange(n), np.arange(2 * n, 3 * n)])
-    idx2 = np.concatenate([np.arange(n, 2 * n), np.arange(3 * n, 4 * n)])
-    frame[idx1, :] = np.eye(2 * n)
-    frame[idx2, :] = arr
+    # rows by (e/f half, summand, index): x fills summand 0, A x summand 1
+    rows = frame.reshape(2, 2, n, 2 * n)
+    rows[:, 0] = np.eye(2 * n).reshape(2, n, 2 * n)
+    rows[:, 1] = arr.reshape(2, n, 2 * n)
     return LagrangianFrame(frame=frame, omega=doubled_omega(n))
 
 

@@ -54,7 +54,8 @@ class GeneratorSample:
 
 
 class PathSpec:
-    """Base class for path nodes; subclasses are frozen dataclasses."""
+    """Base class for path nodes: frozen dataclasses, and the private
+    ``cz._Extension``, which is not serialisable."""
 
     @property
     def n(self) -> int:
@@ -80,7 +81,8 @@ def _check_t(t: float):
 
 
 def evaluate_array(path: PathSpec, t: float) -> np.ndarray:
-    """Evaluate to a raw ndarray, memoizing per (path, t)."""
+    """Evaluate to a raw ndarray, memoizing per t on this node, not on its
+    children (which it evaluates directly); it may be ``cz._Extension``."""
     t = _check_t(t)
     cache = path._cache
     hit = cache.get(t)
@@ -224,7 +226,7 @@ class CatPath(PathSpec):
         k = len(self.parts)
         u = t * k
         i = min(int(u), k - 1)
-        return evaluate_array(self.parts[i], u - i)
+        return self.parts[i]._evaluate(u - i)
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,7 @@ class ProdPath(PathSpec):
         return self.left.n
 
     def _evaluate(self, t: float) -> np.ndarray:
-        return evaluate_array(self.left, t) @ evaluate_array(self.right, t)
+        return self.left._evaluate(t) @ self.right._evaluate(t)
 
 
 @dataclass(frozen=True)
@@ -264,8 +266,8 @@ class ConjPath(PathSpec):
         return self.psi.n
 
     def _evaluate(self, t: float) -> np.ndarray:
-        g = evaluate_array(self.phi, t)
-        return g @ evaluate_array(self.psi, t) @ np.linalg.inv(g)
+        g = self.phi._evaluate(t)
+        return g @ self.psi._evaluate(t) @ np.linalg.inv(g)
 
 
 @dataclass(frozen=True)
@@ -286,7 +288,7 @@ class DirectSumPath(PathSpec):
         return sum(p.n for p in self.parts)
 
     def _evaluate(self, t: float) -> np.ndarray:
-        return direct_sum_many([evaluate_array(p, t) for p in self.parts])
+        return direct_sum_many([p._evaluate(t) for p in self.parts])
 
 
 @dataclass(frozen=True)
@@ -303,7 +305,7 @@ class ReversePath(PathSpec):
         return self.inner.n
 
     def _evaluate(self, t: float) -> np.ndarray:
-        return evaluate_array(self.inner, 1.0 - t)
+        return self.inner._evaluate(1.0 - t)
 
 
 @dataclass(frozen=True)
@@ -432,7 +434,7 @@ def junction_parameters(path: PathSpec) -> list[float]:
     return []
 
 
-def generator(path: PathSpec, t: float, h: float | None = None) -> GeneratorSample:
+def generator(path: PathSpec, t: float) -> GeneratorSample:
     """Symmetric generator S_t with psi'_t = J0 S_t psi_t.
 
     Exponential segments return their generator exactly; everything else uses
@@ -446,8 +448,7 @@ def generator(path: PathSpec, t: float, h: float | None = None) -> GeneratorSamp
 
     jm = j_matrix(path.n)
     psi = evaluate_array(path, t)
-    if h is None:
-        h = 1e-5 * max(1.0, float(np.linalg.norm(psi)))
+    h = 1e-5 * max(1.0, float(np.linalg.norm(psi)))
 
     near = [j for j in [0.0, 1.0] + junction_parameters(path) if abs(j - t) < 2 * h]
     side = 0.0

@@ -10,7 +10,7 @@ crossing scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,21 +76,22 @@ def _generic_rs(path: PathSpec, tol: ToleranceProfile) -> RSResult:
     return RSResult(value=value, crossings=tuple(reports), trace=tuple(trace))
 
 
+def _catenated(index, path: CatPath, tol: ToleranceProfile) -> RSResult:
+    """``index`` part by part, so a crossing on a junction gets one-sided
+    forms; the crossings are moved onto [0, 1]."""
+    parts = [index(p, tol) for p in path.parts]
+    k = len(parts)
+    return RSResult(
+        value=sum((r.value for r in parts), HalfInt(0)),
+        crossings=tuple(replace(c, t=(i + c.t) / k)
+                        for i, r in enumerate(parts) for c in r.crossings),
+        trace=())
+
+
 def rs_index(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL) -> RSResult:
     """Crossing-form index of a symplectic path against the identity."""
     if isinstance(path, CatPath):
-        parts = [rs_index(p, tol) for p in path.parts]
-        k = len(path.parts)
-        value = sum((r.value for r in parts), HalfInt(0))
-        reports = []
-        for i, r in enumerate(parts):
-            for c in r.crossings:
-                reports.append(CrossingReport(
-                    t=(i + c.t) / k, kernel_dim=c.kernel_dim,
-                    kernel_basis=c.kernel_basis, gamma=c.gamma,
-                    signature=c.signature, regular=c.regular,
-                    weight=c.weight))
-        return RSResult(value=value, crossings=tuple(reports), trace=())
+        return _catenated(rs_index, path, tol)
     if isinstance(path, ExpPath):
         closed = _closed_form_exp(path, tol)
         if closed is not None:
@@ -102,6 +103,8 @@ def rs_index(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL) -> RSResult:
 
 def _rs2(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL) -> RSResult:
     """Crossings of the evolved vertical Lagrangian t -> psi_t ({0} x R^n)."""
+    if isinstance(path, CatPath):
+        return _catenated(_rs2, path, tol)
     v = vertical_frame(path.n)
     value, reports, trace = lagrangian_rs_index(
         lambda t: evaluate_array(path, t) @ v.frame, v, tol)

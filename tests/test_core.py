@@ -90,6 +90,19 @@ class TestDirectSum:
         mats = [random_symplectic(1, seed=k) for k in range(3)]
         assert is_symplectic(direct_sum_many(mats))
 
+    def test_mixed_sizes_match_an_index_list_reference(self):
+        mats = [random_symplectic(m, seed=m) for m in (1, 2, 3, 1)]
+        total = sum(a.shape[0] // 2 for a in mats)
+        ref = np.zeros((2 * total, 2 * total))
+        offset = 0
+        for a in mats:
+            m = a.shape[0] // 2
+            idx = np.concatenate([np.arange(offset, offset + m),
+                                  np.arange(total + offset, total + offset + m)])
+            ref[np.ix_(idx, idx)] = a
+            offset += m
+        assert direct_sum_many(mats).tobytes() == ref.tobytes()
+
 
 class TestRandomSymplectic:
     def test_deterministic(self):

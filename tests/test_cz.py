@@ -13,7 +13,7 @@ from sympindex import (AdmissibilityError, CatPath, ConjPath, ConstPath,
                        conley_zehnder, cz_dim2_closed_form, evaluate_array,
                        extension_winding, make_loop, maslov_loop,
                        path_from_json, random_symplectic, rho, winding)
-from sympindex.cz import _nudged, _unit_passage_times
+from sympindex.cz import _Extension, _nudged, _unit_passage_times
 from conftest import krein_degenerate_rotation, rotation
 
 DATA = Path(__file__).parent / "data"
@@ -104,6 +104,18 @@ class TestExtension:
         turns, endpoint = extension_winding(-np.eye(4))
         assert endpoint == "W+"
         assert turns == pytest.approx(0.0, abs=1e-6)
+
+    def test_extension_samples_are_built_once(self, monkeypatch):
+        seen = []
+        build = _Extension._evaluate
+
+        def spy(self, t):
+            seen.append(t)
+            return build(self, t)
+
+        monkeypatch.setattr(_Extension, "_evaluate", spy)
+        conley_zehnder(exp_path(n=2, seed=3, scale=2.0))
+        assert seen and len(seen) == len(set(seen))
 
     def test_degenerate_endpoint_rejected(self):
         p = ExpPath(s_matrix=np.zeros((2, 2)))

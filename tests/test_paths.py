@@ -84,6 +84,23 @@ class TestNodes:
         assert ds.n == 2
         assert symplectic_residual(evaluate_array(ds, t)) < 1e-10
 
+    def test_only_the_passed_node_memoises(self):
+        a, b = exp_path(seed=1), exp_path(seed=2)
+        inner = [a, b, ConstPath(random_symplectic(2, seed=3))]
+        dsum = DirectSumPath(parts=(a, b))
+        conj = ConjPath(phi=inner[2], psi=dsum)
+        cont = ProdPath(left=ConstPath(evaluate_array(a, 1.0)), right=b)
+        cat = CatPath(parts=(a, cont))
+        rev = ReversePath(inner=cat)
+        for top, nested in ((conj, inner + [dsum]),
+                            (rev, [a, b, cat, cont, cont.left])):
+            for node in [top] + nested:
+                node._cache.clear()
+            evaluate_array(top, 0.3)
+            evaluate_array(top, 0.8)
+            assert sorted(top._cache) == [0.3, 0.8]
+            assert all(not node._cache for node in nested)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             ProdPath(left=exp_path(n=1), right=exp_path(n=2))
@@ -184,6 +201,8 @@ class TestGenerator:
         sp = SampledPath(times=times,
                          matrices=tuple(evaluate_array(mild, t) for t in times))
         assert junction_parameters(sp) == [pytest.approx(0.3)]
+        assert junction_parameters(DirectSumPath(parts=(p, sp))) == \
+            [pytest.approx(0.3), 0.5]
 
 
 class TestJson:
@@ -201,6 +220,8 @@ class TestJson:
             DirectSumPath(parts=(a, make_shear((np.eye(1), -np.eye(1))))),
             make_loop(-2, 2),
             DirectSumPath(parts=(make_loop(1, 1), ExpPath(np.diag([1.0, 2.0])))),
+            CatPath(parts=(a, ProdPath(left=ConstPath(evaluate_array(a, 1.0)),
+                                       right=a))),
         ]
         for p in paths:
             q = path_from_json(path_to_json(p))

@@ -3,13 +3,16 @@ import pytest
 
 from sympindex import (CatPath, ConjPath, ConstPath, DEFAULT_TOL,
                        DirectSumPath, ExpPath, HalfInt, LagrangianFrame,
-                       NoCrossingError, ReversePath, SampledPath, ShearPath,
-                       UnsupportedStructureError, conley_zehnder,
-                       evaluate_array, graph_lagrangian, horizontal_frame,
-                       lagrangian_crossing_form, lagrangian_rs_index,
-                       make_loop, make_shear, random_symplectic, rs2_index,
-                       rs_index, vertical_frame)
+                       NoCrossingError, ProdPath, ReversePath, SampledPath,
+                       ShearPath, UnsupportedStructureError, conley_zehnder,
+                       cz_dim2_closed_form, evaluate_array, graph_lagrangian,
+                       horizontal_frame, lagrangian_crossing_form,
+                       lagrangian_rs_index, make_loop, make_shear,
+                       omega_matrix, random_symplectic, rs2_index, rs_index,
+                       vertical_frame)
 from sympindex import sampling
+from sympindex.lagrangian import doubled_omega
+from sympindex.rs import _rs2
 
 
 def exp_path(n=1, seed=0, scale=1.0, duration=1.0):
@@ -75,6 +78,10 @@ class TestGenericEngine:
             sp = SampledPath(times=ts, matrices=tuple(
                 evaluate_array(p, t) for t in ts))
             assert rs_index(sp).value == conley_zehnder(p).value
+        # spectral radius 7 >= 2 pi: past the closed form, into the scan
+        fast = ExpPath(s_matrix=np.diag([7.0, 7.0]))
+        assert rs_index(fast).value == conley_zehnder(fast).value == \
+            cz_dim2_closed_form(np.diag([7.0, 7.0]), 1.0) == HalfInt(6)
 
     def test_constant_identity_path_is_zero(self):
         assert rs_index(ConstPath(np.eye(4))).value == HalfInt(0)
@@ -152,6 +159,19 @@ class TestVerticalIndex:
         assert rs_index(p).value == HalfInt(n)
         assert rs2_index(p) == HalfInt(0)
 
+    def test_crossing_on_a_junction_is_scored_per_part(self):
+        # both parts cross the vertical Lagrangian at the junction t = 1/2;
+        # a difference across the kink gave -1/2 instead of 1 - 1/2
+        a = ExpPath(s_matrix=np.diag([np.pi, np.pi]))
+        b = ProdPath(ExpPath(s_matrix=np.diag([2.0, -5.0])),
+                     ConstPath(-np.eye(2)))
+        assert (rs2_index(a), rs2_index(b)) == (HalfInt(2), HalfInt(-1))
+        res = _rs2(CatPath(parts=(a, b)))
+        assert res.value == HalfInt(1)
+        assert [(c.t, c.signature) for c in res.crossings] == \
+            [(0.0, 1), (0.5, 1), (0.5, -1)]
+        assert res.trace == ()
+
 
 class TestLagrangian:
     def test_localization_of_a_graph(self):
@@ -214,6 +234,22 @@ class TestLagrangian:
         with pytest.raises(NoCrossingError):
             lagrangian_crossing_form(lambda t: horizontal_frame(n).frame,
                                      0.3, v)
+
+    def test_doubled_layout_matches_index_lists(self):
+        for n in (1, 3):
+            a = random_symplectic(n, seed=n)
+            idx1 = np.concatenate([np.arange(n), np.arange(2 * n, 3 * n)])
+            idx2 = np.concatenate([np.arange(n, 2 * n), np.arange(3 * n, 4 * n)])
+            omega = np.zeros((4 * n, 4 * n))
+            omega[np.ix_(idx1, idx1)] = -omega_matrix(n)
+            omega[np.ix_(idx2, idx2)] = omega_matrix(n)
+            frame = np.zeros((4 * n, 2 * n))
+            frame[idx1, :] = np.eye(2 * n)
+            frame[idx2, :] = a
+            assert doubled_omega(n).tobytes() == omega.tobytes()
+            g = graph_lagrangian(a)
+            assert g.frame.tobytes() == frame.tobytes()
+            assert g.omega.tobytes() == omega.tobytes()
 
     def test_graph_cross_check(self):
         # rs_index(psi) equals the index of the graph path against the diagonal
