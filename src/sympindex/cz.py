@@ -33,7 +33,7 @@ from .errors import (AdmissibilityError, ContractError,
                      KreinDegenerateError, ParameterError)
 from .halfint import HalfInt
 from .normal_form import _rot, normal_form, semisimple_perturb
-from .paths import PathSpec, evaluate_array
+from .paths import ExpPath, PathSpec, evaluate_array
 from .sampling import PHASE_STEP, local_minima, winding
 from .spectral import rho
 from .tolerances import DEFAULT_TOL, ToleranceProfile
@@ -122,20 +122,46 @@ def _rho_map(sample, tol: ToleranceProfile, events: Counter, power: int):
 
 # sigma_min(psi_t -+ Id) samples of the passage search: PASSAGE_GRID + 1
 PASSAGE_GRID = 256
+_PASSAGE_TS = np.linspace(0.0, 1.0, PASSAGE_GRID + 1)
+# a passage refines to a window boundary where the map is back at +-1;
+# geometric offsets on both sides guarantee a sample inside the window
+# (mid-sweep) whatever its width, down to ~1e-9
+_ANCHOR_OFFSETS = [0.0] + [sign * 2.0 ** -k / PASSAGE_GRID
+                           for sign in (1, -1) for k in range(30)]
+
+
+def _screened_anchors(candidates, angles_at, events: Counter) -> list[float]:
+    """Anchors of the passage candidates whose spectrum moves.
+
+    ``candidates`` yields (grid index i, t*); ``angles_at(times)`` gives the
+    (len(times), 2n) eigenvalue angles of psi at sorted times.  Each
+    candidate is screened on its grid bracket [ts[i-1], ts[i+1]] plus its
+    anchors.  Candidates are counted in ``events["passages"]``, the ones
+    that keep anchors in ``events["anchored_passages"]``.
+    """
+    out = []
+    for i, t_star in candidates:
+        events["passages"] += 1
+        anchors = [min(max(t_star + d, 0.0), 1.0) for d in _ANCHOR_OFFSETS]
+        times = np.sort([_PASSAGE_TS[i - 1], _PASSAGE_TS[i + 1]] + anchors)
+        if _spectrum_moves(angles_at(times)):
+            events["anchored_passages"] += 1
+            out.extend(anchors)
+    return out
 
 
 def _unit_passage_times(sample, dim: int, events: Counter) -> list[float]:
     """Parameters where an eigenvalue of the sampled path passes +-1.
 
-    The spectral rotation map is locally constant on hyperbolic stretches, so
-    a full circle sweep between two passages is invisible to a uniform grid;
-    the refined passage parameters anchor the winding sampler there.  A
-    passage candidate is a ``local_minima`` candidate of sigma_min(psi_t -+
-    Id) on the grid, so a flat run (a constant path) yields none.
-    A candidate keeps its anchors only when ``_spectrum_moves`` says a turn
-    could hide between them.  Candidates are counted in
-    ``events["passages"]``, the ones that keep anchors in
-    ``events["anchored_passages"]``.
+    The sampled route, for every path but an ``ExpPath``.  The spectral
+    rotation map is locally constant on hyperbolic stretches, so a full
+    circle sweep between two passages is invisible to a uniform grid; the
+    refined passage parameters anchor the winding sampler there.  A passage
+    candidate is a ``local_minima`` candidate of sigma_min(psi_t -+ Id) on
+    the grid, so a flat run (a constant path) yields none.  A candidate
+    keeps its anchors only when ``_spectrum_moves`` says, from the
+    eigenvalues of psi sampled at the screen times, that a turn could hide
+    between them.
     """
     eye = np.eye(dim)
 
@@ -144,33 +170,56 @@ def _unit_passage_times(sample, dim: int, events: Counter) -> list[float]:
         return np.minimum(np.linalg.svd(stack - eye, compute_uv=False)[:, -1],
                           np.linalg.svd(stack + eye, compute_uv=False)[:, -1])
 
-    ts = np.linspace(0.0, 1.0, PASSAGE_GRID + 1)
-    out = []
-    # a passage refines to a window boundary where the map is back at +-1;
-    # geometric offsets on both sides guarantee a sample inside the window
-    # (mid-sweep) whatever its width, down to ~1e-9
-    offsets = [0.0] + [sign * 2.0 ** -k / PASSAGE_GRID
-                       for sign in (1, -1) for k in range(30)]
-    for i, t_star, _ in local_minima(smin, ts, smin(ts), 1e-8, ()):
-        events["passages"] += 1
-        anchors = [min(max(t_star + d, 0.0), 1.0) for d in offsets]
-        if _spectrum_moves(sample, [ts[i - 1], ts[i + 1]] + anchors):
-            events["anchored_passages"] += 1
-            out.extend(anchors)
-    return out
+    def angles_at(times):
+        return np.angle(np.linalg.eigvals(np.array([sample(t) for t in times])))
+
+    candidates = ((i, t_star) for i, t_star, _ in local_minima(
+        smin, _PASSAGE_TS, smin(_PASSAGE_TS), 1e-8, ()))
+    return _screened_anchors(candidates, angles_at, events)
 
 
-def _spectrum_moves(sample, times) -> bool:
-    """Whether rho^2 can move by ``PHASE_STEP`` across the sampled times.
+def _exp_passage_times(path: ExpPath, events: Counter) -> list[float]:
+    """``_unit_passage_times`` of psi_t = exp(t M) in closed form.
 
-    arg rho is a signed sum of the angles of the first-kind unit eigenvalues
+    The eigenvalues of psi_t are e^{t mu} for the eigenvalues mu of M, also
+    for a defective M, so an eigenvalue can meet +-1 only at t = k pi / Im mu
+    and the angles of the spectrum are wrap(t Im mu): no sample of the path
+    is needed.  Every mu with Im mu > 0 gives candidates, a complex
+    quadruple too; a candidate costs a screen only.  One candidate per grid
+    index is kept, the earliest, as the sampled route finds at most one.
+    """
+    mu = np.linalg.eigvals(path.duration * path._js)
+    ts = []
+    for freq in mu.imag[mu.imag > 0]:
+        # k pi / freq for k = 1 and for the first k past each half-integer
+        # grid point: the earliest candidate of every grid index, at most
+        # PASSAGE_GRID of them however fast the rotation
+        k = np.ceil(np.arange(0.5, PASSAGE_GRID) / PASSAGE_GRID * freq / np.pi)
+        ts.append(np.unique(np.maximum(k, 1.0)) * np.pi / freq)
+    t = np.sort(np.concatenate([np.empty(0)] + ts))
+    t = t[t < 1.0]
+    cells, first = np.unique(
+        np.clip(np.rint(PASSAGE_GRID * t), 1, PASSAGE_GRID - 1).astype(int),
+        return_index=True)
+
+    def angles_at(times):
+        return np.angle(np.exp(1j * np.outer(times, mu.imag)))
+
+    return _screened_anchors(zip(cells.tolist(), t[first].tolist()),
+                             angles_at, events)
+
+
+def _spectrum_moves(angles: np.ndarray) -> bool:
+    """Whether rho^2 can move by ``PHASE_STEP`` across the screen times.
+
+    ``angles`` holds one row of eigenvalue angles of psi per screen time,
+    the rows in time order; both passage routes screen through here.  arg
+    rho is a signed sum of the angles of the first-kind unit eigenvalues
     plus pi per negative real pair, and every unit pair appears twice among
     the |arg| of the eigenvalues.  So the total variation, along the sorted
     times, of the sorted |arg| profile bounds how far rho^2 moves there.
     """
-    ts = np.sort(np.asarray(times, dtype=float))
-    lam = np.linalg.eigvals(np.array([sample(t) for t in ts]))
-    profile = np.sort(np.abs(np.angle(lam)), axis=1)
+    profile = np.sort(np.abs(angles), axis=1)
     return float(np.abs(np.diff(profile, axis=0)).sum()) >= PHASE_STEP
 
 
@@ -383,7 +432,10 @@ def _path_winding(path: PathSpec, tol: ToleranceProfile, power: int,
     def sample(t):
         return evaluate_array(path, t)
 
-    anchors = _unit_passage_times(sample, 2 * path.n, events)
+    if isinstance(path, ExpPath):
+        anchors = _exp_passage_times(path, events)
+    else:
+        anchors = _unit_passage_times(sample, 2 * path.n, events)
     return winding(_rho_map(sample, tol, events, power), tol.max_refine,
                    anchor_ts=anchors)
 

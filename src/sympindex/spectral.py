@@ -139,14 +139,21 @@ def _regime(rep: complex) -> str:
     return "OffCircleComplex"
 
 
-def eigen_quadruples(A, tol: ToleranceProfile = DEFAULT_TOL) -> list[EigenQuadruple]:
-    """Cluster the spectrum of a symplectic matrix into quadruples."""
+def eigen_quadruples(A, tol: ToleranceProfile = DEFAULT_TOL, *,
+                     eigenvalues: np.ndarray | None = None) -> list[EigenQuadruple]:
+    """Cluster the spectrum of a symplectic matrix into quadruples.
+
+    ``eigenvalues``, when given, are those of a decomposition of A that the
+    caller already made; otherwise they are computed here.
+    """
     a = as_array(A)
     if not is_symplectic(a, tol):
         raise ContractError("eigen_quadruples requires a symplectic matrix")
     n = a.shape[0] // 2
     tol_eig = tol.tol_eig
-    means, mults = _cluster(np.linalg.eigvals(a), tol_eig)
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvals(a)
+    means, mults = _cluster(eigenvalues, tol_eig)
     snapped = _snap(means, 10 * tol_eig)
 
     # Ambiguity guard: two clusters closer than 10*tol_eig but neither merged
@@ -338,14 +345,15 @@ def _spectral_summary(A, tol: ToleranceProfile):
     Larger clusters take ``krein_form`` on their generalized eigenspace.
     """
     a = as_array(A)
-    quads = eigen_quadruples(a, tol)
+    # one decomposition serves the clustering and the Krein forms; eig of the
+    # real matrix costs about half of the complex one and still returns
+    # conjugate eigenvector pairs
+    evals, evecs = np.linalg.eig(a)
+    quads = eigen_quadruples(a, tol, eigenvalues=evals)
     units = [q for q in quads if q.regime == "UnitNonReal"]
     krein: dict[complex, KreinData] = {}
     if not units:
         return quads, krein
-    # eig of the real matrix costs about half of the complex one and still
-    # returns conjugate eigenvector pairs
-    evals, evecs = np.linalg.eig(a)
     lams = np.array([q.representative for q in units])  # Im > 0 by canonicalization
     near = np.abs(evals - lams[:, None]) <= 10 * tol.tol_eig
     simple = (near.sum(axis=1) == 1) & (np.array([q.multiplicity for q in units]) == 1)

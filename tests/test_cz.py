@@ -13,7 +13,9 @@ from sympindex import (AdmissibilityError, CatPath, ConjPath, ConstPath,
                        conley_zehnder, cz_dim2_closed_form, evaluate_array,
                        extension_winding, make_loop, maslov_loop,
                        path_from_json, random_symplectic, rho, winding)
-from sympindex.cz import _Extension, _nudged, _unit_passage_times
+import sympindex.cz as cz
+from sympindex.cz import (PASSAGE_GRID, _Extension, _exp_passage_times,
+                          _nudged, _path_winding, _unit_passage_times)
 from conftest import krein_degenerate_rotation, rotation
 
 DATA = Path(__file__).parent / "data"
@@ -256,11 +258,32 @@ class TestPassageScreen:
                            match="circle maps disagree"):
             conley_zehnder(path)
 
-    def test_slow_rotation_has_no_anchors(self):
+    def test_slow_rotation_has_no_anchors(self, monkeypatch):
+        # an ExpPath takes the closed-form passage search: psi is evaluated
+        # only where one of the three [0, 1] windings samples it
+        evaluated, sampled = [], set()
+        build, wind = ExpPath._evaluate, cz.winding
+
+        def spy_evaluate(self, t):
+            evaluated.append(t)
+            return build(self, t)
+
+        def spy_winding(*args, **kwargs):
+            out = wind(*args, **kwargs)
+            sampled.update(t for t, _ in out[1])
+            return out
+
+        def sampled_route(*args):
+            raise AssertionError("the sampled passage search ran")
+
+        monkeypatch.setattr(ExpPath, "_evaluate", spy_evaluate)
+        monkeypatch.setattr(cz, "winding", spy_winding)
+        monkeypatch.setattr(cz, "_unit_passage_times", sampled_route)
         res = conley_zehnder(ExpPath(s_matrix=np.diag([12.0, 12.0])))
         assert res.value == cz_dim2_closed_form(np.diag([12.0, 12.0]), 1.0)
         assert res.diagnostics["passages"] == 3
         assert res.diagnostics["anchored_passages"] == 0
+        assert evaluated and set(evaluated) <= sampled
 
     def test_fast_rotation_keeps_every_anchor(self):
         s = np.diag([300.0, 300.0])
@@ -268,6 +291,47 @@ class TestPassageScreen:
         assert res.value == cz_dim2_closed_form(s, 1.0) == HalfInt.from_int(95)
         assert res.diagnostics["passages"] == 95
         assert res.diagnostics["anchored_passages"] == 95
+
+    def test_rotation_faster_than_the_grid(self):
+        # 222 passages, about one per 1.15 grid cells: the sampled search
+        # aliases them, the closed form anchors each one
+        s = np.diag([700.0, 700.0])
+        path = ExpPath(s_matrix=s)
+        events = Counter()
+        turns, _, _ = _path_winding(path, DEFAULT_TOL, 2, events)
+        ext = _Extension(evaluate_array(path, 1.0), DEFAULT_TOL, 0)
+        turns += ext.rho_winding(events)
+        assert HalfInt.from_int(round(turns)) == cz_dim2_closed_form(s, 1.0)
+        assert events["anchored_passages"] == 222
+
+    def test_anchored_passages_are_capped_by_the_grid(self):
+        events = Counter()
+        _exp_passage_times(ExpPath(s_matrix=np.diag([3000.0, 3000.0])), events)
+        assert events["anchored_passages"] <= PASSAGE_GRID - 1
+
+    @pytest.mark.parametrize("s,duration", [
+        (np.diag([5.0, 9.0]), 1.0),                              # elliptic
+        (np.diag([7.0, 2.0, 7.0, -0.5]), 1.0),         # elliptic + hyperbolic
+        ([[0.0, 0.0, 0.3, 9.0], [0.0, 0.0, -9.0, 0.3],
+          [0.3, -9.0, 0.0, 0.0], [9.0, 0.3, 0.0, 0.0]], 1.0),  # quadruple
+        (np.diag([6.0, 11.0, 4.0, 3.0]), 0.7),
+        (np.diag([1.0, 0.0]), 1.0),                      # shear: mu = 0
+    ])
+    def test_closed_form_candidates_match_sampled_route(self, s, duration,
+                                                        monkeypatch):
+        # every candidate t* of the sampled search lies within one grid cell
+        # of a closed-form candidate
+        monkeypatch.setattr(cz, "_screened_anchors",
+                            lambda candidates, angles_at, events:
+                            [t for _, t in candidates])
+        path = ExpPath(s_matrix=s, duration=duration)
+        closed = np.array(_exp_passage_times(path, Counter()))
+        sampled = _unit_passage_times(lambda t: evaluate_array(path, t),
+                                      2 * path.n, Counter())
+        shear = np.count_nonzero(np.asarray(s)) == 1
+        assert len(sampled) == len(closed) == 0 if shear else len(sampled) > 0
+        for t in sampled:
+            assert np.min(np.abs(closed - t)) <= 1.0 / PASSAGE_GRID
 
     def test_loop_shift_sweep(self):
         # psi = loop_k * exp(t J S): the family where anchors decide the

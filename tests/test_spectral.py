@@ -249,6 +249,19 @@ class TestRho:
         assert rho(a) == pytest.approx(np.exp(0.7j), abs=1e-12)
         assert len(calls) == 1
 
+    def test_one_decomposition_per_call(self, monkeypatch):
+        # the eigenvalues that eigen_quadruples clusters come from the eig
+        # whose eigenvectors give the Krein forms
+        calls = []
+        for name in ("eig", "eigvals"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *args, name=name, original=original:
+                                calls.append(name) or original(*args))
+        a = direct_sum_many([rotation(0.7), np.diag([2.0, 0.5])])
+        assert rho(a) == pytest.approx(np.exp(0.7j), abs=1e-12)
+        assert calls == ["eig"]
+
 
 class TestFirstKind:
     def test_count_and_content(self):
