@@ -6,8 +6,9 @@ one of the two component representatives
 
     W+ = -Id          W- = diag(2, -1, ..., -1, 1/2, -1, ..., -1).
 
-The winding over [0, 1] is sampled adaptively.  The extension's contribution
-is computed three ways and cross-checked:
+The winding over [0, 1] is sampled adaptively, for all three circle maps at
+the same +-1 passage anchors.  The extension's contribution is computed three
+ways and cross-checked:
 
 * for the spectral rotation map, analytically from the spectrum of a nearby
   semisimple matrix (each Krein-kappa unit eigenvalue pair at angle phi in
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -223,8 +225,9 @@ def _spectrum_moves(angles: np.ndarray) -> bool:
     return float(np.abs(np.diff(profile, axis=0)).sum()) >= PHASE_STEP
 
 
-def _pair_block(lam_t):
-    return np.diag([lam_t, 1.0 / lam_t])
+def _pair_block(t, lam, target):
+    m = (1 - t) * lam + t * target
+    return np.diag([m, 1.0 / m])
 
 
 def _quad_block(r, th):
@@ -235,13 +238,22 @@ def _quad_block(r, th):
     return out
 
 
+def _positive_pairs_block(t, lam1, lam2):
+    """Two positive real pairs to a quadruple at -1: lam2 slides to lam1,
+    then the double pair turns by pi as its modulus goes to 1."""
+    if t <= 0.5:
+        return direct_sum_many([np.diag([lam1, 1 / lam1]),
+                                _pair_block(2 * t, lam2, lam1)])
+    s = 2 * t - 1
+    return _quad_block(1 + (lam1 - 1) * (1 - s), np.pi * s)
+
+
 class _Extension(PathSpec):
     """Materialized deformation of a semisimple endpoint to W+/-."""
 
     def __init__(self, a_end: np.ndarray, tol: ToleranceProfile, seed: int):
         a_end = as_array(a_end)
         dim = a_end.shape[0]
-        self._init_cache()
         det_gap = float(np.linalg.det(a_end - np.eye(dim)))
         if abs(det_gap) <= tol.tol_kernel:
             raise AdmissibilityError(
@@ -290,16 +302,10 @@ class _Extension(PathSpec):
         self.plan = ExtensionPlan(records=tuple(records), endpoint=self.endpoint)
 
         # order the blocks: a surviving positive pair first (for W-), then
-        # positive pairs two by two, then everything else
-        order = []
-        survivor = None
-        if want_odd:
-            survivor = pos.pop()
-            order.append(survivor)
-        order.extend(pos)
-        order.extend(neg)
-        order.extend(quad)
-        order.extend(unit)
+        # positive pairs two by two, then everything else; the parity check
+        # leaves an even number of positive pairs to pair up
+        survivor = [pos.pop()] if want_odd else []
+        order = survivor + pos + neg + quad + unit
 
         sizes = [b.size // 2 for b in report.blocks]
         offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -309,51 +315,24 @@ class _Extension(PathSpec):
                                       for i in order], axis=2).reshape(dim, dim)
         self.k_perm_inv = np.linalg.inv(self.k_perm)
 
-        # blockwise deformers on [0, 1]
+        # blockwise deformers on [0, 1], in the same order
+        lam = [b.lambda_param for b in report.blocks]
         deformers = []
-        blocks = report.blocks
-        pending = None
-        for idx in order:
-            b = blocks[idx]
-            if idx == survivor:
-                lam = b.lambda_param[0]
-                deformers.append(
-                    lambda t, lam=lam: _pair_block((1 - t) * lam + 2 * t))
-            elif b.case == "OffCircleReal" and b.lambda_param[0] > 0:
-                if pending is None:
-                    pending = b.lambda_param[0]
-                else:
-                    lam1, lam2 = pending, b.lambda_param[0]
-                    pending = None
-
-                    def pos_pair(t, lam1=lam1, lam2=lam2):
-                        if t <= 0.5:
-                            m = (1 - 2 * t) * lam2 + 2 * t * lam1
-                            out = np.zeros((4, 4))
-                            out[:2, :2] = np.diag([lam1, m])
-                            out[2:, 2:] = np.diag([1 / lam1, 1 / m])
-                            return out
-                        s = 2 * t - 1
-                        return _quad_block(1 + (lam1 - 1) * (1 - s), np.pi * s)
-
-                    deformers.append(pos_pair)
-            elif b.case == "OffCircleReal":
-                lam = b.lambda_param[0]
-                deformers.append(
-                    lambda t, lam=lam: _pair_block((1 - t) * lam - t))
-            elif b.case == "OffCircleComplex":
-                r0, th0 = b.lambda_param
-                deformers.append(
-                    lambda t, r0=r0, th0=th0: _quad_block(
-                        1 + (r0 - 1) * (1 - t), th0 + (np.pi - th0) * t))
-            else:
-                phi = b.lambda_param[0]
-                target = np.pi if phi > 0 else -np.pi
-                deformers.append(
-                    lambda t, phi=phi, target=target: _rot(
-                        (1 - t) * phi + t * target))
-        if pending is not None:
-            raise InternalConsistencyError("unpaired positive eigenvalue pair")
+        for i in survivor:
+            deformers.append(partial(_pair_block, lam=lam[i][0], target=2.0))
+        for i, j in zip(pos[0::2], pos[1::2]):
+            deformers.append(partial(_positive_pairs_block,
+                                     lam1=lam[i][0], lam2=lam[j][0]))
+        for i in neg:
+            deformers.append(partial(_pair_block, lam=lam[i][0], target=-1.0))
+        for i in quad:
+            deformers.append(
+                lambda t, r0=lam[i][0], th0=lam[i][1]: _quad_block(
+                    1 + (r0 - 1) * (1 - t), th0 + (np.pi - th0) * t))
+        for i in unit:                   # e^{i phi} -> -1, same Krein sign
+            deformers.append(
+                lambda t, phi=lam[i][0]: _rot(
+                    (1 - t) * phi + t * (np.pi if phi > 0 else -np.pi)))
         self._deformers = deformers
 
         # bridge log and final unwinding of the conjugation
@@ -367,34 +346,32 @@ class _Extension(PathSpec):
 
     @staticmethod
     def _build_unwind(k: np.ndarray):
-        """Path K(t) from K to Id through the symplectic polar coordinates."""
-        dim = k.shape[0]
-        n = dim // 2
+        """Path K(t) from K to Id through the symplectic polar coordinates:
+        K(t) = O^(1-t) P^(1-t) for K = O P with P = (K^T K)^(1/2)."""
+        n = k.shape[0] // 2
         w, v = np.linalg.eigh(k.T @ k)
-        z = (v * np.log(w)) @ v.T / 2.0        # log of the positive factor
-        o = k @ ((v * np.exp(-0.5 * np.log(w))) @ v.T)
+        o = k @ ((v * w ** -0.5) @ v.T)
         u = o[:n, :n] + 1j * o[n:, :n]
         wu, vu = np.linalg.eig(u)
         theta = np.angle(wu)
+        vu_inv = np.linalg.inv(vu)
 
         def k_at(t: float) -> np.ndarray:
-            ut = (vu * np.exp(1j * (1 - t) * theta)) @ np.linalg.inv(vu)
+            ut = (vu * np.exp(1j * (1 - t) * theta)) @ vu_inv
             ot = np.block([[ut.real, -ut.imag], [ut.imag, ut.real]])
-            return ot @ sla.expm((1 - t) * z)
+            return ot @ ((v * w ** ((1 - t) / 2)) @ v.T)
 
         return k_at
-
-    def bridge_at(self, t: float) -> np.ndarray:
-        return self.a_end @ sla.expm(t * self._bridge_log)
 
     def rho_winding(self, events: Counter) -> float:
         """Turns of rho^2 along the extension.
 
-        The sampled bridge winding to the nearby semisimple matrix plus the
-        analytic unit-spectrum sum.
+        The winding over the bridge to the nearby semisimple matrix, sampled
+        on the extension's first third, plus the analytic unit-spectrum sum.
         """
-        turns, _, _ = winding(_rho_map(self.bridge_at, self.tol, events, 2),
-                              self.tol.max_refine, coarse=16)
+        bridge = _rho_map(lambda t: evaluate_array(self, t / 3.0), self.tol,
+                          events, 2)
+        turns, _, _ = winding(bridge, self.tol.max_refine, coarse=16)
         return turns + self.plan.total_increment
 
     @property
@@ -404,7 +381,7 @@ class _Extension(PathSpec):
     def _evaluate(self, t: float) -> np.ndarray:
         """The full materialized extension on [0, 1]."""
         if t <= 1.0 / 3.0:
-            return self.bridge_at(3.0 * t)
+            return self.a_end @ sla.expm(3.0 * t * self._bridge_log)
         if t <= 2.0 / 3.0:
             nt = self._deform(3.0 * t - 1.0)
             return self.k_perm @ nt @ self.k_perm_inv
@@ -426,18 +403,12 @@ def extension_winding(A, tol: ToleranceProfile = DEFAULT_TOL, seed: int = 0):
 # the index
 
 
-def _path_winding(path: PathSpec, tol: ToleranceProfile, power: int,
-                  events: Counter):
-    """Winding of rho ** power along the path, anchored at its +-1 passages."""
-    def sample(t):
-        return evaluate_array(path, t)
-
+def _passage_anchors(path: PathSpec, events: Counter) -> list[float]:
+    """Winding anchors at the path's +-1 passages, shared by every circle map."""
     if isinstance(path, ExpPath):
-        anchors = _exp_passage_times(path, events)
-    else:
-        anchors = _unit_passage_times(sample, 2 * path.n, events)
-    return winding(_rho_map(sample, tol, events, power), tol.max_refine,
-                   anchor_ts=anchors)
+        return _exp_passage_times(path, events)
+    return _unit_passage_times(lambda t: evaluate_array(path, t), 2 * path.n,
+                               events)
 
 
 def _rounded(name: str, turns: float) -> int:
@@ -466,23 +437,23 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
     a_end = evaluate_array(path, 1.0)
     ext = _Extension(a_end, tol, seed)
 
-    # main [0,1] windings for the three circle maps
+    # each circle map winds along the path, at the same +-1 passage
+    # anchors, and along the extension
     events = Counter()
-    w_rho, trace, depth = _path_winding(path, tol, 2, events)
-    w_polar, _, _ = winding(lambda t: rho_polar(evaluate_array(path, t), tol) ** 2,
-                            tol.max_refine)
-    w_hat, _, _ = winding(lambda t: rho_hat(evaluate_array(path, t), tol) ** 2,
-                          tol.max_refine)
-
-    # extension windings
+    anchors = _passage_anchors(path, events)
+    w_rho, trace, depth = winding(
+        _rho_map(lambda t: evaluate_array(path, t), tol, events, 2),
+        tol.max_refine, anchor_ts=anchors)
     e_rho = ext.rho_winding(events)
-    e_polar, _, _ = winding(lambda t: rho_polar(evaluate_array(ext, t), tol) ** 2,
-                            tol.max_refine, coarse=96)
-    e_hat, _, _ = winding(lambda t: rho_hat(evaluate_array(ext, t), tol) ** 2,
-                          tol.max_refine, coarse=96)
+    totals = {"spectral": w_rho + e_rho}
+    for name, circle_map in (("polar", rho_polar), ("clinear", rho_hat)):
+        def squared(node, circle_map=circle_map):
+            return lambda t: circle_map(evaluate_array(node, t), tol) ** 2
 
-    totals = {"spectral": w_rho + e_rho, "polar": w_polar + e_polar,
-              "clinear": w_hat + e_hat}
+        w, _, _ = winding(squared(path), tol.max_refine, anchor_ts=anchors)
+        e, _, _ = winding(squared(ext), tol.max_refine, coarse=96)
+        totals[name] = w + e
+
     rounded = {name: _rounded(name, val) for name, val in totals.items()}
     if len(set(rounded.values())) != 1:
         raise InternalConsistencyError(
@@ -536,7 +507,10 @@ def _loop_winding(path: PathSpec, tol: ToleranceProfile):
     p1 = evaluate_array(path, 1.0)
     if np.linalg.norm(p0 - p1) > 1e3 * tol.tol_symp * (1.0 + np.linalg.norm(p0)):
         raise ContractError("maslov_loop requires a loop")
-    turns, trace, _ = _path_winding(path, tol, 1, Counter())
+    events = Counter()
+    turns, trace, _ = winding(
+        _rho_map(lambda t: evaluate_array(path, t), tol, events, 1),
+        tol.max_refine, anchor_ts=_passage_anchors(path, events))
     return _rounded("loop", turns), trace
 
 

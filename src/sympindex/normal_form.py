@@ -580,7 +580,7 @@ def normal_form(A, tol: ToleranceProfile = DEFAULT_TOL) -> NormalFormReport:
 # density of semisimple elements
 
 
-def _stretch_block(block: NormalFormBlock, eps_draws, rng) -> np.ndarray:
+def _stretch_block(block: NormalFormBlock, eps_draws) -> np.ndarray:
     """Blockwise symplectic factor with eigenvalue-separating stretches."""
     s = block.size // 2
     if block.case == "OffCircleReal" or block.case == "PlusMinusOne":
@@ -626,7 +626,7 @@ def semisimple_perturb(A, eps: float = 1e-6, seed: int = 0,
     for _ in range(8):
         draws = iter(eps * rng.uniform(0.5, 1.5, size=4 * n2)
                      * np.linspace(1.0, 2.0, 4 * n2))
-        S = direct_sum_many([_stretch_block(b, draws, rng) for b in report.blocks])
+        S = direct_sum_many([_stretch_block(b, draws) for b in report.blocks])
         ap = a @ (K @ S @ Kinv)
         evals = np.linalg.eigvals(ap)
         gaps = np.abs(evals[:, None] - evals[None, :]) + np.eye(n2)

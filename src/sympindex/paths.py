@@ -10,6 +10,7 @@ is symplectic by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -64,8 +65,10 @@ class PathSpec:
     def _evaluate(self, t: float) -> np.ndarray:
         raise NotImplementedError
 
-    def _init_cache(self):
-        object.__setattr__(self, "_cache", {})
+    @cached_property
+    def _cache(self) -> dict:
+        """Per-t memo of ``evaluate_array``, made on first use."""
+        return {}
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -115,7 +118,6 @@ class ConstPath(PathSpec):
             raise ParameterError(
                 f"constant path matrix is not symplectic (residual {res:.3e})")
         object.__setattr__(self, "matrix", a)
-        self._init_cache()
 
     @property
     def n(self) -> int:
@@ -141,7 +143,6 @@ class ExpPath(PathSpec):
         s = _frozen_array(0.5 * (s + s.T))
         object.__setattr__(self, "s_matrix", s)
         object.__setattr__(self, "_js", _frozen_array(j_matrix(s.shape[0] // 2) @ s))
-        self._init_cache()
 
     @property
     def n(self) -> int:
@@ -182,7 +183,6 @@ class SampledPath(PathSpec):
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "_logs", tuple(logs))
-        self._init_cache()
 
     @property
     def n(self) -> int:
@@ -216,7 +216,6 @@ class CatPath(PathSpec):
                     > 10 * DEFAULT_TOL.tol_symp:
                 raise ParameterError("catenation parts do not match at a junction")
         object.__setattr__(self, "parts", parts)
-        self._init_cache()
 
     @property
     def n(self) -> int:
@@ -239,7 +238,6 @@ class ProdPath(PathSpec):
     def __post_init__(self):
         if self.left.n != self.right.n:
             raise DimensionError("product factors have different dimensions")
-        self._init_cache()
 
     @property
     def n(self) -> int:
@@ -259,7 +257,6 @@ class ConjPath(PathSpec):
     def __post_init__(self):
         if self.phi.n != self.psi.n:
             raise DimensionError("conjugation factors have different dimensions")
-        self._init_cache()
 
     @property
     def n(self) -> int:
@@ -281,7 +278,6 @@ class DirectSumPath(PathSpec):
         if not parts:
             raise ParameterError("direct sum needs at least one part")
         object.__setattr__(self, "parts", parts)
-        self._init_cache()
 
     @property
     def n(self) -> int:
@@ -296,9 +292,6 @@ class ReversePath(PathSpec):
     """t -> inner(1 - t)."""
 
     inner: PathSpec
-
-    def __post_init__(self):
-        self._init_cache()
 
     @property
     def n(self) -> int:
@@ -331,7 +324,6 @@ class ShearPath(PathSpec):
             raise DimensionError("shear endpoints have different sizes")
         object.__setattr__(self, "b0", b0)
         object.__setattr__(self, "b1", b1)
-        self._init_cache()
 
     @property
     def n(self) -> int:
@@ -363,7 +355,6 @@ class LoopPath(PathSpec):
             raise DimensionError("loop dimension must be >= 1")
         if int(self.wind) != self.wind:
             raise ParameterError("winding must be an integer")
-        self._init_cache()
 
     @property
     def n(self) -> int:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sympindex import (AdmissibilityError, CatPath, ConjPath, ConstPath,
-                       ContractError, DEFAULT_TOL, DirectSumPath, ExpPath,
+                       ContractError, DirectSumPath, ExpPath,
                        HalfInt, InternalConsistencyError, ParameterError,
                        ProdPath, ReversePath,
                        SampledPath, SympindexError, WindingResolutionError,
@@ -14,8 +14,9 @@ from sympindex import (AdmissibilityError, CatPath, ConjPath, ConstPath,
                        extension_winding, make_loop, maslov_loop,
                        path_from_json, random_symplectic, rho, winding)
 import sympindex.cz as cz
+from sympindex.core import symplectic_residual
 from sympindex.cz import (PASSAGE_GRID, _Extension, _exp_passage_times,
-                          _nudged, _path_winding, _unit_passage_times)
+                          _nudged, _unit_passage_times)
 from conftest import krein_degenerate_rotation, rotation
 
 DATA = Path(__file__).parent / "data"
@@ -118,6 +119,42 @@ class TestExtension:
         monkeypatch.setattr(_Extension, "_evaluate", spy)
         conley_zehnder(exp_path(n=2, seed=3, scale=2.0))
         assert seen and len(seen) == len(set(seen))
+
+    def test_extension_calls_expm_once_per_bridge_sample(self, monkeypatch):
+        # the bridge third costs one expm per sample; the deformation, the
+        # unwinding and the rest of the extension call none
+        expm, build = cz.sla.expm, _Extension._evaluate
+        calls, samples = [], []
+
+        def spy_expm(a):
+            calls.append(a)
+            return expm(a)
+
+        def spy_evaluate(self, t):
+            before = len(calls)
+            out = build(self, t)
+            samples.append((t, len(calls) - before))
+            return out
+
+        monkeypatch.setattr(cz.sla, "expm", spy_expm)
+        monkeypatch.setattr(_Extension, "_evaluate", spy_evaluate)
+        path = exp_path(n=2, seed=3, scale=2.0)
+        conley_zehnder(path)
+        bridge = [t for t, _ in samples if t <= 1.0 / 3.0]
+        assert bridge and len(bridge) < len(samples)
+        for t, count in samples:
+            assert count == (1 if t <= 1.0 / 3.0 else 0), t
+        # every other expm evaluates the path, once per memoised sample
+        assert len(calls) == len(bridge) + len(path._cache)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unwind_runs_from_k_to_the_identity(self, seed):
+        k = random_symplectic(3, seed=seed, max_cond=50)
+        k_at = _Extension._build_unwind(k)
+        assert np.linalg.norm(k_at(0.0) - k) <= 1e-12
+        assert np.linalg.norm(k_at(1.0) - np.eye(6)) <= 1e-12
+        for t in np.linspace(0.0, 1.0, 11):
+            assert symplectic_residual(k_at(t)) < 1e-10
 
     def test_degenerate_endpoint_rejected(self):
         p = ExpPath(s_matrix=np.zeros((2, 2)))
@@ -246,11 +283,22 @@ class TestPassageScreen:
     def test_loop_product_keeps_anchors(self, monkeypatch):
         path = ProdPath(left=make_loop(-2, 1),
                         right=ExpPath(s_matrix=self.LOOP_PRODUCT_S))
+        anchor_sets, wind = [], cz.winding
+
+        def spy_winding(*args, **kwargs):
+            if "anchor_ts" in kwargs:
+                anchor_sets.append(kwargs["anchor_ts"])
+            return wind(*args, **kwargs)
+
+        monkeypatch.setattr(cz, "winding", spy_winding)
         res = conley_zehnder(path)
         assert res.value == HalfInt.from_int(-4)
         assert {round(w) for w in res.diagnostics["windings"].values()} == {-4}
         assert res.diagnostics["passages"] == 5
         assert res.diagnostics["anchored_passages"] == 3
+        # the three [0, 1] windings sample the same anchors
+        assert len(anchor_sets) == 3 and anchor_sets[0]
+        assert anchor_sets[1] == anchor_sets[0] == anchor_sets[2]
         # without anchors the spectral winding misses turns
         monkeypatch.setattr("sympindex.cz._unit_passage_times",
                             lambda sample, dim, events: [])
@@ -294,15 +342,14 @@ class TestPassageScreen:
 
     def test_rotation_faster_than_the_grid(self):
         # 222 passages, about one per 1.15 grid cells: the sampled search
-        # aliases them, the closed form anchors each one
+        # aliases them, the closed form anchors each one, and all three
+        # circle maps sample the anchors
         s = np.diag([700.0, 700.0])
-        path = ExpPath(s_matrix=s)
-        events = Counter()
-        turns, _, _ = _path_winding(path, DEFAULT_TOL, 2, events)
-        ext = _Extension(evaluate_array(path, 1.0), DEFAULT_TOL, 0)
-        turns += ext.rho_winding(events)
-        assert HalfInt.from_int(round(turns)) == cz_dim2_closed_form(s, 1.0)
-        assert events["anchored_passages"] == 222
+        res = conley_zehnder(ExpPath(s_matrix=s))
+        assert res.value == cz_dim2_closed_form(s, 1.0) == HalfInt.from_int(223)
+        assert res.diagnostics["anchored_passages"] == 222
+        for turns in res.diagnostics["windings"].values():
+            assert turns == pytest.approx(223.0, abs=1e-9)
 
     def test_anchored_passages_are_capped_by_the_grid(self):
         events = Counter()
