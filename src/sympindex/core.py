@@ -71,9 +71,22 @@ def _check_even_square(M: np.ndarray) -> int:
     return M.shape[0] // 2
 
 
+def finite_matrix(A) -> np.ndarray:
+    """``as_array(A)``, checked to be an even square matrix of finite entries
+    before a LAPACK routine (or arithmetic that warns) sees it."""
+    a = as_array(A)
+    _check_even_square(a)
+    if not np.isfinite(a).all():
+        raise ContractError("matrix has non-finite entries")
+    return a
+
+
 def symplectic_residual(M: np.ndarray) -> float:
-    """Relative Frobenius residual of the symplectic identity."""
+    """Relative Frobenius residual of the symplectic identity; infinite for
+    a matrix with non-finite entries."""
     n = _check_even_square(M)
+    if not np.isfinite(M).all():
+        return float("inf")
     om = omega_matrix(n)
     return float(np.linalg.norm(M.T @ om @ M - om) / (1.0 + np.linalg.norm(M) ** 2))
 
@@ -144,8 +157,8 @@ def _complex_blocks(O: np.ndarray):
 
 def complex_det(O, tol: ToleranceProfile = DEFAULT_TOL) -> complex:
     """det(B + iC) for a C-linear matrix O = [[B,-C],[C,B]]."""
-    o = as_array(O)
-    n = _check_even_square(o)
+    o = finite_matrix(O)
+    n = o.shape[0] // 2
     jm = j_matrix(n)
     comm = np.linalg.norm(o @ jm - jm @ o) / (1.0 + np.linalg.norm(o))
     if comm > max(tol.tol_symp, 1e-8):

@@ -18,6 +18,11 @@ ways and cross-checked:
   spectrum alone, by sampling an explicitly materialized extension: the
   bridge, a blockwise eigenvalue deformation in the normal-form basis, and a
   final unwinding of the conjugation.
+
+The extension's matrices are built once and sampled with plain arithmetic:
+the bridge is the Cayley path A (I - uC)^-1 (I + uC) of the Hamiltonian
+C = (B - I)(B + I)^-1, B = A^-1 A', and the unwinding K(t) carries its
+inverse from the decompositions that build it.  No scipy routine is used.
 """
 
 from __future__ import annotations
@@ -27,9 +32,8 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.linalg as sla
 
-from .core import as_array, direct_sum_many, rho_hat, rho_polar
+from .core import direct_sum_many, finite_matrix, rho_hat, rho_polar
 from .errors import (AdmissibilityError, ContractError,
                      IllConditionedSpectrumError, InternalConsistencyError,
                      KreinDegenerateError, ParameterError)
@@ -42,7 +46,6 @@ from .tolerances import DEFAULT_TOL, ToleranceProfile
 
 __all__ = [
     "IndexResult",
-    "ExtensionPlan",
     "winding",
     "extension_winding",
     "conley_zehnder",
@@ -58,18 +61,6 @@ class IndexResult:
     extension_winding: float      # turns of rho^2 along the extension
     endpoint: str                 # "W+" or "W-"
     diagnostics: dict
-
-
-@dataclass(frozen=True)
-class ExtensionPlan:
-    """Per-quadruple deformation records for the extension to W+/-."""
-
-    records: tuple                # (regime, start parameter, krein, increment)
-    endpoint: str
-
-    @property
-    def total_increment(self) -> float:
-        return float(sum(r[3] for r in self.records))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +243,7 @@ class _Extension(PathSpec):
     """Materialized deformation of a semisimple endpoint to W+/-."""
 
     def __init__(self, a_end: np.ndarray, tol: ToleranceProfile, seed: int):
-        a_end = as_array(a_end)
+        a_end = finite_matrix(a_end)
         dim = a_end.shape[0]
         det_gap = float(np.linalg.det(a_end - np.eye(dim)))
         if abs(det_gap) <= tol.tol_kernel:
@@ -286,20 +277,11 @@ class _Extension(PathSpec):
             raise InternalConsistencyError(
                 "sign of det(A - Id) contradicts the positive-pair parity")
 
-        records = []
-        for i in unit:
-            phi = report.blocks[i].lambda_param[0]
-            kappa = 1 if phi > 0 else -1
-            records.append(("UnitNonReal", phi, kappa,
-                            kappa * (np.pi - abs(phi)) / np.pi))
-        for i in pos:
-            records.append(("RealPositive", report.blocks[i].lambda_param[0], 0, 0.0))
-        for i in neg:
-            records.append(("RealNegative", report.blocks[i].lambda_param[0], 0, 0.0))
-        for i in quad:
-            records.append(("OffCircleComplex",
-                            complex(*report.blocks[i].lambda_param), 0, 0.0))
-        self.plan = ExtensionPlan(records=tuple(records), endpoint=self.endpoint)
+        # a unit pair at angle phi, Krein sign kappa = sign(phi), turns rho^2
+        # by kappa (pi - |phi|) / pi on its way to -1; other blocks by 0
+        lam = [b.lambda_param for b in report.blocks]
+        self.unit_turns = float(sum(np.sign(lam[i][0]) * (np.pi - abs(lam[i][0]))
+                                    / np.pi for i in unit))
 
         # order the blocks: a surviving positive pair first (for W-), then
         # positive pairs two by two, then everything else; the parity check
@@ -316,7 +298,6 @@ class _Extension(PathSpec):
         self.k_perm_inv = np.linalg.inv(self.k_perm)
 
         # blockwise deformers on [0, 1], in the same order
-        lam = [b.lambda_param for b in report.blocks]
         deformers = []
         for i in survivor:
             deformers.append(partial(_pair_block, lam=lam[i][0], target=2.0))
@@ -335,9 +316,12 @@ class _Extension(PathSpec):
                     (1 - t) * phi + t * (np.pi if phi > 0 else -np.pi)))
         self._deformers = deformers
 
-        # bridge log and final unwinding of the conjugation
+        # Cayley bridge to the perturbed endpoint and final unwinding of the
+        # conjugation
         self.a_end = a_end
-        self._bridge_log = sla.logm(np.linalg.solve(a_end, aprime)).real
+        eye = np.eye(dim)
+        b = np.linalg.solve(a_end, aprime)
+        self._cayley = np.linalg.solve(b + eye, b - eye)
         self._w_matrix = self._deform(1.0)
         self._unwind = self._build_unwind(self.k_perm)
 
@@ -346,20 +330,26 @@ class _Extension(PathSpec):
 
     @staticmethod
     def _build_unwind(k: np.ndarray):
-        """Path K(t) from K to Id through the symplectic polar coordinates:
-        K(t) = O^(1-t) P^(1-t) for K = O P with P = (K^T K)^(1/2)."""
+        """Path K(t) from K to Id through the symplectic polar coordinates,
+        with its inverse: K(t) = O^(1-t) P^(1-t) for K = O P with
+        P = (K^T K)^(1/2), and K(t)^-1 = P^-(1-t) O^(1-t)^T.
+
+        O and P come from the SVD K = X diag(s) V^T as X V^T and
+        V diag(s) V^T, so O is orthogonal to rounding whatever cond(K) and
+        O^(1-t)^T is its inverse."""
         n = k.shape[0] // 2
-        w, v = np.linalg.eigh(k.T @ k)
-        o = k @ ((v * w ** -0.5) @ v.T)
+        x, s, vt = np.linalg.svd(k)
+        o = x @ vt
         u = o[:n, :n] + 1j * o[n:, :n]
         wu, vu = np.linalg.eig(u)
         theta = np.angle(wu)
         vu_inv = np.linalg.inv(vu)
 
-        def k_at(t: float) -> np.ndarray:
+        def k_at(t: float) -> tuple[np.ndarray, np.ndarray]:
             ut = (vu * np.exp(1j * (1 - t) * theta)) @ vu_inv
             ot = np.block([[ut.real, -ut.imag], [ut.imag, ut.real]])
-            return ot @ ((v * w ** ((1 - t) / 2)) @ v.T)
+            return (ot @ ((vt.T * s ** (1 - t)) @ vt),
+                    (vt.T * s ** (t - 1)) @ vt @ ot.T)
 
         return k_at
 
@@ -372,21 +362,19 @@ class _Extension(PathSpec):
         bridge = _rho_map(lambda t: evaluate_array(self, t / 3.0), self.tol,
                           events, 2)
         turns, _, _ = winding(bridge, self.tol.max_refine, coarse=16)
-        return turns + self.plan.total_increment
-
-    @property
-    def n(self) -> int:
-        return self.a_end.shape[0] // 2
+        return turns + self.unit_turns
 
     def _evaluate(self, t: float) -> np.ndarray:
         """The full materialized extension on [0, 1]."""
         if t <= 1.0 / 3.0:
-            return self.a_end @ sla.expm(3.0 * t * self._bridge_log)
+            uc = 3.0 * t * self._cayley
+            eye = np.eye(uc.shape[0])
+            return self.a_end @ np.linalg.solve(eye - uc, eye + uc)
         if t <= 2.0 / 3.0:
             nt = self._deform(3.0 * t - 1.0)
             return self.k_perm @ nt @ self.k_perm_inv
-        kt = self._unwind(3.0 * t - 2.0)
-        return kt @ self._w_matrix @ np.linalg.solve(kt, np.eye(kt.shape[0]))
+        kt, kt_inv = self._unwind(3.0 * t - 2.0)
+        return kt @ self._w_matrix @ kt_inv
 
 
 def extension_winding(A, tol: ToleranceProfile = DEFAULT_TOL, seed: int = 0):
@@ -395,7 +383,7 @@ def extension_winding(A, tol: ToleranceProfile = DEFAULT_TOL, seed: int = 0):
     Returns (turns, endpoint).  The value is the sampled bridge winding to a
     nearby semisimple matrix plus the analytic unit-spectrum sum.
     """
-    ext = _Extension(as_array(A), tol, seed)
+    ext = _Extension(A, tol, seed)
     return ext.rho_winding(Counter()), ext.endpoint
 
 
@@ -483,8 +471,8 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
 def cz_dim2_closed_form(S, T: float) -> HalfInt:
     """Closed-form index of t -> exp(t T J0 S) for nondegenerate 2x2 S."""
     s = np.asarray(S, dtype=float)
-    if s.shape != (2, 2):
-        raise ParameterError("closed form requires a 2x2 symmetric matrix")
+    if s.shape != (2, 2) or not np.isfinite(s).all():
+        raise ParameterError("closed form requires a finite 2x2 symmetric matrix")
     if np.linalg.norm(s - s.T) > 1e-10 * (1.0 + np.linalg.norm(s)):
         raise ParameterError("S must be symmetric")
     w = np.linalg.eigvalsh(s)

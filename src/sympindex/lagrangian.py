@@ -55,6 +55,8 @@ class LagrangianFrame:
         om = omega_matrix(m) if om is None else np.array(om, dtype=float)
         if om.shape != (2 * m, 2 * m):
             raise DimensionError("form shape does not match the frame")
+        if not (np.isfinite(f).all() and np.isfinite(om).all()):
+            raise ContractError("frame and form must have finite entries")
         scale = 1.0 + np.linalg.norm(f) ** 2
         if np.linalg.norm(f.T @ om @ f) > DEFAULT_TOL.tol_form * scale:
             raise ContractError("frame does not span a Lagrangian subspace")
@@ -160,22 +162,6 @@ def lagrangian_crossing_form(frames, t0: float, v: LagrangianFrame,
 SCAN_GRID = 512
 
 
-def _crossing_windows(flags: np.ndarray):
-    """Group flagged grid indices into isolated windows or plateaus."""
-    runs = []
-    i = 0
-    while i <= SCAN_GRID:
-        if flags[i]:
-            j = i
-            while j + 1 <= SCAN_GRID and flags[j + 1]:
-                j += 1
-            runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return runs
-
-
 def _scan_crossings(smin, kernel_dim_at, tol: ToleranceProfile):
     """Locate the zeros of a vectorised sigma_min curve on [0, 1].
 
@@ -183,7 +169,7 @@ def _scan_crossings(smin, kernel_dim_at, tol: ToleranceProfile):
     golden section; minima that refine to (numerical) zero are crossings.
     Sustained near-zero runs are plateaus: scored 0 when the kernel
     dimension is constant across the run, rejected otherwise.  Returns
-    (crossing times, trace rows (t, smin, flag), all_plateau flag).
+    (crossing times, trace rows (t, smin, flag)).
     """
     grid = SCAN_GRID
     ts = np.linspace(0.0, 1.0, grid + 1)
@@ -199,17 +185,19 @@ def _scan_crossings(smin, kernel_dim_at, tol: ToleranceProfile):
         if len(dims) != 1:
             raise UnsupportedStructureError(
                 "kernel dimension varies along a full-length plateau")
-        return [], trace, True
+        return [], trace
 
+    # grid indices split into runs of equal flag; a flagged run of more
+    # than three samples is a plateau
     plateau_idx = set()
-    for i0, i1 in _crossing_windows(flags):
-        if i1 - i0 > 2:
-            dims = {kernel_dim_at(ts[i]) for i in range(i0, i1 + 1)}
+    for run in np.split(np.arange(grid + 1), np.flatnonzero(np.diff(flags)) + 1):
+        if flags[run[0]] and len(run) > 3:
+            dims = {kernel_dim_at(t) for t in ts[run]}
             if len(dims) != 1:
                 raise UnsupportedStructureError(
-                    f"crossing plateau near t={ts[i0]:.4g} "
+                    f"crossing plateau near t={ts[run[0]]:.4g} "
                     "with varying kernel dimension")
-            plateau_idx.update(range(i0, i1 + 1))
+            plateau_idx.update(run.tolist())
 
     crossings = []
     if vals[0] < hit and 0 not in plateau_idx:
@@ -232,7 +220,7 @@ def _scan_crossings(smin, kernel_dim_at, tol: ToleranceProfile):
     for t in crossings:
         if not merged or t - merged[-1] > 1e-8:
             merged.append(t)
-    return merged, trace, False
+    return merged, trace
 
 
 def _crossing_sum(smin, kernel_at, form_at, tol: ToleranceProfile):
@@ -243,11 +231,8 @@ def _crossing_sum(smin, kernel_at, form_at, tol: ToleranceProfile):
     crossings contribute their signature, the endpoints half of it.
     Returns (HalfInt, crossing reports, smin trace).
     """
-    crossings, trace, all_plateau = _scan_crossings(
+    crossings, trace = _scan_crossings(
         smin, lambda t: kernel_at(t).shape[1], tol)
-    if all_plateau:
-        return HalfInt(0), [], trace
-
     doubled = 0
     reports = []
     for t_star in crossings:

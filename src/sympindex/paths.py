@@ -71,8 +71,10 @@ class PathSpec:
         return {}
 
 
-def _frozen_array(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _frozen_array(a) -> np.ndarray:
+    out = np.array(a, dtype=float)
+    if not np.isfinite(out).all():
+        raise ParameterError("path data has non-finite entries")
     out.setflags(write=False)
     return out
 

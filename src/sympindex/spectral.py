@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_array, is_symplectic, normalize_unit, omega_matrix
+from .core import (as_array, finite_matrix, is_symplectic, normalize_unit,
+                   omega_matrix)
 from .errors import (
     ContractError,
     IllConditionedSpectrumError,
@@ -261,7 +262,7 @@ def generalized_eigenspace(A, lam: complex, tol: ToleranceProfile = DEFAULT_TOL,
     the singular subspace of (A - lam)^multiplicity belonging to its
     smallest singular values.
     """
-    a = as_array(A).astype(complex)
+    a = finite_matrix(A).astype(complex)
     dim = a.shape[0]
     M = a - lam * np.eye(dim)
     thresh = max(tol.tol_kernel, tol.tol_eig)
@@ -344,7 +345,7 @@ def _spectral_summary(A, tol: ToleranceProfile):
     unit-normalised eigenvectors gives the Krein forms of all of them.
     Larger clusters take ``krein_form`` on their generalized eigenspace.
     """
-    a = as_array(A)
+    a = finite_matrix(A)
     # one decomposition serves the clustering and the Krein forms; eig of the
     # real matrix costs about half of the complex one and still returns
     # conjugate eigenvector pairs

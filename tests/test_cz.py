@@ -17,6 +17,7 @@ import sympindex.cz as cz
 from sympindex.core import symplectic_residual
 from sympindex.cz import (PASSAGE_GRID, _Extension, _exp_passage_times,
                           _nudged, _unit_passage_times)
+from sympindex.tolerances import DEFAULT_TOL
 from conftest import krein_degenerate_rotation, rotation
 
 DATA = Path(__file__).parent / "data"
@@ -120,41 +121,71 @@ class TestExtension:
         conley_zehnder(exp_path(n=2, seed=3, scale=2.0))
         assert seen and len(seen) == len(set(seen))
 
-    def test_extension_calls_expm_once_per_bridge_sample(self, monkeypatch):
-        # the bridge third costs one expm per sample; the deformation, the
-        # unwinding and the rest of the extension call none
-        expm, build = cz.sla.expm, _Extension._evaluate
-        calls, samples = [], []
+    # seed 5 conjugates by a normal-form basis of condition number 4.6e3
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
+    def test_extension_is_a_continuous_symplectic_path(self, seed):
+        a_end = evaluate_array(exp_path(n=2, seed=seed, scale=2.0), 1.0)
+        ext = _Extension(a_end, DEFAULT_TOL, seed=0)
+        assert np.array_equal(evaluate_array(ext, 0.0), a_end)
+        # each third is built from its own matrices; they meet at the joins
+        for t in (1.0 / 3.0, 2.0 / 3.0):
+            left = evaluate_array(ext, t)
+            right = evaluate_array(ext, np.nextafter(t, 1.0))
+            assert np.linalg.norm(left - right) <= 1e-10 * np.linalg.norm(left)
+        end = evaluate_array(ext, 1.0)
+        target = -np.eye(4) if ext.endpoint == "W+" else \
+            np.diag([2.0, -1.0, 0.5, -1.0])
+        assert np.linalg.norm(end - target) <= 1e-10
+        for t in np.linspace(0.0, 1.0, 31):
+            assert symplectic_residual(evaluate_array(ext, t)) < 1e-10
+
+    def test_extension_calls_no_expm_or_logm(self, monkeypatch):
+        # the bridge is a Cayley path, one solve per sample, and the
+        # unwinding holds its inverse, so the other two thirds solve nothing
+        # and every expm evaluates the path, once per memoised sample
+        import scipy.linalg as sla
+
+        expm, solve, build = sla.expm, np.linalg.solve, _Extension._evaluate
+        calls, solves, samples = [], [], []
 
         def spy_expm(a):
             calls.append(a)
             return expm(a)
 
+        def spy_solve(a, b):
+            solves.append(a)
+            return solve(a, b)
+
+        def no_logm(*args, **kwargs):
+            raise AssertionError("logm called")
+
         def spy_evaluate(self, t):
-            before = len(calls)
+            before = len(solves)
             out = build(self, t)
-            samples.append((t, len(calls) - before))
+            samples.append((t, len(solves) - before))
             return out
 
-        monkeypatch.setattr(cz.sla, "expm", spy_expm)
+        monkeypatch.setattr(sla, "expm", spy_expm)
+        monkeypatch.setattr(sla, "logm", no_logm)
+        monkeypatch.setattr(np.linalg, "solve", spy_solve)
         monkeypatch.setattr(_Extension, "_evaluate", spy_evaluate)
         path = exp_path(n=2, seed=3, scale=2.0)
         conley_zehnder(path)
-        bridge = [t for t, _ in samples if t <= 1.0 / 3.0]
-        assert bridge and len(bridge) < len(samples)
+        assert min(t for t, _ in samples) <= 1.0 / 3.0 < max(t for t, _ in samples)
         for t, count in samples:
             assert count == (1 if t <= 1.0 / 3.0 else 0), t
-        # every other expm evaluates the path, once per memoised sample
-        assert len(calls) == len(bridge) + len(path._cache)
+        assert calls and len(calls) == len(path._cache)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_unwind_runs_from_k_to_the_identity(self, seed):
         k = random_symplectic(3, seed=seed, max_cond=50)
         k_at = _Extension._build_unwind(k)
-        assert np.linalg.norm(k_at(0.0) - k) <= 1e-12
-        assert np.linalg.norm(k_at(1.0) - np.eye(6)) <= 1e-12
+        assert np.linalg.norm(k_at(0.0)[0] - k) <= 1e-12
+        assert np.linalg.norm(k_at(1.0)[0] - np.eye(6)) <= 1e-12
         for t in np.linspace(0.0, 1.0, 11):
-            assert symplectic_residual(k_at(t)) < 1e-10
+            kt, kt_inv = k_at(t)
+            assert symplectic_residual(kt) < 1e-10
+            assert np.linalg.norm(kt_inv @ kt - np.eye(6)) <= 1e-12
 
     def test_degenerate_endpoint_rejected(self):
         p = ExpPath(s_matrix=np.zeros((2, 2)))
