@@ -17,7 +17,6 @@ import sys
 
 import numpy as np
 
-from .core import as_array, is_symplectic
 from .errors import SympindexError
 from .cz import _loop_winding, conley_zehnder
 # neither is called here, but bench/tracing.py wraps sympindex.cli.winding
@@ -169,12 +168,6 @@ def run(args) -> dict:
         tol_eig=args.tol_eig, tol_kernel=args.tol_kernel,
         tol_form=args.tol_form, max_refine=args.max_refine)
     payload = _load_input(args.input, args.command)
-
-    if args.command in _MATRIX_COMMANDS and not is_symplectic(
-            as_array(payload), tol):
-        from .errors import ContractError
-
-        raise ContractError("input matrix is not symplectic")
 
     if args.command == "cz":
         body = _run_cz(payload, tol, args.seed, args.trace)

@@ -335,15 +335,19 @@ class _Extension(PathSpec):
         P = (K^T K)^(1/2), and K(t)^-1 = P^-(1-t) O^(1-t)^T.
 
         O and P come from the SVD K = X diag(s) V^T as X V^T and
-        V diag(s) V^T, so O is orthogonal to rounding whatever cond(K) and
-        O^(1-t)^T is its inverse."""
+        V diag(s) V^T, so O is orthogonal to rounding whatever cond(K).  The
+        eigenbasis of its unitary block u is orthonormalised (u is normal):
+        eig returns a skewed basis for a cluster such as u = -Id, whose
+        angles may land on both branches +-pi, and only an orthonormal
+        basis keeps O^(1-t) orthogonal with O^(1-t)^T its inverse."""
         n = k.shape[0] // 2
         x, s, vt = np.linalg.svd(k)
         o = x @ vt
         u = o[:n, :n] + 1j * o[n:, :n]
         wu, vu = np.linalg.eig(u)
         theta = np.angle(wu)
-        vu_inv = np.linalg.inv(vu)
+        vu, _ = np.linalg.qr(vu)
+        vu_inv = vu.conj().T
 
         def k_at(t: float) -> tuple[np.ndarray, np.ndarray]:
             ut = (vu * np.exp(1j * (1 - t) * theta)) @ vu_inv

@@ -215,15 +215,21 @@ def _dual_basis(om, e_cols: list[np.ndarray], g_cols: list[np.ndarray]):
 
 
 def _case_off_circle(a, om, lam, mult, is_real, tol):
-    """Blocks and real (E, F) basis columns for an off-circle quadruple."""
+    """Blocks and real (E, F) basis columns for an off-circle quadruple.
+
+    E_{1/lam} of A is E_lam of A^-1 = Omega^T A^T Omega, where lam lies
+    outside the disk: that eigenspace is separated from the rest of the
+    spectrum by about |lam|, against gaps of about 1/|lam| inside the disk.
+    """
+    a_inv = om.T @ a.T @ om
     if is_real:
         Vb = _real_gen_eigenspace(a, lam.real, mult).astype(float)
-        Wb = _real_gen_eigenspace(a, 1.0 / lam.real, mult).astype(float)
+        Wb = _real_gen_eigenspace(a_inv, lam.real, mult).astype(float)
         N = a - lam.real * np.eye(a.shape[0])
         Nw = a - (1.0 / lam.real) * np.eye(a.shape[0])
     else:
         Vb = generalized_eigenspace(a, lam, tol, multiplicity=mult)
-        Wb = generalized_eigenspace(a, 1.0 / lam, tol, multiplicity=mult)
+        Wb = generalized_eigenspace(a_inv, lam, tol, multiplicity=mult)
         N = a.astype(complex) - lam * np.eye(a.shape[0])
         Nw = a.astype(complex) - (1.0 / lam) * np.eye(a.shape[0])
 

@@ -43,15 +43,40 @@ __all__ = [
 class EigenQuadruple:
     """A conjugation/inversion-closed group of eigenvalue clusters.
 
-    ``members`` holds the actually distinct values of
-    {lam, 1/lam, conj(lam), 1/conj(lam)}; every member has the same
-    algebraic multiplicity ``multiplicity``.
+    ``representative`` lies on or outside the unit circle with Im >= 0;
+    ``members`` are the distinct values of {lam, 1/lam, conj(lam),
+    1/conj(lam)} derived from it, each of algebraic multiplicity
+    ``multiplicity``.
     """
 
     representative: complex
-    members: tuple[complex, ...]
-    regime: str
     multiplicity: int
+
+    @property
+    def regime(self) -> str:
+        rep = self.representative
+        if rep == 1.0:
+            return "PlusOne"
+        if rep == -1.0:
+            return "MinusOne"
+        if rep.imag == 0.0:
+            return "RealPositive" if rep.real > 0 else "RealNegative"
+        if abs(abs(rep) - 1.0) < 1e-12:
+            return "UnitNonReal"
+        return "OffCircleComplex"
+
+    @property
+    def members(self) -> tuple[complex, ...]:
+        rep, regime = self.representative, self.regime
+        if regime in ("PlusOne", "MinusOne"):
+            return (rep,)
+        if regime == "UnitNonReal":
+            return (rep, rep.conjugate())
+        if regime == "OffCircleComplex":
+            inv = 1.0 / rep
+            return (rep, rep.conjugate(), inv, inv.conjugate())
+        # real arithmetic: the partner of a real eigenvalue has Im +0.0
+        return (rep, complex(1.0 / rep.real))
 
     @property
     def total_multiplicity(self) -> int:
@@ -128,21 +153,15 @@ def _merge_clouds(snapped: np.ndarray, mults: np.ndarray, tol: float):
             np.array([int(m) for _, m in merged]))
 
 
-def _regime(rep: complex) -> str:
-    if rep == 1.0:
-        return "PlusOne"
-    if rep == -1.0:
-        return "MinusOne"
-    if rep.imag == 0.0:
-        return "RealPositive" if rep.real > 0 else "RealNegative"
-    if abs(abs(rep) - 1.0) < 1e-12:
-        return "UnitNonReal"
-    return "OffCircleComplex"
-
-
 def eigen_quadruples(A, tol: ToleranceProfile = DEFAULT_TOL, *,
                      eigenvalues: np.ndarray | None = None) -> list[EigenQuadruple]:
     """Cluster the spectrum of a symplectic matrix into quadruples.
+
+    Only the eigenvalues on or outside the unit circle (within the snapping
+    radius 10*tol_eig) are clustered; each cluster with Im >= 0 stands for
+    its quadruple, whose partners inside the disk are derived from it.  A
+    computed eigenvalue inside the disk carries a relative error of about
+    cond(A)*eps, so matching it would reject well-determined spectra.
 
     ``eigenvalues``, when given, are those of a decomposition of A that the
     caller already made; otherwise they are computed here.
@@ -154,7 +173,11 @@ def eigen_quadruples(A, tol: ToleranceProfile = DEFAULT_TOL, *,
     tol_eig = tol.tol_eig
     if eigenvalues is None:
         eigenvalues = np.linalg.eigvals(a)
-    means, mults = _cluster(eigenvalues, tol_eig)
+    if not np.all(eigenvalues):
+        # a symplectic matrix has no zero eigenvalue: precision was lost
+        raise IllConditionedSpectrumError("an eigenvalue rounds to zero")
+    outer = eigenvalues[np.abs(eigenvalues) >= 1.0 - 10 * tol_eig]
+    means, mults = _cluster(outer, tol_eig)
     snapped = _snap(means, 10 * tol_eig)
 
     # Ambiguity guard: two clusters closer than 10*tol_eig but neither merged
@@ -177,56 +200,10 @@ def eigen_quadruples(A, tol: ToleranceProfile = DEFAULT_TOL, *,
     if np.count_nonzero(within) > len(snapped):
         snapped, mults = _merge_clouds(snapped, mults, tol_eig)
 
-    match_tol = 10 * tol_eig
-    values, counts = snapped.tolist(), mults.tolist()
-    claimed = [False] * len(values)
-    quadruples: list[EigenQuadruple] = []
-    for i, (rep, mult) in enumerate(zip(values, counts)):
-        if claimed[i]:
-            continue
-        claimed[i] = True
-        if rep == 0:
-            # a symplectic matrix has no zero eigenvalue: precision was lost
-            raise IllConditionedSpectrumError("an eigenvalue rounds to zero")
-        # the partners farther than their reach from rep and from each other;
-        # the conjugate inverse is rounded by numpy's complex division, whose
-        # real part orders the two inverses among the members
-        targets = []
-        for t in (rep.conjugate(), 1.0 / rep, complex(1.0 / np.conj(rep))):
-            reach = match_tol * max(1.0, abs(t))
-            if abs(t - rep) > reach and all(abs(t - s) > reach for s, _ in targets):
-                targets.append((t, reach))
-        members = [rep]
-        for t, reach in sorted(targets, key=lambda tr: (tr[0].real, tr[0].imag)):
-            j = next((j for j, z in enumerate(values)
-                      if not claimed[j] and abs(z - t) <= reach), None)
-            if j is None:
-                raise IllConditionedSpectrumError(
-                    f"missing quadruple partner {t:.6g} of eigenvalue {rep:.6g}"
-                )
-            claimed[j] = True
-            if counts[j] != mult:
-                raise IllConditionedSpectrumError(
-                    f"multiplicity mismatch within quadruple of {rep:.6g}"
-                )
-            members.append(values[j])
-
-        regime = _regime(rep)
-        canonical = rep
-        if regime in ("UnitNonReal", "OffCircleComplex"):
-            cands = [z for z in members if z.imag > 0]
-            if regime == "OffCircleComplex":
-                cands = [z for z in cands if abs(z) > 1]
-            canonical = cands[0]
-        elif regime in ("RealPositive", "RealNegative"):
-            canonical = max(members, key=abs)
-        quadruples.append(EigenQuadruple(
-            representative=canonical,
-            members=tuple(members),
-            regime=regime,
-            multiplicity=mult,
-        ))
-
+    quadruples = [EigenQuadruple(representative=rep, multiplicity=mult)
+                  for rep, mult in zip(snapped.tolist(), mults.tolist())
+                  if rep.imag >= 0.0]
+    # the inside half is not clustered: its count shows only here
     total = sum(q.total_multiplicity for q in quadruples)
     if total != 2 * n:
         raise IllConditionedSpectrumError(
@@ -355,7 +332,7 @@ def _spectral_summary(A, tol: ToleranceProfile):
     krein: dict[complex, KreinData] = {}
     if not units:
         return quads, krein
-    lams = np.array([q.representative for q in units])  # Im > 0 by canonicalization
+    lams = np.array([q.representative for q in units])  # Im > 0
     near = np.abs(evals - lams[:, None]) <= 10 * tol.tol_eig
     simple = (near.sum(axis=1) == 1) & (np.array([q.multiplicity for q in units]) == 1)
     # eig returns unit-length eigenvectors

@@ -4,14 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from sympindex import (AdmissibilityError, CatPath, ConjPath, ConstPath,
                        ContractError, DirectSumPath, ExpPath,
                        HalfInt, InternalConsistencyError, ParameterError,
                        ProdPath, ReversePath,
                        SampledPath, SympindexError, WindingResolutionError,
-                       conley_zehnder, cz_dim2_closed_form, evaluate_array,
-                       extension_winding, make_loop, maslov_loop,
+                       conley_zehnder, cz_dim2_closed_form, direct_sum_many,
+                       evaluate_array, extension_winding, make_loop,
+                       maslov_loop,
                        path_from_json, random_symplectic, rho, winding)
 import sympindex.cz as cz
 from sympindex.core import symplectic_residual
@@ -143,8 +145,6 @@ class TestExtension:
         # the bridge is a Cayley path, one solve per sample, and the
         # unwinding holds its inverse, so the other two thirds solve nothing
         # and every expm evaluates the path, once per memoised sample
-        import scipy.linalg as sla
-
         expm, solve, build = sla.expm, np.linalg.solve, _Extension._evaluate
         calls, solves, samples = [], [], []
 
@@ -178,14 +178,28 @@ class TestExtension:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_unwind_runs_from_k_to_the_identity(self, seed):
-        k = random_symplectic(3, seed=seed, max_cond=50)
-        k_at = _Extension._build_unwind(k)
-        assert np.linalg.norm(k_at(0.0)[0] - k) <= 1e-12
-        assert np.linalg.norm(k_at(1.0)[0] - np.eye(6)) <= 1e-12
-        for t in np.linspace(0.0, 1.0, 11):
-            kt, kt_inv = k_at(t)
-            assert symplectic_residual(kt) < 1e-10
-            assert np.linalg.norm(kt_inv @ kt - np.eye(6)) <= 1e-12
+        # K = -P for a positive polar factor P has orthogonal factor -Id,
+        # whose eigenvalues eig splits across the branches +-pi
+        ks = [random_symplectic(3, seed=seed, max_cond=50)]
+        ks += [-sla.polar(random_symplectic(2, seed=s, max_cond=20))[1]
+               for s in range(seed, 40, 3)]
+        for k in ks:
+            k_at = _Extension._build_unwind(k)
+            eye = np.eye(k.shape[0])
+            assert np.linalg.norm(k_at(0.0)[0] - k) <= 1e-12
+            assert np.linalg.norm(k_at(1.0)[0] - eye) <= 1e-12
+            for t in np.linspace(0.0, 1.0, 31):
+                kt, kt_inv = k_at(t)
+                assert symplectic_residual(kt) < 1e-10
+                assert np.linalg.norm(kt_inv @ kt - eye) <= 1e-12
+
+    def test_orthogonal_factor_at_minus_identity(self):
+        # the unwind's orthogonal factor has a double eigenvalue -1, which
+        # eig splits across the branches +-pi
+        path = DirectSumPath(parts=(
+            ExpPath(s_matrix=np.diag([9.85616236, 14.61014894])),
+            ExpPath(s_matrix=np.diag([9.54149537, 14.98637942]))))
+        assert conley_zehnder(path).value == HalfInt.from_int(6)
 
     def test_degenerate_endpoint_rejected(self):
         p = ExpPath(s_matrix=np.zeros((2, 2)))
@@ -213,6 +227,12 @@ class TestIndexProperties:
     def test_hyperbolic_anchor(self):
         s = np.diag([1.0, -1.0])
         assert conley_zehnder(ExpPath(s_matrix=s)).value == HalfInt.from_int(0)
+        # nearby rates: the computed eigenvalues inside the disk lie within
+        # the ambiguity band of each other, the ones outside far apart
+        for r1, r2 in ((9.2, 9.209), (8.0, 8.0005), (10.0, 10.003)):
+            path = DirectSumPath(parts=(ExpPath(s_matrix=np.diag([r1, -r1])),
+                                        ExpPath(s_matrix=np.diag([r2, -r2]))))
+            assert conley_zehnder(path).value == HalfInt.from_int(0)
 
     def test_three_maps_agree_on_random_paths(self):
         for seed in range(6):
@@ -450,3 +470,46 @@ class TestMaslovLoop:
     def test_non_loop_rejected(self):
         with pytest.raises(ContractError):
             maslov_loop(rotation_path(1.0))
+
+
+def _diagonal_sweep_path(seed):
+    """A seeded direct sum of n in {1, 2} blocks diag(a, b), |a|, |b| in
+    [0.3, 15], its closed-form index, summed per block, and the largest
+    rate sqrt|ab| of its blocks.  Every elliptic frequency sqrt(ab) keeps
+    0.02 * 2 pi from a period.  Paths with seed % 4 >= 2 are conjugated:
+    ExpPath(P^T D P) = P^-1 exp(t J0 D) P."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 2
+    blocks, value, rate = [], 0, 0.0
+    while len(blocks) < n:
+        a, b = rng.uniform(-15.0, 15.0, size=2)
+        x = np.sqrt(abs(a * b)) / (2 * np.pi)
+        if min(abs(a), abs(b)) < 0.3 or (a * b > 0 and abs(x - round(x)) < 0.02):
+            continue
+        blocks.append(np.diag([a, b]))
+        value += 0 if a * b < 0 else int(np.sign(a)) * (1 + 2 * int(np.floor(x)))
+        rate = max(rate, 2 * np.pi * x)
+    if seed % 4 >= 2:
+        p = random_symplectic(n, seed, scale=0.3, max_cond=10)
+        path = ExpPath(s_matrix=p.T @ direct_sum_many(blocks) @ p)
+    else:
+        path = DirectSumPath(parts=tuple(ExpPath(s_matrix=d) for d in blocks))
+    return path, value, rate
+
+
+class TestFailureSurface:
+    def test_diagonal_sweep_answers_every_path(self):
+        # rates reach 15, where the endpoint's condition number is about
+        # e^30: every path must give its closed form
+        counts = Counter()
+        for seed in range(100):
+            path, value, rate = _diagonal_sweep_path(seed)
+            try:
+                got = conley_zehnder(path).value
+                outcome = "ok" if got == HalfInt.from_int(value) else "wrong"
+            except SympindexError:
+                outcome = "typed"
+            except Exception:
+                outcome = "untyped"
+            counts[3 * int(rate // 3), outcome] += 1  # bands of width 3
+        assert {outcome for _, outcome in counts} == {"ok"}, sorted(counts.items())

@@ -3,10 +3,11 @@ import pytest
 import scipy.linalg as sla
 
 import sympindex.spectral as spectral
-from sympindex import (DEFAULT_TOL, IllConditionedSpectrumError,
+from sympindex import (DEFAULT_TOL, ExpPath, IllConditionedSpectrumError,
                        KreinDegenerateError, direct_sum_many, eigen_quadruples,
-                       first_kind_eigenvalues, generalized_eigenspace,
-                       j_matrix, krein_form, random_symplectic, rho)
+                       evaluate_array, first_kind_eigenvalues,
+                       generalized_eigenspace, j_matrix, krein_form,
+                       random_symplectic, rho)
 from conftest import krein_degenerate_rotation, unit_jordan_real
 
 
@@ -85,6 +86,15 @@ class TestQuadruples:
             for z in q.members:
                 assert np.round(1 / z, 8) in members
                 assert np.round(np.conj(z), 8) in members
+        # at hyperbolic rate 15 the computed eigenvalue e^-15 is off by about
+        # cond * eps relative; the partner is derived from e^15 instead
+        end = evaluate_array(ExpPath(s_matrix=np.diag([15.0, -15.0])), 1.0)
+        (q,) = eigen_quadruples(end)
+        lam = q.representative
+        assert q.regime == "RealPositive"
+        assert lam == pytest.approx(np.exp(15.0), rel=1e-9)
+        assert q.members == (lam, 1.0 / lam.real)
+        assert np.copysign(1.0, q.members[1].imag) == 1.0
 
     def test_total_multiplicity_is_dimension(self):
         for seed in range(4):
