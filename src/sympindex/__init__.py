@@ -29,8 +29,9 @@ from .normal_form import (NormalFormBlock, NormalFormReport, assemble,
 from .paths import (CatPath, ConjPath, ConstPath, DirectSumPath, ExpPath,
                     GeneratorSample, LoopPath, PathSpec, ProdPath,
                     ReversePath, SampledPath, ShearPath, evaluate,
-                    evaluate_array, generator, junction_parameters, make_loop,
-                    make_shear, path_from_json, path_to_json)
+                    evaluate_array, evaluate_stack, generator,
+                    junction_parameters, make_loop, make_shear,
+                    path_from_json, path_to_json)
 from .rs import RSResult, rs2_index, rs_index
 from .spectral import (EigenQuadruple, KreinData, eigen_quadruples,
                        first_kind_eigenvalues, generalized_eigenspace,

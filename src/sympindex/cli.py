@@ -19,12 +19,13 @@ import numpy as np
 
 from .errors import SympindexError
 from .cz import _loop_winding, conley_zehnder
-# neither is called here, but bench/tracing.py wraps sympindex.cli.winding
-# and sympindex.cli.lagrangian_rs_index
+# none is called here, but bench/tracing.py wraps sympindex.cli.winding,
+# sympindex.cli.lagrangian_rs_index and sympindex.cli.evaluate_array
 from .cz import winding  # noqa: F401
 from .lagrangian import lagrangian_rs_index  # noqa: F401
 from .normal_form import normal_form
-from .paths import evaluate_array, path_from_json
+from .paths import evaluate_array  # noqa: F401
+from .paths import evaluate_stack, path_from_json
 from .rs import _rs2, rs_index
 from .spectral import first_kind_eigenvalues, rho
 from .tolerances import DEFAULT_TOL
@@ -81,12 +82,11 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def _write_winding_csv(path: str, column: str, path_spec, trace) -> None:
     """The (t, phase) samples of a winding, with sigma_min(psi_t - Id)."""
-    dim = 2 * path_spec.n
-    rows = []
-    for t, phase in trace:
-        smin = float(np.linalg.svd(
-            evaluate_array(path_spec, t) - np.eye(dim), compute_uv=False)[-1])
-        rows.append((float(t), float(phase), smin))
+    stack = evaluate_stack(path_spec, [t for t, _ in trace])
+    smins = np.linalg.svd(stack - np.eye(2 * path_spec.n),
+                          compute_uv=False)[:, -1]
+    rows = [(float(t), float(phase), float(smin))
+            for (t, phase), smin in zip(trace, smins)]
     _write_csv(path, ["t", column, "smin_psi_minus_id"], rows)
 
 

@@ -39,7 +39,7 @@ from .errors import (AdmissibilityError, ContractError,
                      KreinDegenerateError, ParameterError)
 from .halfint import HalfInt
 from .normal_form import _rot, normal_form, semisimple_perturb
-from .paths import ExpPath, PathSpec, evaluate_array
+from .paths import ExpPath, PathSpec, evaluate_array, evaluate_stack
 from .sampling import PHASE_STEP, local_minima, winding
 from .spectral import rho
 from .tolerances import DEFAULT_TOL, ToleranceProfile
@@ -67,23 +67,6 @@ class IndexResult:
 # circle-map sampling
 
 
-def _nudged(f, events: Counter, eps=1e-9):
-    """Wrap a sampler so isolated Krein degeneracies are stepped over.
-
-    Every step taken is counted in ``events["krein_nudges"]``.
-    """
-
-    def g(t):
-        try:
-            return f(t)
-        except KreinDegenerateError:
-            events["krein_nudges"] += 1
-            s = t + eps if t < 0.5 else t - eps
-            return f(s)
-
-    return g
-
-
 def _rho_robust(a: np.ndarray, tol: ToleranceProfile, events: Counter) -> complex:
     """rho with a tolerance cascade for continuously splitting clusters.
 
@@ -103,10 +86,30 @@ def _rho_robust(a: np.ndarray, tol: ToleranceProfile, events: Counter) -> comple
     raise last
 
 
-def _rho_map(sample, tol: ToleranceProfile, events: Counter, power: int):
-    """t -> rho(sample(t)) ** power, with the tolerance cascade and nudges."""
-    return _nudged(lambda t: _rho_robust(sample(t), tol, events) ** power,
-                   events)
+def _rho_map(stack_at, tol: ToleranceProfile, events: Counter, power: int,
+             eps=1e-9):
+    """ts -> rho(psi_t) ** power for the stack ``stack_at(ts)``, sample by
+    sample with the tolerance cascade.
+
+    A sample on an isolated Krein degeneracy is stepped over: its value is
+    taken at t + eps (t - eps for t >= 1/2), and the step is counted in
+    ``events["krein_nudges"]``.
+    """
+    def value(a):
+        return _rho_robust(a, tol, events) ** power
+
+    def f(ts):
+        out = []
+        for t, a in zip(ts.tolist(), stack_at(ts)):
+            try:
+                out.append(value(a))
+            except KreinDegenerateError:
+                events["krein_nudges"] += 1
+                s = t + eps if t < 0.5 else t - eps
+                out.append(value(stack_at(np.array([s]))[0]))
+        return np.array(out)
+
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +146,8 @@ def _screened_anchors(candidates, angles_at, events: Counter) -> list[float]:
     return out
 
 
-def _unit_passage_times(sample, dim: int, events: Counter) -> list[float]:
-    """Parameters where an eigenvalue of the sampled path passes +-1.
+def _unit_passage_times(path: PathSpec, events: Counter) -> list[float]:
+    """Parameters where an eigenvalue of the path passes +-1.
 
     The sampled route, for every path but an ``ExpPath``.  The spectral
     rotation map is locally constant on hyperbolic stretches, so a full
@@ -156,15 +159,15 @@ def _unit_passage_times(sample, dim: int, events: Counter) -> list[float]:
     eigenvalues of psi sampled at the screen times, that a turn could hide
     between them.
     """
-    eye = np.eye(dim)
+    eye = np.eye(2 * path.n)
 
     def smin(ts):
-        stack = np.array([sample(t) for t in ts])
+        stack = evaluate_stack(path, ts)
         return np.minimum(np.linalg.svd(stack - eye, compute_uv=False)[:, -1],
                           np.linalg.svd(stack + eye, compute_uv=False)[:, -1])
 
     def angles_at(times):
-        return np.angle(np.linalg.eigvals(np.array([sample(t) for t in times])))
+        return np.angle(np.linalg.eigvals(evaluate_stack(path, times)))
 
     candidates = ((i, t_star) for i, t_star, _ in local_minima(
         smin, _PASSAGE_TS, smin(_PASSAGE_TS), 1e-8, ()))
@@ -363,22 +366,28 @@ class _Extension(PathSpec):
         The winding over the bridge to the nearby semisimple matrix, sampled
         on the extension's first third, plus the analytic unit-spectrum sum.
         """
-        bridge = _rho_map(lambda t: evaluate_array(self, t / 3.0), self.tol,
+        bridge = _rho_map(lambda ts: evaluate_stack(self, ts / 3.0), self.tol,
                           events, 2)
         turns, _, _ = winding(bridge, self.tol.max_refine, coarse=16)
         return turns + self.unit_turns
 
-    def _evaluate(self, t: float) -> np.ndarray:
-        """The full materialized extension on [0, 1]."""
-        if t <= 1.0 / 3.0:
-            uc = 3.0 * t * self._cayley
-            eye = np.eye(uc.shape[0])
-            return self.a_end @ np.linalg.solve(eye - uc, eye + uc)
-        if t <= 2.0 / 3.0:
-            nt = self._deform(3.0 * t - 1.0)
-            return self.k_perm @ nt @ self.k_perm_inv
-        kt, kt_inv = self._unwind(3.0 * t - 2.0)
-        return kt @ self._w_matrix @ kt_inv
+    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
+        """The full materialized extension on [0, 1]: the bridge in one
+        stacked solve, the other two thirds sample by sample."""
+        out = np.empty((len(ts),) + self.a_end.shape)
+        bridge = ts <= 1.0 / 3.0
+        uc = (3.0 * ts[bridge])[:, None, None] * self._cayley
+        eye = np.eye(self.a_end.shape[0])
+        out[bridge] = self.a_end @ np.linalg.solve(eye - uc, eye + uc)
+        for i in np.flatnonzero(~bridge):
+            t = float(ts[i])
+            if t <= 2.0 / 3.0:
+                nt = self._deform(3.0 * t - 1.0)
+                out[i] = self.k_perm @ nt @ self.k_perm_inv
+            else:
+                kt, kt_inv = self._unwind(3.0 * t - 2.0)
+                out[i] = kt @ self._w_matrix @ kt_inv
+        return out
 
 
 def extension_winding(A, tol: ToleranceProfile = DEFAULT_TOL, seed: int = 0):
@@ -399,8 +408,7 @@ def _passage_anchors(path: PathSpec, events: Counter) -> list[float]:
     """Winding anchors at the path's +-1 passages, shared by every circle map."""
     if isinstance(path, ExpPath):
         return _exp_passage_times(path, events)
-    return _unit_passage_times(lambda t: evaluate_array(path, t), 2 * path.n,
-                               events)
+    return _unit_passage_times(path, events)
 
 
 def _rounded(name: str, turns: float) -> int:
@@ -434,13 +442,13 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
     events = Counter()
     anchors = _passage_anchors(path, events)
     w_rho, trace, depth = winding(
-        _rho_map(lambda t: evaluate_array(path, t), tol, events, 2),
+        _rho_map(partial(evaluate_stack, path), tol, events, 2),
         tol.max_refine, anchor_ts=anchors)
     e_rho = ext.rho_winding(events)
     totals = {"spectral": w_rho + e_rho}
     for name, circle_map in (("polar", rho_polar), ("clinear", rho_hat)):
         def squared(node, circle_map=circle_map):
-            return lambda t: circle_map(evaluate_array(node, t), tol) ** 2
+            return lambda ts: circle_map(evaluate_stack(node, ts), tol) ** 2
 
         w, _, _ = winding(squared(path), tol.max_refine, anchor_ts=anchors)
         e, _, _ = winding(squared(ext), tol.max_refine, coarse=96)
@@ -501,7 +509,7 @@ def _loop_winding(path: PathSpec, tol: ToleranceProfile):
         raise ContractError("maslov_loop requires a loop")
     events = Counter()
     turns, trace, _ = winding(
-        _rho_map(lambda t: evaluate_array(path, t), tol, events, 1),
+        _rho_map(partial(evaluate_stack, path), tol, events, 1),
         tol.max_refine, anchor_ts=_passage_anchors(path, events))
     return _rounded("loop", turns), trace
 

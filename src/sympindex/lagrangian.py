@@ -254,28 +254,40 @@ def _crossing_sum(smin, kernel_at, form_at, tol: ToleranceProfile):
     return HalfInt(doubled), reports, trace
 
 
-def lagrangian_rs_index(frames, v: LagrangianFrame,
-                        tol: ToleranceProfile = DEFAULT_TOL):
-    """Signature sum over the crossings of a Lagrangian path with V.
-
-    Interior regular crossings contribute their signature, the endpoints
-    half of it.  Returns (HalfInt, crossing reports, smin trace) where the
-    trace rows are (t, smin, near-zero flag).
-    """
+def _lagrangian_rs(frame_stack, v: LagrangianFrame, tol: ToleranceProfile):
+    """``lagrangian_rs_index`` of the path whose frames at an array of
+    parameters are the stack ``frame_stack(ts)`` (len(ts), 2m, m)."""
     v_q = v.orthonormal()
 
+    def frames(t):
+        return frame_stack(np.array([t]))[0]
+
     def kernel_at(t):
-        q, _ = np.linalg.qr(_as_frame(frames(t)))
+        q, _ = np.linalg.qr(frames(t))
         return q @ _intersection_coords(q, v_q, tol.tol_kernel)
 
     def smin(ts):
-        q, _ = np.linalg.qr(np.array([_as_frame(frames(t)) for t in ts]))
+        q, _ = np.linalg.qr(frame_stack(ts))
         pairs = np.concatenate([q, np.broadcast_to(v_q, q.shape)], axis=2)
         return np.linalg.svd(pairs, compute_uv=False)[:, -1]
 
     return _crossing_sum(
         smin, kernel_at,
         lambda t, _: lagrangian_crossing_form(frames, t, v, tol=tol), tol)
+
+
+def lagrangian_rs_index(frames, v: LagrangianFrame,
+                        tol: ToleranceProfile = DEFAULT_TOL):
+    """Signature sum over the crossings of a Lagrangian path with V.
+
+    ``frames`` maps t to a LagrangianFrame (or raw 2m x m array).  Interior
+    regular crossings contribute their signature, the endpoints half of it.
+    Returns (HalfInt, crossing reports, smin trace) where the trace rows are
+    (t, smin, near-zero flag).
+    """
+    return _lagrangian_rs(
+        lambda ts: np.array([_as_frame(frames(t)) for t in ts.tolist()]),
+        v, tol)
 
 
 def graph_lagrangian(a) -> LagrangianFrame:

@@ -5,6 +5,10 @@ exponential segments, sampled segments with in-group geodesic interpolation,
 catenation, pointwise product, pointwise conjugation, symplectic direct sum,
 reversal, affine shears and canonical rotation loops.  Every evaluated point
 is symplectic by construction.
+
+A node evaluates an array of parameters at once, to a stack of matrices:
+an exponential segment makes one ``expm`` call for the whole array, and the
+composite nodes combine their children's stacks with batched arithmetic.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "GeneratorSample",
     "evaluate",
     "evaluate_array",
+    "evaluate_stack",
     "generator",
     "make_loop",
     "make_shear",
@@ -62,12 +67,14 @@ class PathSpec:
     def n(self) -> int:
         raise NotImplementedError
 
-    def _evaluate(self, t: float) -> np.ndarray:
+    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
+        """The (len(ts), 2n, 2n) stack of the path at the parameters ``ts``,
+        a float array in [0, 1]."""
         raise NotImplementedError
 
     @cached_property
     def _cache(self) -> dict:
-        """Per-t memo of ``evaluate_array``, made on first use."""
+        """Per-t memo of ``evaluate_stack``, made on first use."""
         return {}
 
 
@@ -79,23 +86,39 @@ def _frozen_array(a) -> np.ndarray:
     return out
 
 
-def _check_t(t: float):
-    if not (-1e-12 <= t <= 1.0 + 1e-12):
-        raise ParameterError(f"path parameter {t} outside [0, 1]")
-    return min(max(float(t), 0.0), 1.0)
+def _check_ts(ts) -> list[float]:
+    """The parameters ``ts``, clamped onto [0, 1] from within 1e-12."""
+    ts = np.asarray(ts, dtype=float).ravel()
+    inside = (ts >= -1e-12) & (ts <= 1.0 + 1e-12)
+    if not inside.all():
+        raise ParameterError(
+            f"path parameter {ts[~inside][0]} outside [0, 1]")
+    return np.clip(ts, 0.0, 1.0).tolist()
+
+
+def _memoised(path: PathSpec, ts) -> list[np.ndarray]:
+    """The matrices of the path at ``ts``, memoised per t on this node, not
+    on its children (which it evaluates directly); one stacked evaluation
+    covers every t not yet in the memo."""
+    ts = _check_ts(ts)
+    cache = path._cache
+    missing = [t for t in dict.fromkeys(ts) if t not in cache]
+    fresh = dict(zip(missing, path._evaluate(np.array(missing)))) \
+        if missing else {}
+    if len(cache) < 100_000:
+        cache.update(fresh)
+    return [fresh[t] if t in fresh else cache[t] for t in ts]
+
+
+def evaluate_stack(path: PathSpec, ts) -> np.ndarray:
+    """Evaluate at an array of parameters to a (len(ts), 2n, 2n) stack; the
+    path may be ``cz._Extension``."""
+    return np.array(_memoised(path, ts))
 
 
 def evaluate_array(path: PathSpec, t: float) -> np.ndarray:
-    """Evaluate to a raw ndarray, memoizing per t on this node, not on its
-    children (which it evaluates directly); it may be ``cz._Extension``."""
-    t = _check_t(t)
-    cache = path._cache
-    hit = cache.get(t)
-    if hit is None:
-        hit = path._evaluate(t)
-        if len(cache) < 100_000:
-            cache[t] = hit
-    return hit
+    """Evaluate at one parameter to a raw ndarray, the memo entry of t."""
+    return _memoised(path, [t])[0]
 
 
 def evaluate(path: PathSpec, t: float) -> SympMatrix:
@@ -125,8 +148,8 @@ class ConstPath(PathSpec):
     def n(self) -> int:
         return self.matrix.shape[0] // 2
 
-    def _evaluate(self, t: float) -> np.ndarray:
-        return self.matrix
+    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self.matrix, (len(ts),) + self.matrix.shape)
 
 
 @dataclass(frozen=True)
@@ -150,8 +173,8 @@ class ExpPath(PathSpec):
     def n(self) -> int:
         return self.s_matrix.shape[0] // 2
 
-    def _evaluate(self, t: float) -> np.ndarray:
-        return sla.expm((t * self.duration) * self._js)
+    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
+        return sla.expm((ts * self.duration)[:, None, None] * self._js)
 
 
 @dataclass(frozen=True)
@@ -190,12 +213,16 @@ class SampledPath(PathSpec):
     def n(self) -> int:
         return self.matrices[0].shape[0] // 2
 
-    def _evaluate(self, t: float) -> np.ndarray:
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        i = min(max(i, 0), len(self.matrices) - 2)
-        t0, t1 = self.times[i], self.times[i + 1]
-        s = (t - t0) / (t1 - t0)
-        return self.matrices[i] @ sla.expm(s * self._logs[i])
+    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
+        seg = np.clip(np.searchsorted(self.times, ts, side="right") - 1,
+                      0, len(self.matrices) - 2)
+        out = np.empty((len(ts),) + self.matrices[0].shape)
+        for i in np.unique(seg):
+            on = seg == i
+            t0, t1 = self.times[i], self.times[i + 1]
+            s = (ts[on] - t0) / (t1 - t0)
+            out[on] = self.matrices[i] @ sla.expm(s[:, None, None] * self._logs[i])
+        return out
 
 
 @dataclass(frozen=True)
@@ -212,8 +239,8 @@ class CatPath(PathSpec):
         if len(dims) != 1:
             raise DimensionError("catenation parts have mixed dimensions")
         for a, b in zip(parts[:-1], parts[1:]):
-            end = a._evaluate(1.0)
-            start = b._evaluate(0.0)
+            end = a._evaluate(np.array([1.0]))[0]
+            start = b._evaluate(np.array([0.0]))[0]
             if np.linalg.norm(end - start) / (1.0 + np.linalg.norm(end)) \
                     > 10 * DEFAULT_TOL.tol_symp:
                 raise ParameterError("catenation parts do not match at a junction")
@@ -223,11 +250,15 @@ class CatPath(PathSpec):
     def n(self) -> int:
         return self.parts[0].n
 
-    def _evaluate(self, t: float) -> np.ndarray:
+    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
         k = len(self.parts)
-        u = t * k
-        i = min(int(u), k - 1)
-        return self.parts[i]._evaluate(u - i)
+        u = ts * k
+        part = np.minimum(u.astype(int), k - 1)
+        out = np.empty((len(ts), 2 * self.n, 2 * self.n))
+        for i in np.unique(part):
+            on = part == i
+            out[on] = self.parts[i]._evaluate(u[on] - i)
+        return out
 
 
 @dataclass(frozen=True)
@@ -245,8 +276,8 @@ class ProdPath(PathSpec):
     def n(self) -> int:
         return self.left.n
 
-    def _evaluate(self, t: float) -> np.ndarray:
-        return self.left._evaluate(t) @ self.right._evaluate(t)
+    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
+        return self.left._evaluate(ts) @ self.right._evaluate(ts)
 
 
 @dataclass(frozen=True)
@@ -264,9 +295,9 @@ class ConjPath(PathSpec):
     def n(self) -> int:
         return self.psi.n
 
-    def _evaluate(self, t: float) -> np.ndarray:
-        g = self.phi._evaluate(t)
-        return g @ self.psi._evaluate(t) @ np.linalg.inv(g)
+    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
+        g = self.phi._evaluate(ts)
+        return g @ self.psi._evaluate(ts) @ np.linalg.inv(g)
 
 
 @dataclass(frozen=True)
@@ -285,8 +316,8 @@ class DirectSumPath(PathSpec):
     def n(self) -> int:
         return sum(p.n for p in self.parts)
 
-    def _evaluate(self, t: float) -> np.ndarray:
-        return direct_sum_many([p._evaluate(t) for p in self.parts])
+    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
+        return direct_sum_many([p._evaluate(ts) for p in self.parts])
 
 
 @dataclass(frozen=True)
@@ -299,8 +330,8 @@ class ReversePath(PathSpec):
     def n(self) -> int:
         return self.inner.n
 
-    def _evaluate(self, t: float) -> np.ndarray:
-        return self.inner._evaluate(1.0 - t)
+    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
+        return self.inner._evaluate(1.0 - ts)
 
 
 @dataclass(frozen=True)
@@ -337,10 +368,10 @@ class ShearPath(PathSpec):
             return 0.5 * (b + b.T)
         return (1.0 - t) * self.b0 + t * self.b1
 
-    def _evaluate(self, t: float) -> np.ndarray:
+    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
         m = self.n
-        out = np.eye(2 * m)
-        out[:m, m:] = self.b_at(t)
+        out = np.tile(np.eye(2 * m), (len(ts), 1, 1))
+        out[:, :m, m:] = [self.b_at(t) for t in ts.tolist()]
         return out
 
 
@@ -362,21 +393,21 @@ class LoopPath(PathSpec):
     def n(self) -> int:
         return self.dim_n
 
-    def _evaluate(self, t: float) -> np.ndarray:
+    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
         m = self.dim_n
+        out = np.tile(np.eye(2 * m), (len(ts), 1, 1))
         if self.wind == 0:
-            return np.eye(2 * m)
-        th = 2.0 * np.pi * self.wind * t
-        out = np.eye(2 * m)
+            return out
+        th = 2.0 * np.pi * self.wind * ts
         c, s = np.cos(th), np.sin(th)
-        out[0, 0] = c
-        out[0, m] = -s
-        out[m, 0] = s
-        out[m, m] = c
-        a = 1.0 + 2.0 * t * (1.0 - t)
+        out[:, 0, 0] = c
+        out[:, 0, m] = -s
+        out[:, m, 0] = s
+        out[:, m, m] = c
+        a = 1.0 + 2.0 * ts * (1.0 - ts)
         for j in range(1, m):
-            out[j, j] = a
-            out[m + j, m + j] = 1.0 / a
+            out[:, j, j] = a
+            out[:, m + j, m + j] = 1.0 / a
         return out
 
 
@@ -435,7 +466,7 @@ def generator(path: PathSpec, t: float) -> GeneratorSample:
     flag within 2h of a junction or global endpoint, stepping away from the
     nearest one (forward for t <= 1/2 when t is on it).
     """
-    t = _check_t(t)
+    t = _check_ts([t])[0]
     if isinstance(path, ExpPath):
         return GeneratorSample(t=t, s_matrix=path.duration * path.s_matrix)
 

@@ -16,9 +16,11 @@ import numpy as np
 
 from .halfint import HalfInt
 from .lagrangian import (CrossingReport, _crossing_sum, _kernel,
-                         lagrangian_rs_index, vertical_frame)
+                         _lagrangian_rs, vertical_frame)
+# not called here, but bench/tracing.py wraps sympindex.rs.lagrangian_rs_index
+from .lagrangian import lagrangian_rs_index  # noqa: F401
 from .paths import (CatPath, ExpPath, PathSpec, ShearPath, evaluate_array,
-                    generator)
+                    evaluate_stack, generator)
 from .tolerances import DEFAULT_TOL, ToleranceProfile
 
 __all__ = ["RSResult", "rs_index", "rs2_index"]
@@ -62,8 +64,8 @@ def _generic_rs(path: PathSpec, tol: ToleranceProfile) -> RSResult:
     eye = np.eye(2 * path.n)
 
     def smin(ts):
-        stack = np.array([evaluate_array(path, t) for t in ts])
-        return np.linalg.svd(stack - eye, compute_uv=False)[:, -1]
+        return np.linalg.svd(evaluate_stack(path, ts) - eye,
+                             compute_uv=False)[:, -1]
 
     def kernel_at(t: float) -> np.ndarray:
         return _kernel(evaluate_array(path, t) - eye, tol.tol_kernel)
@@ -106,8 +108,8 @@ def _rs2(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL) -> RSResult:
     if isinstance(path, CatPath):
         return _catenated(_rs2, path, tol)
     v = vertical_frame(path.n)
-    value, reports, trace = lagrangian_rs_index(
-        lambda t: evaluate_array(path, t) @ v.frame, v, tol)
+    value, reports, trace = _lagrangian_rs(
+        lambda ts: evaluate_stack(path, ts) @ v.frame, v, tol)
     return RSResult(value=value, crossings=tuple(reports), trace=tuple(trace))
 
 

@@ -142,9 +142,8 @@ class TestTraces:
         assert json.loads(out)["value"] == wind
         path = make_loop(wind, n)
         turns, samples, _ = winding(
-            lambda t: rho(evaluate_array(path, t)),
-            anchor_ts=_unit_passage_times(
-                lambda t: evaluate_array(path, t), 2 * n, Counter()))
+            lambda ts: np.array([rho(evaluate_array(path, t)) for t in ts]),
+            anchor_ts=_unit_passage_times(path, Counter()))
         assert round(turns) == wind
         with open(trace) as fh:
             rows = list(csv.reader(fh))

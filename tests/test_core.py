@@ -75,6 +75,37 @@ class TestCircleMaps:
         with pytest.raises(ContractError):
             complex_det(np.diag([2.0, 0.5]))
 
+    def test_stacks_give_one_value_per_matrix(self):
+        stack = np.array([random_symplectic(2, seed=s) for s in range(5)])
+        for circle_map in (rho_polar, rho_hat):
+            got = circle_map(stack)
+            assert got.shape == (5,)
+            assert got == pytest.approx([circle_map(a) for a in stack],
+                                        abs=1e-12)
+        o, p = polar_decompose(stack)
+        assert np.allclose(o @ p, stack, atol=1e-10)
+        assert symplectic_residual(stack) < 1e-12
+
+    def test_stacks_are_checked_as_a_whole(self):
+        good = np.array([rotation(0.3), rotation(1.2)])
+        stretched = good.copy()
+        stretched[1] = np.diag([2.0, 2.0])           # not symplectic
+        for circle_map in (rho_polar, rho_hat, polar_decompose):
+            with pytest.raises(ContractError):
+                circle_map(stretched)
+        skew = good.copy()
+        skew[1] = np.diag([2.0, 0.5])                # does not commute with J0
+        with pytest.raises(ContractError):
+            complex_det(skew)
+        infinite = good.copy()
+        infinite[0, 0, 0] = np.inf
+        with pytest.raises(ContractError):
+            complex_det(infinite)
+        with pytest.raises(ContractError):
+            rho_polar(infinite)
+        assert not is_symplectic(stretched) and is_symplectic(good)
+        assert complex_det(good) == pytest.approx(np.exp([0.3j, 1.2j]))
+
 
 class TestDirectSum:
     def test_interleaved_layout(self):
@@ -89,6 +120,16 @@ class TestDirectSum:
     def test_many_preserves_symplecticity(self):
         mats = [random_symplectic(1, seed=k) for k in range(3)]
         assert is_symplectic(direct_sum_many(mats))
+
+    def test_stacks_are_summed_matrix_by_matrix(self):
+        a = np.array([random_symplectic(1, seed=k) for k in range(4)])
+        b = np.array([random_symplectic(2, seed=k) for k in range(4)])
+        got = direct_sum_many([a, b])
+        assert got.shape == (4, 6, 6)
+        for k in range(4):
+            assert np.array_equal(got[k], direct_sum(a[k], b[k]))
+        with pytest.raises(DimensionError):
+            direct_sum_many([a, b[:3]])
 
     def test_mixed_sizes_match_an_index_list_reference(self):
         mats = [random_symplectic(m, seed=m) for m in (1, 2, 3, 1)]

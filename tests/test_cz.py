@@ -14,11 +14,11 @@ from sympindex import (AdmissibilityError, CatPath, ConjPath, ConstPath,
                        conley_zehnder, cz_dim2_closed_form, direct_sum_many,
                        evaluate_array, extension_winding, make_loop,
                        maslov_loop,
-                       path_from_json, random_symplectic, rho, winding)
+                       path_from_json, random_symplectic, winding)
 import sympindex.cz as cz
 from sympindex.core import symplectic_residual
 from sympindex.cz import (PASSAGE_GRID, _Extension, _exp_passage_times,
-                          _nudged, _unit_passage_times)
+                          _rho_map, _unit_passage_times)
 from sympindex.tolerances import DEFAULT_TOL
 from conftest import krein_degenerate_rotation, rotation
 
@@ -37,23 +37,23 @@ def rotation_path(rate, duration=1.0):
 
 class TestWindingEngine:
     def test_constant_map_has_zero_winding(self):
-        turns, trace, depth = winding(lambda t: 1.0 + 0.0j)
+        turns, trace, depth = winding(lambda ts: np.full(len(ts), 1.0 + 0.0j))
         assert turns == 0.0 and depth == 0
         assert trace[0] == (0.0, 0.0) and trace[-1][0] == 1.0
 
     def test_uniform_rotation(self):
         for k in (1, -2, 5):
-            turns, _, _ = winding(lambda t, k=k: np.exp(2j * np.pi * k * t))
+            turns, _, _ = winding(lambda ts, k=k: np.exp(2j * np.pi * k * ts))
             assert turns == pytest.approx(k, abs=1e-12)
 
     def test_fast_rotation_triggers_refinement(self):
-        turns, _, depth = winding(lambda t: np.exp(2j * np.pi * 40 * t))
+        turns, _, depth = winding(lambda ts: np.exp(2j * np.pi * 40 * ts))
         assert turns == pytest.approx(40, abs=1e-9)
         assert depth >= 1
 
     def test_depth_cap_raises(self):
         with pytest.raises(WindingResolutionError):
-            winding(lambda t: np.exp(2j * np.pi * 10.3 * t), max_refine=1,
+            winding(lambda ts: np.exp(2j * np.pi * 10.3 * ts), max_refine=1,
                     coarse=4)
 
 
@@ -115,9 +115,9 @@ class TestExtension:
         seen = []
         build = _Extension._evaluate
 
-        def spy(self, t):
-            seen.append(t)
-            return build(self, t)
+        def spy(self, ts):
+            seen.extend(ts.tolist())
+            return build(self, ts)
 
         monkeypatch.setattr(_Extension, "_evaluate", spy)
         conley_zehnder(exp_path(n=2, seed=3, scale=2.0))
@@ -144,12 +144,14 @@ class TestExtension:
     def test_extension_calls_no_expm_or_logm(self, monkeypatch):
         # the bridge is a Cayley path, one solve per sample, and the
         # unwinding holds its inverse, so the other two thirds solve nothing
-        # and every expm evaluates the path, once per memoised sample
+        # and every expm evaluates the path, once per memoised sample; a
+        # stacked call solves and exponentiates a whole stack at once, so
+        # samples are counted as the matrices of the stacks
         expm, solve, build = sla.expm, np.linalg.solve, _Extension._evaluate
         calls, solves, samples = [], [], []
 
         def spy_expm(a):
-            calls.append(a)
+            calls.append(len(a) if a.ndim == 3 else 1)
             return expm(a)
 
         def spy_solve(a, b):
@@ -159,10 +161,13 @@ class TestExtension:
         def no_logm(*args, **kwargs):
             raise AssertionError("logm called")
 
-        def spy_evaluate(self, t):
+        def spy_evaluate(self, ts):
             before = len(solves)
-            out = build(self, t)
-            samples.append((t, len(solves) - before))
+            out = build(self, ts)
+            samples.extend(ts.tolist())
+            solved = sum(len(a) if a.ndim == 3 else 1
+                         for a in solves[before:])
+            assert solved == np.count_nonzero(ts <= 1.0 / 3.0), ts
             return out
 
         monkeypatch.setattr(sla, "expm", spy_expm)
@@ -171,10 +176,8 @@ class TestExtension:
         monkeypatch.setattr(_Extension, "_evaluate", spy_evaluate)
         path = exp_path(n=2, seed=3, scale=2.0)
         conley_zehnder(path)
-        assert min(t for t, _ in samples) <= 1.0 / 3.0 < max(t for t, _ in samples)
-        for t, count in samples:
-            assert count == (1 if t <= 1.0 / 3.0 else 0), t
-        assert calls and len(calls) == len(path._cache)
+        assert min(samples) <= 1.0 / 3.0 < max(samples)
+        assert calls and sum(calls) == len(path._cache)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_unwind_runs_from_k_to_the_identity(self, seed):
@@ -311,16 +314,17 @@ class TestIndexProperties:
         assert res.diagnostics["krein_nudges"] == 0
 
     def test_krein_nudge_is_recorded(self):
-        # a sampler that meets a degenerate Krein form at one parameter only
-        def sample(t):
-            return rho(krein_degenerate_rotation(0.7) if t == 0.25
-                       else rotation(0.7 + t))
+        # a path that meets a degenerate Krein form at one parameter only
+        def stack(ts):
+            return np.array([krein_degenerate_rotation(0.7) if t == 0.25
+                             else rotation(0.7 + t) for t in ts])
 
         events = Counter()
-        g = _nudged(sample, events)
-        assert g(0.25) == pytest.approx(np.exp(1j * (0.7 + 0.25 + 1e-9)))
+        g = _rho_map(stack, DEFAULT_TOL, events, 1)
+        assert g(np.array([0.25]))[0] == pytest.approx(
+            np.exp(1j * (0.7 + 0.25 + 1e-9)))
         assert events == {"krein_nudges": 1}
-        assert g(0.5) == pytest.approx(np.exp(1.2j))
+        assert g(np.array([0.5]))[0] == pytest.approx(np.exp(1.2j))
         assert events == {"krein_nudges": 1}
 
 
@@ -352,7 +356,7 @@ class TestPassageScreen:
         assert anchor_sets[1] == anchor_sets[0] == anchor_sets[2]
         # without anchors the spectral winding misses turns
         monkeypatch.setattr("sympindex.cz._unit_passage_times",
-                            lambda sample, dim, events: [])
+                            lambda path, events: [])
         with pytest.raises(InternalConsistencyError,
                            match="circle maps disagree"):
             conley_zehnder(path)
@@ -363,9 +367,9 @@ class TestPassageScreen:
         evaluated, sampled = [], set()
         build, wind = ExpPath._evaluate, cz.winding
 
-        def spy_evaluate(self, t):
-            evaluated.append(t)
-            return build(self, t)
+        def spy_evaluate(self, ts):
+            evaluated.extend(ts.tolist())
+            return build(self, ts)
 
         def spy_winding(*args, **kwargs):
             out = wind(*args, **kwargs)
@@ -424,8 +428,7 @@ class TestPassageScreen:
                             [t for _, t in candidates])
         path = ExpPath(s_matrix=s, duration=duration)
         closed = np.array(_exp_passage_times(path, Counter()))
-        sampled = _unit_passage_times(lambda t: evaluate_array(path, t),
-                                      2 * path.n, Counter())
+        sampled = _unit_passage_times(path, Counter())
         shear = np.count_nonzero(np.asarray(s)) == 1
         assert len(sampled) == len(closed) == 0 if shear else len(sampled) > 0
         for t in sampled:
@@ -460,7 +463,7 @@ class TestMaslovLoop:
     def test_constant_path_has_no_passage_candidates(self):
         # a flat sigma_min run is not a run of local minima
         events = Counter()
-        assert _unit_passage_times(lambda t: np.eye(4), 4, events) == []
+        assert _unit_passage_times(ConstPath(np.eye(4)), events) == []
         assert events["passages"] == 0
 
     def test_product_of_loops_adds(self):

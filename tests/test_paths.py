@@ -5,10 +5,12 @@ import scipy.linalg as sla
 from sympindex import (CatPath, ConjPath, ConstPath, DimensionError,
                        DirectSumPath, ExpPath, LoopPath, ParameterError,
                        ProdPath, ReversePath, SampledPath, SamplingError,
-                       ShearPath, evaluate, evaluate_array, generator,
-                       j_matrix, junction_parameters, make_loop, make_shear,
-                       path_from_json, path_to_json, random_symplectic,
-                       symplectic_residual)
+                       ShearPath, evaluate, evaluate_array, evaluate_stack,
+                       generator, j_matrix, junction_parameters, make_loop,
+                       make_shear, path_from_json, path_to_json,
+                       random_symplectic, symplectic_residual)
+from sympindex.cz import _Extension
+from sympindex.tolerances import DEFAULT_TOL
 
 
 def exp_path(n=1, seed=0, duration=1.0):
@@ -144,6 +146,83 @@ class TestNodes:
     def test_evaluate_returns_certified_matrix(self):
         v = evaluate(exp_path(seed=6), 0.5)
         assert symplectic_residual(np.asarray(v)) < 1e-10
+
+
+# junctions of the paths below: a three-part catenation, a catenation
+# nested in its first part, a sampled path and the extension's thirds
+_JUNCTIONS = [1.0 / 6.0, 0.3, 1.0 / 3.0, 2.0 / 3.0, 0.7]
+STACK_TS = np.union1d(np.linspace(0.0, 1.0, 60), _JUNCTIONS)
+
+
+def _every_node_type():
+    """One path of each node type, composites over exponential leaves."""
+    a, b = exp_path(n=1, seed=1), exp_path(n=1, seed=2)
+    a1 = evaluate_array(a, 1.0)
+    times = np.array([0.0, 0.3, 0.7, 1.0])
+    mild = exp_path(n=1, seed=4, duration=0.4)
+    sampled = SampledPath(times=times, matrices=tuple(
+        evaluate_array(mild, t) for t in times))
+    head = CatPath(parts=(a, ProdPath(left=ConstPath(a1), right=b)))
+    h1 = evaluate_array(head, 1.0)
+    cat = CatPath(parts=(head, ConstPath(h1),
+                         ProdPath(left=ConstPath(h1), right=make_loop(1, 1))))
+    ext = _Extension(evaluate_array(exp_path(n=2, seed=3), 1.0), DEFAULT_TOL, 0)
+    return {
+        "const": ConstPath(random_symplectic(2, seed=3)),
+        "exp": exp_path(n=2, seed=5),
+        "sampled": sampled,
+        "nested cat": cat,
+        "prod": ProdPath(left=a, right=b),
+        "conj": ConjPath(phi=b, psi=a),
+        "dsum": DirectSumPath(parts=(a, sampled, ConstPath(a1))),
+        "reverse": ReversePath(inner=cat),
+        "affine shear": ShearPath(b0=np.diag([1.0, -2.0]),
+                                  b1=np.array([[0.5, 0.3], [0.3, 2.0]])),
+        "shear": make_shear(lambda t: np.array([[np.cos(3 * t), t],
+                                                [t, np.sin(t)]])),
+        "loop": make_loop(-2, 3),
+        "extension": ext,
+    }
+
+
+class TestStackedEvaluation:
+    def test_grid_holds_the_ends_and_junctions(self):
+        assert len(STACK_TS) == 65
+        assert {0.0, 1.0, *_JUNCTIONS} <= set(STACK_TS.tolist())
+        # the reversal passes 1 - t to its inner path, whose junctions these are
+        for name, p in _every_node_type().items():
+            if name not in ("extension", "reverse"):
+                assert set(junction_parameters(p)) <= set(STACK_TS.tolist())
+
+    @pytest.mark.parametrize("name", list(_every_node_type()))
+    def test_stack_equals_scalar_evaluation_bitwise(self, name):
+        stacked = evaluate_stack(_every_node_type()[name], STACK_TS)
+        single = _every_node_type()[name]
+        scalar = np.array([evaluate_array(single, t) for t in STACK_TS])
+        assert stacked.shape == scalar.shape == (65,) + scalar.shape[1:]
+        assert np.array_equal(stacked, scalar)
+
+    def test_stacked_and_scalar_calls_share_the_memo(self):
+        p = _every_node_type()["nested cat"]
+        stacked = evaluate_stack(p, STACK_TS)
+        entries = dict(p._cache)
+        assert sorted(entries) == STACK_TS.tolist()
+        for i, t in enumerate(STACK_TS.tolist()):
+            hit = evaluate_array(p, t)
+            assert hit is entries[t]
+            assert np.array_equal(hit, stacked[i])
+        assert p._cache == entries
+        # a repeated parameter is evaluated once and returned twice
+        again = evaluate_stack(p, [0.25, 0.25, 1.0 + 1e-13])
+        assert np.array_equal(again[0], again[1])
+        assert np.array_equal(again[2], entries[1.0])
+
+    def test_stack_outside_the_domain_rejected(self):
+        p = exp_path()
+        for ts in ([0.0, 0.5, 1.5], [-0.2, 0.5], [0.5, np.nan]):
+            with pytest.raises(ParameterError):
+                evaluate_stack(p, ts)
+        assert not p._cache
 
 
 class TestGenerator:

@@ -106,7 +106,7 @@ class TestScanPlateaus:
         golden = sampling._golden_min
 
         def spy(curve, a, b, width):
-            brackets.append((a, b))
+            brackets.extend(zip(a, b))
             return golden(curve, a, b, width)
 
         monkeypatch.setattr(sampling, "_golden_min", spy)
