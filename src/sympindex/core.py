@@ -94,15 +94,23 @@ def _fro(M: np.ndarray):
     return np.sqrt((M * M).sum(axis=(-2, -1)))
 
 
+def _symplectic_residuals(M: np.ndarray):
+    """Relative Frobenius residual of the symplectic identity of each matrix
+    of a stack (of one matrix: a scalar); infinite for a matrix with
+    non-finite entries."""
+    n = _check_even_square(M, stacked=True)
+    finite = np.isfinite(M).all(axis=(-2, -1))
+    if not finite.all():
+        M = np.where(finite[..., None, None], M, 0.0)
+    om = omega_matrix(n)
+    res = _fro(np.swapaxes(M, -1, -2) @ om @ M - om) / (1.0 + _fro(M) ** 2)
+    return np.where(finite, res, np.inf)
+
+
 def symplectic_residual(M: np.ndarray) -> float:
     """Relative Frobenius residual of the symplectic identity; infinite for
     a matrix with non-finite entries.  Of a stack, the largest residual."""
-    n = _check_even_square(M, stacked=True)
-    if not np.isfinite(M).all():
-        return float("inf")
-    om = omega_matrix(n)
-    res = _fro(np.swapaxes(M, -1, -2) @ om @ M - om) / (1.0 + _fro(M) ** 2)
-    return float(np.max(res))
+    return float(np.max(_symplectic_residuals(M)))
 
 
 def is_symplectic(M: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> bool:

@@ -88,19 +88,27 @@ def _rho_robust(a: np.ndarray, tol: ToleranceProfile, events: Counter) -> comple
 
 def _rho_map(stack_at, tol: ToleranceProfile, events: Counter, power: int,
              eps=1e-9):
-    """ts -> rho(psi_t) ** power for the stack ``stack_at(ts)``, sample by
-    sample with the tolerance cascade.
+    """ts -> rho(psi_t) ** power for the stack ``stack_at(ts)``, in one
+    ``rho`` call per stack.
 
-    A sample on an isolated Krein degeneracy is stepped over: its value is
-    taken at t + eps (t - eps for t >= 1/2), and the step is counted in
-    ``events["krein_nudges"]``.
+    A stack that fails on an ambiguous cluster or a Krein degeneracy is
+    taken again sample by sample: each sample runs the tolerance cascade,
+    and a sample on an isolated Krein degeneracy is stepped over, its value
+    taken at t + eps (t - eps for t >= 1/2) and the step counted in
+    ``events["krein_nudges"]``.  Only the sample-by-sample pass counts
+    fallbacks, so the counts do not depend on how the samples are stacked.
     """
     def value(a):
         return _rho_robust(a, tol, events) ** power
 
     def f(ts):
+        stack = stack_at(ts)
+        try:
+            return np.array([z ** power for z in rho(stack, tol).tolist()])
+        except (IllConditionedSpectrumError, KreinDegenerateError):
+            pass
         out = []
-        for t, a in zip(ts.tolist(), stack_at(ts)):
+        for t, a in zip(ts.tolist(), stack):
             try:
                 out.append(value(a))
             except KreinDegenerateError:

@@ -297,7 +297,9 @@ class ConjPath(PathSpec):
 
     def _evaluate(self, ts: np.ndarray) -> np.ndarray:
         g = self.phi._evaluate(ts)
-        return g @ self.psi._evaluate(ts) @ np.linalg.inv(g)
+        # a constant conjugator is inverted once, not once per sample
+        g_inv = np.linalg.inv(self.phi.matrix if isinstance(self.phi, ConstPath) else g)
+        return g @ self.psi._evaluate(ts) @ g_inv
 
 
 @dataclass(frozen=True)

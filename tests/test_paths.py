@@ -217,6 +217,19 @@ class TestStackedEvaluation:
         assert np.array_equal(again[0], again[1])
         assert np.array_equal(again[2], entries[1.0])
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_constant_conjugator_is_inverted_once(self, n, monkeypatch):
+        k = random_symplectic(n, seed=n, scale=1.0)
+        p = ConjPath(phi=ConstPath(k), psi=exp_path(n, seed=n))
+        g = p.phi._evaluate(STACK_TS)
+        # a row of the stack is bitwise the conjugation by its own inverse
+        per_row = g @ p.psi._evaluate(STACK_TS) @ np.linalg.inv(g)
+        shapes, inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a: shapes.append(np.shape(a)) or inv(a))
+        assert p._evaluate(STACK_TS).tobytes() == per_row.tobytes()
+        assert shapes == [(2 * n, 2 * n)]
+
     def test_stack_outside_the_domain_rejected(self):
         p = exp_path()
         for ts in ([0.0, 0.5, 1.5], [-0.2, 0.5], [0.5, np.nan]):

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import sympindex.spectral as spectral
-from sympindex import (DEFAULT_TOL, ExpPath, IllConditionedSpectrumError,
-                       KreinDegenerateError, direct_sum_many, eigen_quadruples,
+from sympindex import (DEFAULT_TOL, ContractError, ExpPath,
+                       IllConditionedSpectrumError, KreinDegenerateError,
+                       SympindexError, direct_sum_many, eigen_quadruples,
                        evaluate_array, first_kind_eigenvalues,
                        generalized_eigenspace, j_matrix, krein_form,
-                       random_symplectic, rho)
+                       omega_matrix, random_symplectic, rho,
+                       symplectic_residual)
 from conftest import krein_degenerate_rotation, unit_jordan_real
 
 
@@ -46,13 +51,22 @@ def union_find_clusters(values, radius):
     return list(groups.values())
 
 
+def cluster_row(values, radius):
+    """``_cluster`` of one row of valid values: its components' means and
+    sizes, in the order of their smallest indices."""
+    means, sizes = spectral._cluster(values[None], np.ones((1, len(values)), bool),
+                                     radius)
+    roots = sizes[0] > 0
+    return means[0][roots], sizes[0][roots]
+
+
 class TestCluster:
     def test_chain_is_one_cluster_ordered_by_smallest_index(self):
         tol = 1e-7
         a, b, c = 2.0, 2.0 + 0.8 * tol, 2.0 + 1.6 * tol
         assert abs(a - c) > tol
         values = np.array([c, 5.0, a, 7.0j, b])
-        means, sizes = spectral._cluster(values, tol)
+        means, sizes = cluster_row(values, tol)
         assert sizes.tolist() == [3, 1, 1]
         assert means[0] == pytest.approx(2.0 + 0.8 * tol, abs=1e-15)
         assert means[1:].tolist() == [5.0, 7.0j]
@@ -66,11 +80,30 @@ class TestCluster:
             steps = rng.choice([0.5, 1.5], size=m) * radius
             walk = np.cumsum(steps * np.exp(1j * rng.uniform(0, 0.2, m)))
             values = rng.permutation(walk)
-            means, sizes = spectral._cluster(values, radius)
+            means, sizes = cluster_row(values, radius)
             groups = union_find_clusters(values, radius)
             assert sizes.tolist() == [len(g) for g in groups]
             for mean, idx in zip(means, groups):
                 assert abs(mean - np.mean(values[idx])) <= 1e-15
+
+    def test_rows_cluster_on_their_own(self):
+        # a stack clusters each row's valid prefix as that prefix alone,
+        # bitwise, whatever the other rows and the padding hold
+        rng = np.random.default_rng(8)
+        radius = 1e-3
+        for _ in range(50):
+            k, m = 5, int(rng.integers(1, 17))
+            steps = rng.choice([0.5, 1.5], size=(k, m)) * radius
+            values = rng.permuted(np.cumsum(steps, axis=1) + 0.3j, axis=1)
+            counts = rng.integers(0, m + 1, size=k)
+            valid = np.arange(m) < counts[:, None]
+            means, sizes = spectral._cluster(values, valid, radius)
+            assert not sizes[~valid].any()
+            for row in range(k):
+                roots = sizes[row] > 0
+                ref_means, ref_sizes = cluster_row(values[row, :counts[row]], radius)
+                assert sizes[row][roots].tolist() == ref_sizes.tolist()
+                assert means[row][roots].tobytes() == ref_means.tobytes()
 
 
 class TestQuadruples:
@@ -187,17 +220,17 @@ class TestKreinRoutes:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(spectral, "krein_form", counted)
-        quads, krein = spectral._spectral_summary(a, DEFAULT_TOL)
+        s = spectral._spectral_summary(a[None], DEFAULT_TOL)
         monkeypatch.undo()
-        units = [q for q in quads if q.regime == "UnitNonReal"]
-        assert units
-        assert len(calls) == sum(q.multiplicity > 1 for q in units)
-        for q in units:
-            lam = q.representative
-            ref = krein_form(a, lam, DEFAULT_TOL, multiplicity=q.multiplicity)
-            assert krein[lam].signature == ref.signature
-            if q.multiplicity == 1:
-                assert krein[lam].q_matrix == pytest.approx(ref.q_matrix, abs=1e-9)
+        units = np.flatnonzero((s.mults[0] > 0) & (s.codes[0] == spectral._UNIT))
+        assert units.size
+        assert len(calls) == np.count_nonzero(s.mults[0, units] > 1)
+        for j in units:
+            lam, mult = complex(s.reps[0, j]), int(s.mults[0, j])
+            ref = krein_form(a, lam, DEFAULT_TOL, multiplicity=mult)
+            assert (s.plus[0, j], s.minus[0, j]) == ref.signature
+            if mult == 1:
+                assert s.forms[0, j] == pytest.approx(ref.q_matrix[0, 0], abs=1e-9)
             else:
                 assert ref.signature == (1, 1)
 
@@ -294,3 +327,330 @@ class TestAmbiguityGuard:
         a = np.diag([2.0, 2.0 + gap, 0.5, 1.0 / (2.0 + gap)])
         with pytest.raises(IllConditionedSpectrumError):
             eigen_quadruples(a, DEFAULT_TOL.with_overrides(tol_eig=1e-7))
+
+
+def off_circle(r, theta):
+    """A complex quadruple r e^{+-i theta}, 1/r e^{+-i theta} (n = 2)."""
+    b = r * rotation(theta)
+    return np.block([[b, np.zeros((2, 2))], [np.zeros((2, 2)), np.linalg.inv(b).T]])
+
+
+def mixed_stack(n, seed):
+    """Seeded 2n x 2n matrices of every regime, conjugated or not, shuffled:
+    Id, -Id, W-, rotation + hyperbolic, a unit pair of multiplicity 2 with
+    signature (1, 1), an off-circle quadruple and random symplectic ones."""
+    rest = [rotation(0.4 + 0.3 * i) for i in range(n - 2)]
+    mats = [np.eye(2 * n), -np.eye(2 * n), w_minus(n),
+            direct_sum_many([rotation(0.8), np.diag([2.0, 0.5])] + rest),
+            direct_sum_many([rotation(1.3), rotation(-1.3)] + rest),
+            direct_sum_many([off_circle(1.7, 0.6)] + rest)]
+    mats += [random_symplectic(n, seed=seed + i) for i in range(3)]
+    rng = np.random.default_rng(seed)
+    out = []
+    for a in mats:
+        if rng.random() < 0.5:
+            k = random_symplectic(n, seed=seed + 100, max_cond=20)
+            a = k @ a @ np.linalg.inv(k)
+        out.append(a)
+    return np.array([out[i] for i in rng.permutation(len(out))])
+
+
+def first_error(mats, fn=rho):
+    """(row, type, message) of the first matrix that ``fn`` rejects."""
+    for row, a in enumerate(mats):
+        try:
+            fn(a)
+        except SympindexError as exc:
+            return row, type(exc), str(exc)
+    return None
+
+
+def scalar_cluster(values, radius):
+    """One matrix's clustering as a loop-free scalar reference: the
+    component means and sizes in the order of their smallest indices."""
+    m = len(values)
+    adjacent = np.abs(values[:, None] - values[None, :]) <= radius
+    if np.count_nonzero(adjacent) == m:
+        return values, np.ones(m, dtype=int)
+    index = np.arange(m)
+    labels = index
+    while True:
+        spread = np.where(adjacent, labels, m).min(axis=1)
+        if (spread == labels).all():
+            break
+        labels = spread
+    members = labels == index[labels == index, None]
+    sizes = np.count_nonzero(members, axis=1)
+    return members @ values / sizes, sizes
+
+
+def scalar_rho(a, tol=DEFAULT_TOL):
+    """rho and the first-kind eigenvalues of one matrix, quadruple by
+    quadruple in Python scalars: the reference for the array routes."""
+    n = a.shape[0] // 2
+    tol_eig = tol.tol_eig
+    evals, evecs = np.linalg.eig(a)
+    if symplectic_residual(a) > tol.tol_symp:
+        raise ContractError("eigen_quadruples requires a symplectic matrix")
+    if not np.all(evals):
+        raise IllConditionedSpectrumError("an eigenvalue rounds to zero")
+    means, mults = scalar_cluster(evals[np.abs(evals) >= 1.0 - 10 * tol_eig], tol_eig)
+    snapped = spectral._snap(means, 10 * tol_eig)
+    gaps = np.abs(means[:, None] - means[None, :])
+    apart = np.abs(snapped[:, None] - snapped[None, :])
+    band = (gaps > tol_eig) & (gaps <= 10 * tol_eig) & (apart > tol_eig)
+    if np.count_nonzero(band):
+        i, j = np.argwhere(band)[0]
+        raise IllConditionedSpectrumError(
+            f"cluster gap {gaps[i, j]:.3e} inside the ambiguity band "
+            f"({tol_eig:.1e}, {10 * tol_eig:.1e})")
+    if np.count_nonzero(apart <= tol_eig * np.maximum(1.0, np.abs(snapped))) > len(snapped):
+        snapped, mults = spectral._merge_clouds(snapped, mults, tol_eig)
+    quads = [spectral.EigenQuadruple(rep, mult)
+             for rep, mult in zip(snapped.tolist(), mults.tolist()) if rep.imag >= 0.0]
+    total = sum(q.total_multiplicity for q in quads)
+    if total != 2 * n:
+        raise IllConditionedSpectrumError(
+            f"quadruple multiplicities sum to {total}, expected {2 * n}")
+    signature = {}
+    for q in quads:
+        lam = q.representative
+        if q.regime != "UnitNonReal":
+            continue
+        near = np.abs(evals - lam) <= 10 * tol_eig
+        if near.sum() == 1 and q.multiplicity == 1:
+            v = evecs[:, near.argmax()][:, None]
+            form = np.diag(spectral._krein_matrix(v, omega_matrix(n))).real[0]
+            if abs(form) <= tol.tol_form:
+                raise spectral._krein_degenerate(lam / abs(lam), abs(form))
+            signature[lam] = (int(form > 0), int(form < 0))
+        else:
+            signature[lam] = krein_form(a, lam, tol, multiplicity=q.multiplicity).signature
+    m_minus, value = 0, 1.0 + 0.0j
+    for q in quads:
+        if q.regime == "RealNegative":
+            m_minus += 2 * q.multiplicity
+        elif q.regime == "MinusOne":
+            m_minus += q.multiplicity
+        elif q.regime == "UnitNonReal":
+            r, s = signature[q.representative]
+            value *= q.representative ** r * np.conj(q.representative) ** s
+    if m_minus % 2 != 0:
+        raise IllConditionedSpectrumError("negative-real multiplicity is odd")
+    value *= (-1.0) ** (m_minus // 2)
+    value = complex(value) / abs(complex(value))
+    first = []
+    for q in quads:
+        rep, m = q.representative, q.multiplicity
+        if q.regime in ("PlusOne", "MinusOne"):
+            if m % 2 != 0:
+                raise IllConditionedSpectrumError(
+                    f"eigenvalue {rep} has odd multiplicity {m}")
+            first += [rep] * (m // 2)
+        elif q.regime == "UnitNonReal":
+            r, s = signature[rep]
+            first += [rep] * r + [np.conj(rep)] * s
+        else:
+            first += [z for z in q.members if abs(z) < 1 for _ in range(m)]
+    if len(first) != n:
+        raise IllConditionedSpectrumError(
+            f"selected {len(first)} first-kind eigenvalues, expected {n}")
+    prod = 1.0 + 0.0j
+    for z in first:
+        prod *= complex(z) / abs(complex(z))
+    prod /= abs(prod)
+    if abs(value - prod) > 1e-9:
+        raise IllConditionedSpectrumError(
+            f"rho routes disagree: {value:.12g} vs {prod:.12g}")
+    return value, first
+
+
+def outcome(fn, *args):
+    """A value as the bits of its complex entries, or an error's type and text."""
+    try:
+        value = fn(*args)
+    except SympindexError as exc:
+        return type(exc), str(exc)
+    return [(z.real.hex(), z.imag.hex()) for z in map(complex, np.ravel(value))]
+
+
+class TestScalarReference:
+    @pytest.mark.parametrize("factor", [1.0, 0.05, 20.0, 0.0025, 400.0])
+    def test_array_routes_equal_the_scalar_loop_bitwise(self, factor):
+        tol = DEFAULT_TOL.with_overrides(tol_eig=factor * DEFAULT_TOL.tol_eig)
+        mats = [a for n, seed in [(2, 0), (3, 2)] for a in mixed_stack(n, seed)]
+        mats += [a for _, a in krein_cases()]
+        mats += [random_symplectic(n, seed=seed, scale=0.5 + 0.3 * (seed % 5))
+                 for n in (1, 2, 3, 4) for seed in range(8)]
+        mats += [unit_jordan_real(0.7, 3), krein_degenerate_rotation(0.7),
+                 np.diag([2.0, 2.0 + 3e-7, 0.5, 1.0 / (2.0 + 3e-7)]),
+                 np.diag([-3.0, 2.0, -1 / 3.0, 0.5]), 2.0 * np.eye(2)]
+        for a in mats:
+            ref = outcome(lambda a: scalar_rho(a, tol)[0], a)
+            assert outcome(rho, a, tol) == ref
+            assert outcome(first_kind_eigenvalues, a, tol) == outcome(
+                lambda a: scalar_rho(a, tol)[1], a)
+
+
+class TestStackedRho:
+    @pytest.mark.parametrize("n,seed", [(2, 0), (2, 1), (3, 2), (4, 3)])
+    def test_rows_equal_one_matrix_at_a_time(self, n, seed):
+        stack = mixed_stack(n, seed)
+        values = rho(stack)
+        singles = [rho(a) for a in stack]
+        assert values.shape == (len(stack),)
+        assert values.tobytes() == np.array(singles).tobytes()
+        reps, mults = eigen_quadruples(stack)
+        for row, a in enumerate(stack):
+            quads = eigen_quadruples(a)
+            keep = mults[row] > 0
+            assert mults[row][keep].tolist() == [q.multiplicity for q in quads]
+            assert reps[row][keep].tolist() == [q.representative for q in quads]
+
+    def test_a_matrix_is_a_stack_of_one(self):
+        a = direct_sum_many([rotation(0.7), np.diag([2.0, 0.5])])
+        value = rho(a)
+        assert type(value) is complex
+        assert rho(a[None]).tolist() == [value]
+
+    def test_one_eig_and_one_clustering_pass_per_stack(self, monkeypatch):
+        calls = []
+        for name in ("eig", "eigvals"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *args, name=name, original=original:
+                                calls.append(name) or original(*args))
+        original_eq = spectral.eigen_quadruples
+
+        def counted(*args, **kwargs):
+            calls.append("eigen_quadruples")
+            return original_eq(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigen_quadruples", counted)
+        rho(mixed_stack(2, 5))
+        assert calls == ["eig", "eigen_quadruples"]
+
+    def test_only_multiple_unit_clusters_reach_krein_form(self, monkeypatch):
+        calls = []
+        original = spectral.krein_form
+        monkeypatch.setattr(spectral, "krein_form",
+                            lambda *args, **kwargs: calls.append(1) or
+                            original(*args, **kwargs))
+        stack = mixed_stack(3, 4)
+        rho(stack)
+        # the unit pair of multiplicity 2 sits in one matrix of the stack
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad,error", [
+        (krein_degenerate_rotation(0.7), KreinDegenerateError),
+        (np.diag([2.0, 2.0 + 3e-7, 0.5, 1.0 / (2.0 + 3e-7)]),
+         IllConditionedSpectrumError),
+    ])
+    def test_a_failing_row_raises_its_own_error(self, bad, error):
+        if bad.shape[0] == 2:
+            bad = direct_sum_many([bad, np.diag([2.0, 0.5])])
+        good = direct_sum_many([rotation(0.3), rotation(1.1)])
+        stack = np.array([good, good, bad, good, bad])
+        with pytest.raises(error) as info:
+            rho(stack)
+        with pytest.raises(error) as single:
+            rho(bad)
+        assert str(info.value) == str(single.value)
+        assert info.value.row == 2
+
+    def test_the_first_failing_matrix_wins_over_an_earlier_check(self):
+        # the band gap fails in the clustering, the Krein degeneracy only
+        # after it; the stack fails as its first failing matrix does
+        krein = direct_sum_many([krein_degenerate_rotation(0.7),
+                                 np.diag([2.0, 0.5])])
+        gap = np.diag([2.0, 2.0 + 3e-7, 0.5, 1.0 / (2.0 + 3e-7)])
+        nan = np.full((4, 4), np.nan)
+        good = direct_sum_many([rotation(0.3), rotation(1.1)])
+        for mats in ([good, krein, gap], [gap, krein], [good, krein, nan],
+                     [good, nan, krein], [good, good, np.eye(4) * 2.0, krein]):
+            row, kind, message = first_error(mats)
+            with pytest.raises(kind) as info:
+                rho(np.array(mats))
+            assert (info.value.row, str(info.value)) == (row, message)
+
+
+def structured(draw, n):
+    """A direct sum of n blocks of every regime, maybe conjugated."""
+    blocks = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["rotation", "hyperbolic", "minus", "id",
+                                     "shear", "minus shear", "degenerate"]))
+        if kind == "rotation":
+            blocks.append(rotation(draw(st.floats(-3.2, 3.2))))
+        elif kind == "hyperbolic":
+            x = draw(st.floats(1.01, 20.0)) * draw(st.sampled_from([1.0, -1.0]))
+            blocks.append(np.diag([x, 1.0 / x]))
+        elif kind == "minus":
+            blocks.append(-np.eye(2))
+        elif kind == "id":
+            blocks.append(np.eye(2))
+        elif kind == "shear":
+            blocks.append(np.array([[1.0, draw(st.floats(-2.0, 2.0))], [0.0, 1.0]]))
+        elif kind == "minus shear":
+            blocks.append(np.array([[-1.0, 1.0], [0.0, -1.0]]))
+        else:
+            blocks.append(krein_degenerate_rotation(draw(st.floats(0.1, 3.0))))
+    a = direct_sum_many(blocks)
+    if draw(st.booleans()):
+        k = random_symplectic(n, seed=draw(st.integers(0, 10_000)), max_cond=50)
+        a = k @ a @ np.linalg.inv(k)
+    return a
+
+
+@st.composite
+def spectral_inputs(draw):
+    """A matrix or a stack of up to four, symplectic or not: finite random
+    entries, seeded random symplectic matrices or structured direct sums."""
+    n = draw(st.integers(1, 3))
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["random", "symplectic", "structured"]))
+        if kind == "random":
+            mats.append(draw(arrays(float, (2 * n, 2 * n),
+                                    elements=st.floats(-1e3, 1e3))))
+        elif kind == "symplectic":
+            mats.append(random_symplectic(n, seed=draw(st.integers(0, 10_000)),
+                                          scale=draw(st.floats(0.1, 2.0))))
+        else:
+            mats.append(structured(draw, n))
+    if len(mats) == 1 and draw(st.booleans()):
+        return mats[0]
+    return np.array(mats)
+
+
+class TestTypedFailures:
+    @settings(max_examples=150, deadline=None)
+    @given(spectral_inputs())
+    def test_entry_points_fail_only_typed(self, a):
+        # warnings are errors in this suite, so a warning escapes untyped too
+        for fn in (rho, first_kind_eigenvalues, eigen_quadruples):
+            try:
+                fn(a)
+            except SympindexError:
+                pass
+        if a.ndim == 2:
+            return
+        failure = first_error(a)
+        if failure is None:
+            assert rho(a).tobytes() == np.array([rho(m) for m in a]).tobytes()
+            return
+        row, kind, message = failure
+        with pytest.raises(kind) as info:
+            rho(a)
+        assert (info.value.row, str(info.value)) == (row, message)
+        failure = first_error(a, eigen_quadruples)
+        if failure is not None:
+            with pytest.raises(failure[1]) as info:
+                eigen_quadruples(a)
+            assert (info.value.row, str(info.value)) == failure[::2]
+
+    def test_non_symplectic_stack_is_a_contract_error(self):
+        with pytest.raises(ContractError):
+            rho(np.array([np.eye(2), 2.0 * np.eye(2)]))
+        with pytest.raises(ContractError):
+            eigen_quadruples(np.array([np.eye(2), 2.0 * np.eye(2)]))
