@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ContractError, DimensionError
 from .tolerances import DEFAULT_TOL, ToleranceProfile
@@ -102,8 +101,18 @@ def _symplectic_residuals(M: np.ndarray):
     finite = np.isfinite(M).all(axis=(-2, -1))
     if not finite.all():
         M = np.where(finite[..., None, None], M, 0.0)
+    # the squares of the products overflow from entries of about 1e77: divide
+    # each matrix by a power of two s above its largest entry, and both sides
+    # of the ratio by s^2; a power of two scales every rounding exactly
+    # (short of subnormals), so the residual keeps the bits of the unscaled
+    # formula wherever that is finite
+    _, e = np.frexp(np.abs(M).max(axis=(-2, -1)))
+    s = np.ldexp(1.0, -np.maximum(e, 0))
+    M = M * s[..., None, None]
     om = omega_matrix(n)
-    res = _fro(np.swapaxes(M, -1, -2) @ om @ M - om) / (1.0 + _fro(M) ** 2)
+    s2 = s * s
+    res = (_fro(np.swapaxes(M, -1, -2) @ om @ M - om * s2[..., None, None])
+           / (s2 + _fro(M) ** 2))
     return np.where(finite, res, np.inf)
 
 
@@ -255,7 +264,10 @@ def random_symplectic(n: int, seed: int, scale: float = 0.5,
 
     With ``max_cond`` set, redraws until the condition number is below it
     (used to produce well-conditioned conjugators for normal-form tests).
+    The only function of this module that imports scipy.
     """
+    import scipy.linalg as sla
+
     if n < 1:
         raise DimensionError("n must be >= 1")
     rng = np.random.default_rng(seed)

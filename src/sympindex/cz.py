@@ -91,31 +91,40 @@ def _rho_map(stack_at, tol: ToleranceProfile, events: Counter, power: int,
     """ts -> rho(psi_t) ** power for the stack ``stack_at(ts)``, in one
     ``rho`` call per stack.
 
-    A stack that fails on an ambiguous cluster or a Krein degeneracy is
-    taken again sample by sample: each sample runs the tolerance cascade,
-    and a sample on an isolated Krein degeneracy is stepped over, its value
-    taken at t + eps (t - eps for t >= 1/2) and the step counted in
-    ``events["krein_nudges"]``.  Only the sample-by-sample pass counts
+    When a stack fails on an ambiguous cluster or a Krein degeneracy, only
+    its failing sample (the error's ``row``) is taken on its own: it runs
+    the tolerance cascade, and a sample on an isolated Krein degeneracy is
+    stepped over, its value taken at t + eps (t - eps for t >= 1/2) and the
+    step counted in ``events["krein_nudges"]``.  The samples before it
+    passed and make one stack again; the samples after it make the next
+    stack, which may fail in turn.  Only the failing samples count
     fallbacks, so the counts do not depend on how the samples are stacked.
     """
     def value(a):
         return _rho_robust(a, tol, events) ** power
 
+    def stacked(stack):
+        return [z ** power for z in rho(stack, tol).tolist()]
+
     def f(ts):
         stack = stack_at(ts)
-        try:
-            return np.array([z ** power for z in rho(stack, tol).tolist()])
-        except (IllConditionedSpectrumError, KreinDegenerateError):
-            pass
         out = []
-        for t, a in zip(ts.tolist(), stack):
+        while len(out) < len(ts):
+            start = len(out)
             try:
-                out.append(value(a))
+                out += stacked(stack[start:])
+                break
+            except (IllConditionedSpectrumError, KreinDegenerateError) as exc:
+                r = start + exc.row
+            out += stacked(stack[start:r])
+            try:
+                out.append(value(stack[r]))
             except KreinDegenerateError:
                 events["krein_nudges"] += 1
+                t = float(ts[r])
                 s = t + eps if t < 0.5 else t - eps
                 out.append(value(stack_at(np.array([s]))[0]))
-        return np.array(out)
+        return np.array(out, dtype=complex)
 
     return f
 

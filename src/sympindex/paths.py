@@ -9,6 +9,8 @@ is symplectic by construction.
 A node evaluates an array of parameters at once, to a stack of matrices:
 an exponential segment makes one ``expm`` call for the whole array, and the
 composite nodes combine their children's stacks with batched arithmetic.
+Only the exponential and sampled segments import scipy, when they first
+run, so a path without them never loads it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .core import (SympMatrix, as_array, direct_sum_many, j_matrix,
                    symplectic_residual)
@@ -174,6 +175,8 @@ class ExpPath(PathSpec):
         return self.s_matrix.shape[0] // 2
 
     def _evaluate(self, ts: np.ndarray) -> np.ndarray:
+        import scipy.linalg as sla
+
         return sla.expm((ts * self.duration)[:, None, None] * self._js)
 
 
@@ -185,6 +188,8 @@ class SampledPath(PathSpec):
     matrices: tuple
 
     def __post_init__(self):
+        import scipy.linalg as sla
+
         times = _frozen_array(self.times)
         mats = tuple(_frozen_array(as_array(m)) for m in self.matrices)
         if times.ndim != 1 or len(times) != len(mats) or len(mats) < 2:
@@ -214,6 +219,8 @@ class SampledPath(PathSpec):
         return self.matrices[0].shape[0] // 2
 
     def _evaluate(self, ts: np.ndarray) -> np.ndarray:
+        import scipy.linalg as sla
+
         seg = np.clip(np.searchsorted(self.times, ts, side="right") - 1,
                       0, len(self.matrices) - 2)
         out = np.empty((len(ts),) + self.matrices[0].shape)

@@ -4,10 +4,11 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympindex import (ContractError, DimensionError, HalfInt, SympMatrix,
+from sympindex import (ContractError, DimensionError, HalfInt,
+                       IllConditionedSpectrumError, SympMatrix,
                        complex_det, direct_sum, direct_sum_many,
                        is_symplectic, j_matrix, omega_matrix, polar_decompose,
-                       random_symplectic, rho_hat, rho_polar,
+                       random_symplectic, rho, rho_hat, rho_polar,
                        symplectic_residual)
 
 
@@ -37,6 +38,41 @@ class TestStructures:
 
     def test_symplectic_residual_zero_for_identity(self):
         assert symplectic_residual(np.eye(4)) == 0.0
+
+    def test_residual_of_huge_entries_does_not_overflow(self):
+        # warnings are errors in this suite: an overflow would raise here
+        assert is_symplectic(np.diag([1e200, 1e-200]))
+        assert not is_symplectic(np.diag([1e200, 1e200]))
+        assert symplectic_residual(np.diag([1e300, 1e300])) == pytest.approx(
+            np.sqrt(2.0) / 2.0)
+        stack = np.array([np.full((2, 2), 1.7e308), np.eye(2),
+                          np.diag([1e-300, 1e300])])
+        assert np.isfinite(symplectic_residual(stack))
+
+    def test_scaled_residual_keeps_the_unscaled_bits(self):
+        # every matrix is scaled by a power of two; up to about 1e77 the
+        # plain formula is still finite, and both must agree bit for bit
+        def fro(m):
+            return np.sqrt((m * m).sum())
+
+        om = omega_matrix(2)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            a = random_symplectic(2, seed) * 10.0 ** rng.uniform(
+                -3, 70, size=(4, 4))
+            plain = fro(a.T @ om @ a - om) / (1.0 + fro(a) ** 2)
+            assert symplectic_residual(a) == plain
+        a = random_symplectic(2, 0)
+        assert symplectic_residual(a) == fro(a.T @ om @ a - om) / (
+            1.0 + fro(a) ** 2)
+
+    def test_singular_matrix_with_huge_entries_fails_typed(self):
+        # the residual is relative to 1 + |M|^2, so this singular matrix
+        # passes the symplectic check and fails later, in the spectrum;
+        # a scale-consistent check would raise ContractError instead
+        with pytest.raises(IllConditionedSpectrumError,
+                           match="quadruple multiplicities sum to 4"):
+            rho(np.full((2, 2), 1e200))
 
 
 class TestPolar:

@@ -8,7 +8,8 @@ import scipy.linalg as sla
 
 from sympindex import (AdmissibilityError, CatPath, ConjPath, ConstPath,
                        ContractError, DirectSumPath, ExpPath,
-                       HalfInt, InternalConsistencyError, ParameterError,
+                       HalfInt, InternalConsistencyError,
+                       KreinDegenerateError, ParameterError,
                        ProdPath, ReversePath,
                        SampledPath, SympindexError, WindingResolutionError,
                        conley_zehnder, cz_dim2_closed_form, direct_sum_many,
@@ -326,6 +327,63 @@ class TestIndexProperties:
         assert events == {"krein_nudges": 1}
         assert g(np.array([0.5]))[0] == pytest.approx(np.exp(1.2j))
         assert events == {"krein_nudges": 1}
+
+
+class TestRhoMapFallback:
+    """A failing sample of a stack runs alone; the other samples stay
+    stacked, with the values and counts of a sample-by-sample pass."""
+
+    GAP = np.diag([2.0, 2.0 + 3e-7, 0.5, 1.0 / (2.0 + 3e-7)])
+    KREIN = direct_sum_many([krein_degenerate_rotation(0.7),
+                             np.diag([2.0, 0.5])])
+    TS = np.linspace(0.0, 1.0, 9)
+
+    @staticmethod
+    def stack_at(bad, rows):
+        def stack(ts):
+            return np.array([bad if t in rows else
+                             direct_sum_many([rotation(0.3 + t),
+                                              rotation(1.1 - 2 * t)])
+                             for t in ts.tolist()])
+        return stack
+
+    @staticmethod
+    def sample_by_sample(stack_at, ts, power, eps=1e-9):
+        events, out = Counter(), []
+        for t, a in zip(ts.tolist(), stack_at(ts)):
+            try:
+                out.append(cz._rho_robust(a, DEFAULT_TOL, events) ** power)
+            except KreinDegenerateError:
+                events["krein_nudges"] += 1
+                s = t + eps if t < 0.5 else t - eps
+                out.append(cz._rho_robust(stack_at(np.array([s]))[0],
+                                          DEFAULT_TOL, events) ** power)
+        return np.array(out), events
+
+    @pytest.mark.parametrize("kind", ["GAP", "KREIN"])
+    @pytest.mark.parametrize("rows", [(4,), (0, 8), (3, 4)])
+    def test_only_failing_samples_run_alone(self, kind, rows, monkeypatch):
+        bad = getattr(self, kind)
+        stack_at = self.stack_at(bad, {float(self.TS[r]) for r in rows})
+        want, want_events = self.sample_by_sample(stack_at, self.TS, 2)
+        alone, robust = [], cz._rho_robust
+
+        def spy(a, tol, events):
+            alone.append(np.array(a))
+            return robust(a, tol, events)
+
+        monkeypatch.setattr(cz, "_rho_robust", spy)
+        events = Counter()
+        got = _rho_map(stack_at, DEFAULT_TOL, events, 2)(self.TS)
+        assert got.tobytes() == want.tobytes()
+        assert events == want_events
+        assert events["rho_fallbacks" if kind == "GAP" else "krein_nudges"] \
+            == len(rows)
+        # a band gap runs the cascade on its own sample; a Krein degeneracy
+        # raises there and its nudged neighbour runs alone instead
+        per_row = 1 if kind == "GAP" else 2
+        assert len(alone) == per_row * len(rows)
+        assert all(a.tobytes() == bad.tobytes() for a in alone[::per_row])
 
 
 class TestPassageScreen:
