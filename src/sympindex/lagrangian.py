@@ -124,8 +124,21 @@ def lagrangian_crossing_form(frames, t0: float, v: LagrangianFrame,
     derivative of that graph map, computed by a Richardson-extrapolated
     finite difference and restricted to the intersection with V.
     """
+    return _crossing_form(_stacked(frames), t0, v, tol, w_frame)
+
+
+def _stacked(frames):
+    """The map from an array of parameters to the stack of ``frames``."""
+    return lambda ts: np.array([_as_frame(frames(t)) for t in ts.tolist()])
+
+
+def _crossing_form(frame_stack, t0: float, v: LagrangianFrame,
+                   tol: ToleranceProfile, w_frame=None) -> np.ndarray:
+    """``lagrangian_crossing_form`` of the path whose frames at an array of
+    parameters are the stack ``frame_stack(ts)``: the graph map of the
+    difference quotient takes the stack of its four points."""
     om = v.omega
-    f0 = _as_frame(frames(t0))
+    f0 = frame_stack(np.array([t0]))[0]
     q0, _ = np.linalg.qr(f0)
     if w_frame is None:
         w = -om @ q0
@@ -138,11 +151,11 @@ def lagrangian_crossing_form(frames, t0: float, v: LagrangianFrame,
 
     # pairing of the Lambda_{t0} basis against the W basis
     pairing = q0.T @ om @ w
+    m = q0.shape[1]
 
-    def graph_map(t: float) -> np.ndarray:
-        c = np.linalg.solve(basis, _as_frame(frames(t)))
-        x, y = c[: q0.shape[1]], c[q0.shape[1]:]
-        return y @ np.linalg.inv(x)
+    def graph_map(ts: np.ndarray) -> np.ndarray:
+        c = np.linalg.solve(basis, frame_stack(ts))
+        return c[:, m:] @ np.linalg.inv(c[:, :m])
 
     h = 1e-5
     side = 0.0 if t0 - h >= 0.0 and t0 + h <= 1.0 else \
@@ -259,11 +272,8 @@ def _lagrangian_rs(frame_stack, v: LagrangianFrame, tol: ToleranceProfile):
     parameters are the stack ``frame_stack(ts)`` (len(ts), 2m, m)."""
     v_q = v.orthonormal()
 
-    def frames(t):
-        return frame_stack(np.array([t]))[0]
-
     def kernel_at(t):
-        q, _ = np.linalg.qr(frames(t))
+        q, _ = np.linalg.qr(frame_stack(np.array([t]))[0])
         return q @ _intersection_coords(q, v_q, tol.tol_kernel)
 
     def smin(ts):
@@ -272,8 +282,8 @@ def _lagrangian_rs(frame_stack, v: LagrangianFrame, tol: ToleranceProfile):
         return np.linalg.svd(pairs, compute_uv=False)[:, -1]
 
     return _crossing_sum(
-        smin, kernel_at,
-        lambda t, _: lagrangian_crossing_form(frames, t, v, tol=tol), tol)
+        smin, kernel_at, lambda t, _: _crossing_form(frame_stack, t, v, tol),
+        tol)
 
 
 def lagrangian_rs_index(frames, v: LagrangianFrame,
@@ -285,9 +295,7 @@ def lagrangian_rs_index(frames, v: LagrangianFrame,
     Returns (HalfInt, crossing reports, smin trace) where the trace rows are
     (t, smin, near-zero flag).
     """
-    return _lagrangian_rs(
-        lambda ts: np.array([_as_frame(frames(t)) for t in ts.tolist()]),
-        v, tol)
+    return _lagrangian_rs(_stacked(frames), v, tol)
 
 
 def graph_lagrangian(a) -> LagrangianFrame:

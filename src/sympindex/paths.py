@@ -7,7 +7,8 @@ reversal, affine shears and canonical rotation loops.  Every evaluated point
 is symplectic by construction.
 
 A node evaluates an array of parameters at once, to a stack of matrices:
-an exponential segment makes one ``expm`` call for the whole array, and the
+an exponential segment makes one ``expm`` call for the whole array, a direct
+sum of exponential segments is one exponential segment, and the other
 composite nodes combine their children's stacks with batched arithmetic.
 Only the exponential and sampled segments import scipy, when they first
 run, so a path without them never loads it.
@@ -16,7 +17,7 @@ run, so a path without them never loads it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -325,7 +326,20 @@ class DirectSumPath(PathSpec):
     def n(self) -> int:
         return sum(p.n for p in self.parts)
 
+    @cached_property
+    def _joined(self) -> ExpPath | None:
+        """The one exponential path a sum of exponential parts is, made on
+        first use: the interleaved J is the direct sum of the J_1s, so the
+        sum of the exp(t d_i J S_i) is exp(t J (+)_i d_i S_i).  None when
+        a part is not an ``ExpPath``."""
+        if not all(isinstance(p, ExpPath) for p in self.parts):
+            return None
+        return ExpPath(direct_sum_many([p.duration * p.s_matrix
+                                        for p in self.parts]))
+
     def _evaluate(self, ts: np.ndarray) -> np.ndarray:
+        if self._joined is not None:
+            return self._joined._evaluate(ts)
         return direct_sum_many([p._evaluate(ts) for p in self.parts])
 
 
@@ -470,14 +484,16 @@ def junction_parameters(path: PathSpec) -> list[float]:
 def generator(path: PathSpec, t: float) -> GeneratorSample:
     """Symmetric generator S_t with psi'_t = J0 S_t psi_t.
 
-    Exponential segments return their generator exactly; everything else uses
-    a central finite difference with one Richardson level, one-sided with a
-    flag within 2h of a junction or global endpoint, stepping away from the
-    nearest one (forward for t <= 1/2 when t is on it).
+    Exponential segments, and direct sums of them, return their generator
+    exactly; everything else uses a central finite difference with one
+    Richardson level, one-sided with a flag within 2h of a junction or
+    global endpoint, stepping away from the nearest one (forward for
+    t <= 1/2 when t is on it).
     """
     t = _check_ts([t])[0]
-    if isinstance(path, ExpPath):
-        return GeneratorSample(t=t, s_matrix=path.duration * path.s_matrix)
+    exact = path._joined if isinstance(path, DirectSumPath) else path
+    if isinstance(exact, ExpPath):
+        return GeneratorSample(t=t, s_matrix=exact.duration * exact.s_matrix)
 
     jm = j_matrix(path.n)
     psi = evaluate_array(path, t)
@@ -488,7 +504,7 @@ def generator(path: PathSpec, t: float) -> GeneratorSample:
     if near:
         j = min(near, key=lambda j: abs(j - t))
         side = 1.0 if t > j or (t == j and t <= 0.5) else -1.0
-    d = difference_quotient(lambda u: evaluate_array(path, u), t, h, side)
+    d = difference_quotient(partial(evaluate_stack, path), t, h, side)
     s_mat = -jm @ d @ np.linalg.inv(psi)
     s_mat = 0.5 * (s_mat + s_mat.T)
     return GeneratorSample(t=t, s_matrix=s_mat, one_sided=bool(side))

@@ -3,7 +3,8 @@
 The adaptive winding sampler of the circle maps, the grid-minimum search
 that the passage search and the crossing scans run on a vectorised
 sigma_min curve (a map from an array of parameters to an array of values),
-and the Richardson difference quotient behind generators and crossing forms.
+and the Richardson difference quotient behind generators and crossing forms,
+which takes a vectorised map too.
 """
 
 from __future__ import annotations
@@ -125,12 +126,18 @@ def local_minima(curve, ts, vals, width: float, skip):
 def difference_quotient(f, t: float, h: float, side: float = 0.0):
     """df/dt at t: second-order differences with one Richardson level.
 
-    Central for ``side`` 0; one-sided toward t + side * h for side +-1.
+    ``f`` is vectorised, and the four points are one call of it.  Central
+    for ``side`` 0; one-sided toward t + side * h for side +-1.
     """
-    def quotient(step):
-        if not side:
-            return (f(t + step) - f(t - step)) / (2 * step)
-        s = side * step
-        return (-3.0 * f(t) + 4.0 * f(t + s) - f(t + 2 * s)) / (2 * s)
-
-    return (4.0 * quotient(h / 2) - quotient(h)) / 3.0
+    # fk is f at k half steps h / 2 from t (toward side), fmk at -k
+    if not side:
+        f1, fm1, f2, fm2 = f(np.array([t + h / 2, t - h / 2, t + h, t - h]))
+        half = (f1 - fm1) / (2 * (h / 2))
+        full = (f2 - fm2) / (2 * h)
+    else:
+        s1, s2 = side * (h / 2), side * h
+        # t + 2 * s1 is t + s2: halving and doubling are exact
+        f0, f1, f2, f4 = f(np.array([t, t + s1, t + s2, t + 2 * s2]))
+        half = (-3.0 * f0 + 4.0 * f1 - f2) / (2 * s1)
+        full = (-3.0 * f0 + 4.0 * f2 - f4) / (2 * s2)
+    return (4.0 * half - full) / 3.0

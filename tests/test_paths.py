@@ -5,10 +5,11 @@ import scipy.linalg as sla
 from sympindex import (CatPath, ConjPath, ConstPath, DimensionError,
                        DirectSumPath, ExpPath, LoopPath, ParameterError,
                        ProdPath, ReversePath, SampledPath, SamplingError,
-                       ShearPath, evaluate, evaluate_array, evaluate_stack,
-                       generator, j_matrix, junction_parameters, make_loop,
-                       make_shear, path_from_json, path_to_json,
-                       random_symplectic, symplectic_residual)
+                       ShearPath, direct_sum_many, evaluate, evaluate_array,
+                       evaluate_stack, generator, j_matrix,
+                       junction_parameters, make_loop, make_shear,
+                       path_from_json, path_to_json, random_symplectic,
+                       symplectic_residual)
 from sympindex.cz import _Extension
 from sympindex.tolerances import DEFAULT_TOL
 
@@ -175,6 +176,8 @@ def _every_node_type():
         "prod": ProdPath(left=a, right=b),
         "conj": ConjPath(phi=b, psi=a),
         "dsum": DirectSumPath(parts=(a, sampled, ConstPath(a1))),
+        "joined dsum": DirectSumPath(parts=(exp_path(n=1, seed=6, duration=0.6),
+                                            exp_path(n=2, seed=7))),
         "reverse": ReversePath(inner=cat),
         "affine shear": ShearPath(b0=np.diag([1.0, -2.0]),
                                   b1=np.array([[0.5, 0.3], [0.3, 2.0]])),
@@ -235,6 +238,90 @@ class TestStackedEvaluation:
         for ts in ([0.0, 0.5, 1.5], [-0.2, 0.5], [0.5, np.nan]):
             with pytest.raises(ParameterError):
                 evaluate_stack(p, ts)
+        assert not p._cache
+
+
+def _mixed_blocks(n):
+    """n exponential parts of durations other than 1, elliptic (a definite
+    2 x 2 generator) and hyperbolic (an indefinite one) in turn."""
+    rng = np.random.default_rng(n)
+    parts = []
+    for i in range(n):
+        a, b = rng.uniform(0.5, 4.0, size=2)
+        c = rng.uniform(-0.3, 0.3)
+        s = np.array([[a, c], [c, b if i % 2 == 0 else -b]])
+        parts.append(ExpPath(s_matrix=s, duration=rng.uniform(0.4, 1.6)))
+    return tuple(parts)
+
+
+class TestJoinedDirectSum:
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_joined_stack_matches_the_parts(self, n):
+        parts = _mixed_blocks(n)
+        p = DirectSumPath(parts=parts)
+        assert isinstance(p._joined, ExpPath)
+        joined = p._evaluate(STACK_TS)
+        per_part = direct_sum_many([q._evaluate(STACK_TS) for q in parts])
+        # expm scales the whole matrix at once: equal to rounding, not bitwise
+        assert np.abs(joined - per_part).max() <= \
+            1e-13 * np.abs(per_part).max()
+        outside = direct_sum_many([np.ones((2, 2))] * n) == 0
+        assert not joined[:, outside].any()
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_rows_equal_a_stack_of_one(self, n):
+        p = DirectSumPath(parts=_mixed_blocks(n))
+        stacked = p._evaluate(STACK_TS)
+        for row, t in zip(stacked, STACK_TS):
+            assert row.tobytes() == p._evaluate(np.array([t]))[0].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_one_expm_call_per_stack(self, n, monkeypatch):
+        import scipy.linalg
+
+        shapes, expm = [], scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm",
+                            lambda a: shapes.append(np.shape(a)) or expm(a))
+        DirectSumPath(parts=_mixed_blocks(n))._evaluate(STACK_TS)
+        assert shapes == [(len(STACK_TS), 2 * n, 2 * n)]
+
+    @pytest.mark.parametrize("kind", ["const", "sampled"])
+    def test_other_parts_keep_the_per_part_route(self, kind):
+        a = exp_path(n=1, seed=1, duration=0.7)
+        mild = exp_path(n=1, seed=4, duration=0.4)
+        times = np.array([0.0, 0.3, 0.7, 1.0])
+        other = ConstPath(random_symplectic(1, seed=3)) if kind == "const" \
+            else SampledPath(times=times, matrices=tuple(
+                evaluate_array(mild, t) for t in times))
+        p = DirectSumPath(parts=(a, other, exp_path(n=1, seed=2)))
+        assert p._joined is None
+        per_part = direct_sum_many([q._evaluate(STACK_TS) for q in p.parts])
+        assert p._evaluate(STACK_TS).tobytes() == per_part.tobytes()
+
+    def test_json_still_emits_the_parts(self):
+        parts = _mixed_blocks(4)
+        p = DirectSumPath(parts=parts)
+        evaluate_stack(p, STACK_TS)
+        assert p._joined is not None
+        obj = path_to_json(p)
+        assert obj["n"] == 4
+        assert obj["path"] == {"type": "dsum", "parts": [
+            {"type": "exp", "S": q.s_matrix.tolist(), "T": q.duration}
+            for q in parts]}
+        back = path_from_json(obj)
+        assert isinstance(back, DirectSumPath) and len(back.parts) == 4
+        assert np.array_equal(evaluate_stack(back, STACK_TS),
+                              evaluate_stack(p, STACK_TS))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_generator_is_exact(self, n):
+        parts = _mixed_blocks(n)
+        p = DirectSumPath(parts=parts)
+        g = generator(p, 0.37)
+        want = direct_sum_many([q.duration * q.s_matrix for q in parts])
+        assert np.array_equal(g.s_matrix, want)
+        assert not g.one_sided
+        # nothing was evaluated: no difference quotient
         assert not p._cache
 
 

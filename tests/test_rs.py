@@ -5,12 +5,12 @@ from sympindex import (CatPath, ConjPath, ConstPath, DEFAULT_TOL,
                        DirectSumPath, ExpPath, HalfInt, LagrangianFrame,
                        NoCrossingError, ProdPath, ReversePath, SampledPath,
                        ShearPath, UnsupportedStructureError, conley_zehnder,
-                       cz_dim2_closed_form, evaluate_array, graph_lagrangian,
-                       horizontal_frame, lagrangian_crossing_form,
-                       lagrangian_rs_index, make_loop, make_shear,
-                       omega_matrix, random_symplectic, rs2_index, rs_index,
-                       vertical_frame)
-from sympindex import sampling
+                       cz_dim2_closed_form, direct_sum_many, evaluate_array,
+                       graph_lagrangian, horizontal_frame,
+                       lagrangian_crossing_form, lagrangian_rs_index,
+                       make_loop, make_shear, omega_matrix, random_symplectic,
+                       rs2_index, rs_index, vertical_frame)
+from sympindex import paths, sampling
 from sympindex.lagrangian import doubled_omega
 from sympindex.rs import _rs2
 
@@ -85,6 +85,25 @@ class TestGenericEngine:
 
     def test_constant_identity_path_is_zero(self):
         assert rs_index(ConstPath(np.eye(4))).value == HalfInt(0)
+
+    def test_direct_sum_of_exponentials_has_exact_forms(self, monkeypatch):
+        # a rotation of frequency 7 returns to Id at t = 2 pi / 7; the other
+        # block turns back by 4 and has its only crossing at t = 0
+        s1, s2 = np.diag([7.0, 7.0]), np.diag([-4.0, -4.0])
+        p = DirectSumPath(parts=(ExpPath(s_matrix=s1), ExpPath(s_matrix=s2)))
+
+        def no_quotient(*args):
+            raise AssertionError("difference quotient of an exact generator")
+
+        monkeypatch.setattr(paths, "difference_quotient", no_quotient)
+        res = rs_index(p)
+        assert res.value == conley_zehnder(p).value == HalfInt.from_int(2)
+        assert [(c.t, c.signature) for c in res.crossings] == \
+            [(0.0, 0), (pytest.approx(2 * np.pi / 7), 2)]
+        s = direct_sum_many([s1, s2])
+        for c in res.crossings:
+            gamma = c.kernel_basis.T @ s @ c.kernel_basis
+            assert np.array_equal(c.gamma, 0.5 * (gamma + gamma.T))
 
 
 def _turn_hold_return():

@@ -176,30 +176,58 @@ class TestLockstepSearches:
         assert "[0,0.125]" in str(got.value)
 
 
+def scalar_difference_quotient(f, t, h, side=0.0):
+    """The difference quotient of a scalar map, point by point, as it ran
+    before the vectorised one: the reference for ``difference_quotient``."""
+    def quotient(step):
+        if not side:
+            return (f(t + step) - f(t - step)) / (2 * step)
+        s = side * step
+        return (-3.0 * f(t) + 4.0 * f(t + s) - f(t + 2 * s)) / (2 * s)
+
+    return (4.0 * quotient(h / 2) - quotient(h)) / 3.0
+
+
 class TestDifferenceQuotient:
     S = np.array([[2.0, 0.5], [0.5, -1.0]])
 
     def _path(self):
         js = j_matrix(1) @ self.S
-        return (lambda t: sla.expm(t * js)), js
+        return (lambda ts: sla.expm(np.asarray(ts)[:, None, None] * js)), js
 
     @pytest.mark.parametrize("side", [0.0, 1.0, -1.0])
     def test_matches_exponential_derivative(self, side):
         f, js = self._path()
         t = 0.4
         d = difference_quotient(f, t, 1e-5, side)
-        assert np.linalg.norm(d - js @ f(t)) < 1e-8
+        assert np.linalg.norm(d - js @ f([t])[0]) < 1e-8
 
     def test_one_sided_stays_on_its_side(self):
         f, js = self._path()
         seen = []
 
-        def g(t):
-            seen.append(t)
-            return f(t)
+        def g(ts):
+            seen.extend(ts.tolist())
+            return f(ts)
 
         difference_quotient(g, 0.0, 1e-5, 1.0)
         assert min(seen) == 0.0
         seen.clear()
         difference_quotient(g, 1.0, 1e-5, -1.0)
         assert max(seen) == 1.0
+
+    @pytest.mark.parametrize("t, side", [(0.4, 0.0), (0.0, 1.0), (0.4, 1.0),
+                                         (1.0, -1.0), (0.4, -1.0)])
+    def test_one_call_bitwise_equal_to_the_scalar_rule(self, t, side):
+        f, js = self._path()
+        calls = []
+
+        def g(ts):
+            calls.append(ts.tolist())
+            return f(ts)
+
+        d = difference_quotient(g, t, 1e-5, side)
+        assert len(calls) == 1 and len(calls[0]) == 4
+        ref = scalar_difference_quotient(lambda u: sla.expm(u * js), t, 1e-5,
+                                         side)
+        assert d.tobytes() == ref.tobytes()
