@@ -3,7 +3,8 @@
 Reads a JSON job input, runs one computation (cz, rs, rs2, maslov, rho,
 normal-form) and prints a deterministic JSON report to stdout.  Optional CSV
 traces: for cz/maslov the unwrapped phase samples (with the distance of
-psi_t to the identity), for rs/rs2 the sigma_min crossing scan.
+psi_t to the identity), for rs/rs2 the unwrapped phase of det W, the
+samples of the Souriau winding.
 
 Exit codes: 0 success, 1 parse/usage errors, 2 library contract errors
 (reported as machine-readable JSON on stdout).
@@ -111,11 +112,11 @@ def _run_cz(path_spec, tol, seed, trace_file):
 
 
 def _run_crossing_index(index, path_spec, tol, trace_file):
-    """Report of a crossing-form index, writing its sigma_min scan if asked."""
+    """Report of a crossing-form index, writing its winding if asked."""
     result = index(path_spec, tol)
     if trace_file:
-        _write_csv(trace_file, ["t", "smin", "near_zero"],
-                   [(float(t), float(s), int(k)) for t, s, k in result.trace])
+        _write_csv(trace_file, ["t", "phase_det_w"],
+                   [(float(t), float(p)) for t, p in result.trace])
     return {
         "value": str(result.value),
         "diagnostics": {

@@ -39,7 +39,8 @@ from .errors import (AdmissibilityError, ContractError,
                      KreinDegenerateError, ParameterError)
 from .halfint import HalfInt
 from .normal_form import _rot, normal_form, semisimple_perturb
-from .paths import ExpPath, PathSpec, evaluate_array, evaluate_stack
+from .paths import (ExpPath, PathSpec, _exponential, evaluate_array,
+                    evaluate_stack)
 from .sampling import PHASE_STEP, local_minima, winding
 from .spectral import rho
 from .tolerances import DEFAULT_TOL, ToleranceProfile
@@ -166,7 +167,7 @@ def _screened_anchors(candidates, angles_at, events: Counter) -> list[float]:
 def _unit_passage_times(path: PathSpec, events: Counter) -> list[float]:
     """Parameters where an eigenvalue of the path passes +-1.
 
-    The sampled route, for every path but an ``ExpPath``.  The spectral
+    The sampled route, for every path but one exponential.  The spectral
     rotation map is locally constant on hyperbolic stretches, so a full
     circle sweep between two passages is invisible to a uniform grid; the
     refined passage parameters anchor the winding sampler there.  A passage
@@ -187,7 +188,7 @@ def _unit_passage_times(path: PathSpec, events: Counter) -> list[float]:
         return np.angle(np.linalg.eigvals(evaluate_stack(path, times)))
 
     candidates = ((i, t_star) for i, t_star, _ in local_minima(
-        smin, _PASSAGE_TS, smin(_PASSAGE_TS), 1e-8, ()))
+        smin, _PASSAGE_TS, smin(_PASSAGE_TS), 1e-8))
     return _screened_anchors(candidates, angles_at, events)
 
 
@@ -422,9 +423,11 @@ def extension_winding(A, tol: ToleranceProfile = DEFAULT_TOL, seed: int = 0):
 
 
 def _passage_anchors(path: PathSpec, events: Counter) -> list[float]:
-    """Winding anchors at the path's +-1 passages, shared by every circle map."""
-    if isinstance(path, ExpPath):
-        return _exp_passage_times(path, events)
+    """Winding anchors at the path's +-1 passages, shared by every circle
+    map; in closed form when the path is one exponential."""
+    exact = _exponential(path)
+    if exact is not None:
+        return _exp_passage_times(exact, events)
     return _unit_passage_times(path, events)
 
 

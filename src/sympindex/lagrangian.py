@@ -1,10 +1,15 @@
-"""Lagrangian frames, crossing forms and the crossing-sum Maslov index.
+"""Lagrangian frames, crossing forms and the Maslov index of a path.
 
 A Lagrangian subspace of (R^{2m}, Omega) is held as a 2m x m frame of full
 column rank with frame.T @ Omega @ frame = 0.  Along a path of Lagrangians,
 a crossing with a reference Lagrangian V carries a quadratic form (the
 derivative of the path seen as a graph over a fixed complement), and the
 index is the signature sum over crossings with half weight at the endpoints.
+It is counted without them by the Souriau map W = U U^T conj(U_V U_V^T),
+U = X + iY for an orthonormal frame [X; Y] in a Darboux basis, whose
+eigenvalue 1 has multiplicity dim(Lambda & V) (Robbin-Salamon, Topology
+1993; Howard-Latushkin-Sukhtayev, J. Dyn. Diff. Eq. 2017); the crossing
+forms at the crossings the count locates must sum to it.
 """
 
 from __future__ import annotations
@@ -15,10 +20,10 @@ import numpy as np
 
 from .core import direct_sum_many, omega_matrix
 from .errors import (ConditioningError, ContractError, DimensionError,
-                     IrregularCrossingError, NoCrossingError,
-                     UnsupportedStructureError, WindingResolutionError)
+                     InternalConsistencyError, IrregularCrossingError,
+                     NoCrossingError, UnsupportedStructureError)
 from .halfint import HalfInt
-from .sampling import difference_quotient, local_minima
+from .sampling import bracketed_roots, difference_quotient, winding
 from .tolerances import DEFAULT_TOL, ToleranceProfile
 
 __all__ = [
@@ -86,7 +91,7 @@ class CrossingReport:
     gamma: np.ndarray
     signature: int
     regular: bool
-    weight: float               # 1 interior, 1/2 at a global endpoint
+    weight: float               # 1, or 1/2 for one side of a crossing
 
 
 def _signature(gamma: np.ndarray, tol_form: float):
@@ -102,15 +107,12 @@ def _as_frame(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def _kernel(m: np.ndarray, tol_kernel: float) -> np.ndarray:
-    """Right singular vectors (columns) of m below sqrt(tol_kernel)."""
+def _kernel(m: np.ndarray, tol_kernel: float, k=None) -> np.ndarray:
+    """Right singular vectors (columns) of m below sqrt(tol_kernel), or the
+    k of least singular value."""
     _, s, vt = np.linalg.svd(m)
-    return vt[len(s) - int(np.sum(s < np.sqrt(tol_kernel))):].T
-
-
-def _intersection_coords(f0_q: np.ndarray, v_q: np.ndarray, tol_kernel: float):
-    """Coordinates (in the f0_q column basis) of span(f0_q) & span(v_q)."""
-    return _kernel(f0_q - v_q @ (v_q.T @ f0_q), tol_kernel)
+    k = int(np.sum(s < np.sqrt(tol_kernel))) if k is None else k
+    return vt[len(s) - k:].T
 
 
 def lagrangian_crossing_form(frames, t0: float, v: LagrangianFrame,
@@ -124,7 +126,7 @@ def lagrangian_crossing_form(frames, t0: float, v: LagrangianFrame,
     derivative of that graph map, computed by a Richardson-extrapolated
     finite difference and restricted to the intersection with V.
     """
-    return _crossing_form(_stacked(frames), t0, v, tol, w_frame)
+    return _crossing_form(_stacked(frames), t0, v, tol, w_frame)[1]
 
 
 def _stacked(frames):
@@ -133,10 +135,12 @@ def _stacked(frames):
 
 
 def _crossing_form(frame_stack, t0: float, v: LagrangianFrame,
-                   tol: ToleranceProfile, w_frame=None) -> np.ndarray:
+                   tol: ToleranceProfile, w_frame=None, side=None, k=None):
     """``lagrangian_crossing_form`` of the path whose frames at an array of
     parameters are the stack ``frame_stack(ts)``: the graph map of the
-    difference quotient takes the stack of its four points."""
+    difference quotient takes the stack of its four points.  A side of +-1
+    differences toward t0 + side * h only; ``k`` is as in ``_kernel``.
+    Returns (basis of Lambda_{t0} & V, the form on it)."""
     om = v.omega
     f0 = frame_stack(np.array([t0]))[0]
     q0, _ = np.linalg.qr(f0)
@@ -158,142 +162,161 @@ def _crossing_form(frame_stack, t0: float, v: LagrangianFrame,
         return c[:, m:] @ np.linalg.inv(c[:, :m])
 
     h = 1e-5
-    side = 0.0 if t0 - h >= 0.0 and t0 + h <= 1.0 else \
-        1.0 if t0 + 2 * h <= 1.0 else -1.0
+    if side is None:
+        side = 0.0 if t0 - h >= 0.0 and t0 + h <= 1.0 else \
+            1.0 if t0 + 2 * h <= 1.0 else -1.0
     mdot = difference_quotient(graph_map, t0, h, side)
 
     q_full = pairing @ mdot
     q_full = 0.5 * (q_full + q_full.T)
 
-    coords = _intersection_coords(q0, v.orthonormal(), tol.tol_kernel)
+    # coordinates, in the q0 basis, of Lambda_{t0} & V
+    v_q = v.orthonormal()
+    coords = _kernel(q0 - v_q @ (v_q.T @ q0), tol.tol_kernel, k)
     if coords.shape[1] == 0:
         raise NoCrossingError(f"Lambda(t0={t0}) meets V trivially")
-    return coords.T @ q_full @ coords
+    return q0 @ coords, coords.T @ q_full @ coords
 
 
-# sigma_min samples of a crossing scan: SCAN_GRID + 1 points on [0, 1]
-SCAN_GRID = 512
+def _darboux_inverse(v: LagrangianFrame) -> np.ndarray:
+    """D^-1 for a Darboux basis D = [Q, P] (D^T omega D = Omega0) whose Q is
+    an orthonormal frame of V, which D^-1 takes to R^m x 0: P is
+    omega^-1 Q, shifted by Q (P^T omega P) / 2 to make it Lagrangian."""
+    if np.linalg.cond(v.omega) > 1e12:
+        raise ContractError("the symplectic form is degenerate")
+    q = v.orthonormal()
+    p = np.linalg.solve(v.omega, q)
+    return np.linalg.inv(np.hstack([q, p + q @ (0.5 * p.T @ v.omega @ p)]))
 
 
-def _scan_crossings(smin, kernel_dim_at, tol: ToleranceProfile):
-    """Locate the zeros of a vectorised sigma_min curve on [0, 1].
+def _doubled_counts(lam: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """Twice the Souriau count of each interval between samples, from a row
+    per sample of eigenvalue angles of W in (-pi, pi], when arg det W moves
+    by less than pi across each; angles marked ``on`` V weigh 0, the others
+    +-1/2 by sign."""
+    step = np.diff(lam.sum(axis=1))
+    return 2 * np.rint((np.angle(np.exp(1j * step)) - step) / (2 * np.pi)
+                       ).astype(int) + np.diff(np.sum(np.sign(lam) * ~on, 1))
 
-    Every ``local_minima`` candidate of the grid samples is refined by
-    golden section; minima that refine to (numerical) zero are crossings.
-    Sustained near-zero runs are plateaus: scored 0 when the kernel
-    dimension is constant across the run, rejected otherwise.  Returns
-    (crossing times, trace rows (t, smin, flag)).
+
+def _souriau_index(frame_stack, v: LagrangianFrame, tol: ToleranceProfile,
+                   form_at, junctions=()):
+    """Index of the path of Lagrangians ``frame_stack(ts)`` against V.
+
+    In a Darboux basis where V is R^m x 0, W ~ U U^T.  The count is one
+    ``winding`` of det W, sampled also at the ``junctions`` (kinks).  An
+    interval that the crossings found so far do not explain is split at a
+    secant root of the angle of the eigenvalue nearest 1 where that angle
+    changes sign, else at its midpoint.  ``form_at(t, k, side)`` is a basis
+    of k columns of the intersection and the crossing form on it, one-sided
+    toward t + side h for a side of +-1.
+    Returns (HalfInt, crossing reports, trace (t, unwrapped arg det W)).
     """
-    grid = SCAN_GRID
-    ts = np.linspace(0.0, 1.0, grid + 1)
-    vals = smin(ts)
-    near = np.sqrt(tol.tol_kernel)
-    hit = 100.0 * tol.tol_kernel
-    flags = vals < near
-    trace = [(float(t), float(s), int(f))
-             for t, s, f in zip(ts, vals, flags)]
+    d_inv = _darboux_inverse(v)
+    near = 2.0 * np.sqrt(tol.tol_kernel)
+    angles, scored = {}, {}
+    kinks = {round(float(j), 12) for j in junctions}  # as winding rounds them
 
-    if flags.all():
-        dims = {kernel_dim_at(t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)}
-        if len(dims) != 1:
+    def sample(ts: np.ndarray) -> np.ndarray:
+        """The eigenvalue angles of W at ``ts``, a row per t, kept."""
+        q = np.linalg.qr(d_inv @ frame_stack(ts))[0]
+        u = q[:, :q.shape[2]] + 1j * q[:, q.shape[2]:]
+        lam = np.angle(np.linalg.eigvals(u @ np.swapaxes(u, 1, 2)))
+        angles.update(zip(ts.tolist(), lam))
+        return lam
+
+    def nearest(lam: np.ndarray) -> np.ndarray:
+        return lam[np.arange(len(lam)), np.argmin(np.abs(lam), axis=1)]
+
+    def score(t: float, k: int, side) -> CrossingReport:
+        if (t, side) not in scored:
+            kernel, gamma = form_at(t, k, side)
+            sig, regular = _signature(gamma, tol.tol_form)
+            if not regular:
+                raise IrregularCrossingError(
+                    f"irregular crossing at t={t:.8g} (kernel dimension {k})")
+            scored[t, side] = CrossingReport(
+                t=float(t), kernel_dim=k, kernel_basis=kernel, gamma=gamma,
+                signature=sig, regular=regular,
+                weight=1.0 if side is None else 0.5)
+        return scored[t, side]
+
+    # det W is the product of the eigenvalues
+    _, trace, _ = winding(lambda ts: np.exp(1j * sample(ts).sum(axis=1)),
+                          tol.max_refine, anchor_ts=junctions)
+    ts, total = np.array([t for t, _ in trace]), None
+    for _ in range(tol.max_refine + 1):
+        lam = np.array([angles[t] for t in ts.tolist()])
+        # on V within near at t = 0 and 1, which sets the index, and within
+        # near / 100 inside, which only picks the interval next to a crossing
+        # that counts a half: a sample near a crossing stays off V
+        on = np.abs(lam) < np.where(np.isin(ts, (0.0, 1.0)), near,
+                                    1e-2 * near)[:, None]
+        counts = _doubled_counts(lam, on)
+        total = int(counts.sum()) if total is None else total
+        ks = on.sum(axis=1)
+        both = (ks[:-1] > 0) & (ks[1:] > 0)
+        varying = both & (ks[:-1] != ks[1:])
+        if varying.any():
             raise UnsupportedStructureError(
-                "kernel dimension varies along a full-length plateau")
-        return [], trace
+                f"crossing plateau near t={ts[np.argmax(varying)]:.4g} "
+                "with varying kernel dimension")
+        # a run of samples on V joined by count 0 is a plateau, scored at
+        # its ends; a crossing on a junction is scored per side
+        joined = np.concatenate([[True], both & (counts == 0), [True]])
+        share = np.zeros((2, len(ts)), dtype=int)   # doubled, per side
+        reports = []
+        for i in np.flatnonzero(ks).tolist():
+            whole = not (joined[i] or joined[i + 1] or ts[i] in kinks)
+            for j, side in [(slice(None), None)] if whole else \
+                    [(0, -1.0), (1, 1.0)]:
+                if whole or not joined[i + j]:
+                    reports.append(score(ts[i], int(ks[i]), side))
+                    share[j, i] = reports[-1].signature
+        left = np.flatnonzero((counts != share[1, :-1] + share[0, 1:])
+                              & (np.diff(ts) > 1e-12))
+        if not len(left):
+            break
+        g, right = nearest(lam), left + 1
+        signed = (g[left] * g[right] < 0) & (ks[left] == 0) & (ks[right] == 0)
+        new = 0.5 * (ts[left] + ts[right])
+        if signed.any():
+            new[signed] = bracketed_roots(
+                lambda t: nearest(sample(t)), ts[left][signed],
+                ts[right][signed], g[left][signed], g[right][signed],
+                1e-6 * near, 16)[0]
+        if not signed.all():
+            sample(new[~signed])
+        ts = np.union1d(ts, new)
 
-    # grid indices split into runs of equal flag; a flagged run of more
-    # than three samples is a plateau
-    plateau_idx = set()
-    for run in np.split(np.arange(grid + 1), np.flatnonzero(np.diff(flags)) + 1):
-        if flags[run[0]] and len(run) > 3:
-            dims = {kernel_dim_at(t) for t in ts[run]}
-            if len(dims) != 1:
-                raise UnsupportedStructureError(
-                    f"crossing plateau near t={ts[run[0]]:.4g} "
-                    "with varying kernel dimension")
-            plateau_idx.update(run.tolist())
-
-    crossings = []
-    if vals[0] < hit and 0 not in plateau_idx:
-        crossings.append(0.0)
-    for _, t_star, s_star in local_minima(smin, ts, vals, 1e-10, plateau_idx):
-        if s_star < hit:
-            if t_star < ts[1]:
-                t_star = 0.0 if vals[0] < hit else t_star
-            crossings.append(min(max(t_star, 0.0), 1.0))
-        elif s_star < near:
-            raise WindingResolutionError(
-                f"crossing cluster near t={t_star:.6g} did not resolve "
-                f"(sigma_min {s_star:.3e})")
-    if vals[grid] < hit and grid not in plateau_idx:
-        crossings.append(1.0)
-
-    # merge refinements that landed on the same crossing
-    crossings.sort()
-    merged = []
-    for t in crossings:
-        if not merged or t - merged[-1] > 1e-8:
-            merged.append(t)
-    return merged, trace
-
-
-def _crossing_sum(smin, kernel_at, form_at, tol: ToleranceProfile):
-    """Signature sum over the zeros of ``smin`` on [0, 1].
-
-    ``kernel_at(t)`` is a basis (columns) of the intersection at t and
-    ``form_at(t, kernel)`` the crossing form on it.  Interior regular
-    crossings contribute their signature, the endpoints half of it.
-    Returns (HalfInt, crossing reports, smin trace).
-    """
-    crossings, trace = _scan_crossings(
-        smin, lambda t: kernel_at(t).shape[1], tol)
-    doubled = 0
-    reports = []
-    for t_star in crossings:
-        kernel = kernel_at(t_star)
-        k = kernel.shape[1]
-        if k == 0:
-            continue
-        gamma = form_at(t_star, kernel)
-        sig, regular = _signature(gamma, tol.tol_form)
-        if not regular:
-            raise IrregularCrossingError(
-                f"irregular crossing at t={t_star:.8g} "
-                f"(kernel dimension {k})")
-        weight = 0.5 if t_star in (0.0, 1.0) else 1.0
-        reports.append(CrossingReport(
-            t=float(t_star), kernel_dim=k, kernel_basis=kernel, gamma=gamma,
-            signature=sig, regular=regular, weight=weight))
-        doubled += sig if weight == 0.5 else 2 * sig
-    return HalfInt(doubled), reports, trace
+    forms = sum(r.signature * round(2 * r.weight) for r in reports)
+    if forms != total:
+        raise InternalConsistencyError(
+            f"Souriau count {HalfInt(total)} but the crossing forms sum to "
+            f"{HalfInt(forms)}")
+    return HalfInt(total), reports, trace
 
 
-def _lagrangian_rs(frame_stack, v: LagrangianFrame, tol: ToleranceProfile):
+def _lagrangian_rs(frame_stack, v: LagrangianFrame, tol: ToleranceProfile,
+                   junctions=()):
     """``lagrangian_rs_index`` of the path whose frames at an array of
-    parameters are the stack ``frame_stack(ts)`` (len(ts), 2m, m)."""
-    v_q = v.orthonormal()
-
-    def kernel_at(t):
-        q, _ = np.linalg.qr(frame_stack(np.array([t]))[0])
-        return q @ _intersection_coords(q, v_q, tol.tol_kernel)
-
-    def smin(ts):
-        q, _ = np.linalg.qr(frame_stack(ts))
-        pairs = np.concatenate([q, np.broadcast_to(v_q, q.shape)], axis=2)
-        return np.linalg.svd(pairs, compute_uv=False)[:, -1]
-
-    return _crossing_sum(
-        smin, kernel_at, lambda t, _: _crossing_form(frame_stack, t, v, tol),
-        tol)
+    parameters are the stack ``frame_stack(ts)`` (len(ts), 2m, m), with
+    kinks at most at ``junctions``."""
+    return _souriau_index(
+        frame_stack, v, tol, lambda t, k, side: _crossing_form(
+            frame_stack, t, v, tol, side=side, k=k), junctions)
 
 
 def lagrangian_rs_index(frames, v: LagrangianFrame,
                         tol: ToleranceProfile = DEFAULT_TOL):
-    """Signature sum over the crossings of a Lagrangian path with V.
+    """Maslov index of a path of Lagrangians against V: the Souriau count,
+    returned only when the crossing forms at the crossings it locates sum
+    to it (interior regular crossings their signature, the endpoints half
+    of it).
 
-    ``frames`` maps t to a LagrangianFrame (or raw 2m x m array).  Interior
-    regular crossings contribute their signature, the endpoints half of it.
-    Returns (HalfInt, crossing reports, smin trace) where the trace rows are
-    (t, smin, near-zero flag).
+    ``frames`` maps t to a LagrangianFrame (or raw 2m x m array).  Returns
+    (HalfInt, crossing reports, trace) where the trace rows are (t,
+    unwrapped arg det W in radians), the samples of its winding.
     """
     return _lagrangian_rs(_stacked(frames), v, tol)
 

@@ -481,18 +481,33 @@ def junction_parameters(path: PathSpec) -> list[float]:
     return []
 
 
+def _exponential(path: PathSpec) -> ExpPath | None:
+    """The ``ExpPath`` the node is, if one: itself, a direct sum's
+    ``_joined`` node, or either conjugated by a constant symplectic K, as
+    K exp(t J S) K^-1 = exp(t J K^-T S K^-1) (the same spectrum)."""
+    if isinstance(path, DirectSumPath):
+        return path._joined
+    if isinstance(path, ConjPath) and isinstance(path.phi, ConstPath):
+        inner = _exponential(path.psi)
+        if inner is None:
+            return None
+        k_inv = np.linalg.inv(path.phi.matrix)
+        return ExpPath(k_inv.T @ (inner.duration * inner.s_matrix) @ k_inv)
+    return path if isinstance(path, ExpPath) else None
+
+
 def generator(path: PathSpec, t: float) -> GeneratorSample:
     """Symmetric generator S_t with psi'_t = J0 S_t psi_t.
 
-    Exponential segments, and direct sums of them, return their generator
+    Exponential nodes (see ``_exponential``) return their generator
     exactly; everything else uses a central finite difference with one
     Richardson level, one-sided with a flag within 2h of a junction or
     global endpoint, stepping away from the nearest one (forward for
     t <= 1/2 when t is on it).
     """
     t = _check_ts([t])[0]
-    exact = path._joined if isinstance(path, DirectSumPath) else path
-    if isinstance(exact, ExpPath):
+    exact = _exponential(path)
+    if exact is not None:
         return GeneratorSample(t=t, s_matrix=exact.duration * exact.s_matrix)
 
     jm = j_matrix(path.n)

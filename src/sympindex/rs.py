@@ -4,23 +4,26 @@ A crossing is a parameter where 1 is an eigenvalue of psi_t; it carries the
 quadratic form Gamma = generator restricted to ker(psi_t - Id).  The index
 is the signature sum with half weight at the global endpoints.  Exponential
 segments with small generators and shears are scored by closed forms;
-catenations are scored additively; everything else goes through a sigma_min
-crossing scan.
+everything else is the Souriau count of ``lagrangian`` (the graph of psi_t
+against the diagonal, or the evolved vertical Lagrangian against the
+vertical), returned only when the crossing forms at the crossings it
+locates sum to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .core import omega_matrix
 from .halfint import HalfInt
-from .lagrangian import (CrossingReport, _crossing_sum, _kernel,
-                         _lagrangian_rs, vertical_frame)
+from .lagrangian import (CrossingReport, LagrangianFrame, _kernel,
+                         _lagrangian_rs, _souriau_index, vertical_frame)
 # not called here, but bench/tracing.py wraps sympindex.rs.lagrangian_rs_index
 from .lagrangian import lagrangian_rs_index  # noqa: F401
-from .paths import (CatPath, ExpPath, PathSpec, ShearPath, evaluate_array,
-                    evaluate_stack, generator)
+from .paths import (ExpPath, PathSpec, ShearPath, evaluate_array,
+                    evaluate_stack, generator, junction_parameters)
 from .tolerances import DEFAULT_TOL, ToleranceProfile
 
 __all__ = ["RSResult", "rs_index", "rs2_index"]
@@ -30,7 +33,9 @@ __all__ = ["RSResult", "rs_index", "rs2_index"]
 class RSResult:
     value: HalfInt
     crossings: tuple          # CrossingReport, in parameter order
-    trace: tuple              # (t, sigma_min of the scan, near-zero flag)
+    # (t, unwrapped arg det W in radians): the samples of the Souriau
+    # winding; empty for a closed form
+    trace: tuple
 
 
 def _sign_count(w: np.ndarray, tol_form: float) -> int:
@@ -61,39 +66,30 @@ def _closed_form_shear(path: ShearPath, tol: ToleranceProfile):
 
 
 def _generic_rs(path: PathSpec, tol: ToleranceProfile) -> RSResult:
+    """The graphs [Id; psi_t] of the path against the diagonal, Lagrangian
+    for (-Omega0) (+) Omega0; ker(psi_t - Id) is their intersection."""
     eye = np.eye(2 * path.n)
 
-    def smin(ts):
-        return np.linalg.svd(evaluate_stack(path, ts) - eye,
-                             compute_uv=False)[:, -1]
+    def form_at(t: float, k: int, side):
+        kernel = _kernel(evaluate_array(path, t) - eye, tol.tol_kernel, k)
+        # a hair to one side of a junction, generator differences away from
+        # it, on that side
+        s_t = generator(path, t + 1e-9 * side if side else t).s_matrix
+        gamma = kernel.T @ s_t @ kernel
+        return kernel, 0.5 * (gamma + gamma.T)
 
-    def kernel_at(t: float) -> np.ndarray:
-        return _kernel(evaluate_array(path, t) - eye, tol.tol_kernel)
-
-    def form_at(t: float, kernel: np.ndarray) -> np.ndarray:
-        gamma = kernel.T @ generator(path, t).s_matrix @ kernel
-        return 0.5 * (gamma + gamma.T)
-
-    value, reports, trace = _crossing_sum(smin, kernel_at, form_at, tol)
+    value, reports, trace = _souriau_index(
+        lambda ts: np.concatenate(
+            [np.broadcast_to(eye, (len(ts),) + eye.shape),
+             evaluate_stack(path, ts)], axis=1),
+        LagrangianFrame(np.vstack([eye, eye]),
+                        np.kron(np.diag([-1.0, 1.0]), omega_matrix(path.n))),
+        tol, form_at, junction_parameters(path))
     return RSResult(value=value, crossings=tuple(reports), trace=tuple(trace))
-
-
-def _catenated(index, path: CatPath, tol: ToleranceProfile) -> RSResult:
-    """``index`` part by part, so a crossing on a junction gets one-sided
-    forms; the crossings are moved onto [0, 1]."""
-    parts = [index(p, tol) for p in path.parts]
-    k = len(parts)
-    return RSResult(
-        value=sum((r.value for r in parts), HalfInt(0)),
-        crossings=tuple(replace(c, t=(i + c.t) / k)
-                        for i, r in enumerate(parts) for c in r.crossings),
-        trace=())
 
 
 def rs_index(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL) -> RSResult:
     """Crossing-form index of a symplectic path against the identity."""
-    if isinstance(path, CatPath):
-        return _catenated(rs_index, path, tol)
     if isinstance(path, ExpPath):
         closed = _closed_form_exp(path, tol)
         if closed is not None:
@@ -105,11 +101,10 @@ def rs_index(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL) -> RSResult:
 
 def _rs2(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL) -> RSResult:
     """Crossings of the evolved vertical Lagrangian t -> psi_t ({0} x R^n)."""
-    if isinstance(path, CatPath):
-        return _catenated(_rs2, path, tol)
     v = vertical_frame(path.n)
     value, reports, trace = _lagrangian_rs(
-        lambda ts: evaluate_stack(path, ts) @ v.frame, v, tol)
+        lambda ts: evaluate_stack(path, ts) @ v.frame, v, tol,
+        junction_parameters(path))
     return RSResult(value=value, crossings=tuple(reports), trace=tuple(trace))
 
 

@@ -1,10 +1,11 @@
 """Search primitives shared by the index routes.
 
-The adaptive winding sampler of the circle maps, the grid-minimum search
-that the passage search and the crossing scans run on a vectorised
-sigma_min curve (a map from an array of parameters to an array of values),
-and the Richardson difference quotient behind generators and crossing forms,
-which takes a vectorised map too.
+The adaptive winding sampler of the circle maps and of the Souriau map, the
+grid-minimum search that the passage search runs on a vectorised sigma_min
+curve (a map from an array of parameters to an array of values), the
+bracketed secant search that locates crossings as sign changes of a
+vectorised angle, and the Richardson difference quotient behind generators
+and crossing forms, which takes a vectorised map too.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 from .core import normalize_unit
 from .errors import WindingResolutionError
 
-__all__ = ["PHASE_STEP", "winding", "local_minima", "difference_quotient"]
+__all__ = ["PHASE_STEP", "winding", "local_minima", "bracketed_roots",
+           "difference_quotient"]
 
 # the sampler refines every interval whose phase step is not below this; the
 # passage screen keeps a passage's anchors when the spectrum moves this much
@@ -101,19 +103,18 @@ def _golden_min(curve, a: np.ndarray, b: np.ndarray, width: float):
     return t, curve(t)
 
 
-def local_minima(curve, ts, vals, width: float, skip):
+def local_minima(curve, ts, vals, width: float):
     """Refined interior grid minima of a vectorised curve, in grid order.
 
     A candidate is an interior sample no larger than either neighbour and
-    smaller than at least one, so a flat run yields none; indices in
-    ``skip`` are never candidates.  Each candidate i is refined by golden
-    section on [ts[i-1], ts[i+1]] to ``width``, all candidates in lockstep;
-    returns a list of (i, t*, curve at t*).
+    smaller than at least one, so a flat run yields none.  Each candidate i
+    is refined by golden section on [ts[i-1], ts[i+1]] to ``width``, all
+    candidates in lockstep; returns a list of (i, t*, curve at t*).
     """
     found = []
     for i in range(1, len(ts) - 1):
         lo, hi = sorted((vals[i - 1], vals[i + 1]))
-        if i not in skip and vals[i] <= lo and vals[i] < hi:
+        if vals[i] <= lo and vals[i] < hi:
             found.append(i)
     if not found:
         return []
@@ -123,11 +124,32 @@ def local_minima(curve, ts, vals, width: float, skip):
     return list(zip(found, t_star.tolist(), s_star.tolist()))
 
 
+def bracketed_roots(f, a, b, fa, fb, tol: float, steps: int):
+    """Zeros of a vectorised ``f`` on the brackets [a[k], b[k]], whose end
+    values fa, fb differ in sign: secant steps with the Illinois rule, in
+    lockstep, until |f| <= tol or ``steps`` calls.  Returns (t, f at t)."""
+    a, b, fa, fb = (np.array(x, dtype=float) for x in (a, b, fa, fb))
+    t, ft = 0.5 * (a + b), np.full(len(a), np.inf)
+    for _ in range(steps):
+        k = np.flatnonzero(np.abs(ft) > tol)
+        if not len(k):
+            break
+        t[k] = (a[k] * fb[k] - b[k] * fa[k]) / (fb[k] - fa[k])
+        ft[k] = f(t[k])
+        # keep [b, t] where the sign flips at t, else [a, t] with f(a) halved
+        flip = ft[k] * fb[k] < 0
+        a[k] = np.where(flip, b[k], a[k])
+        fa[k] = np.where(flip, fb[k], fa[k] / 2)
+        b[k], fb[k] = t[k], ft[k]
+    return t, ft
+
+
 def difference_quotient(f, t: float, h: float, side: float = 0.0):
     """df/dt at t: second-order differences with one Richardson level.
 
     ``f`` is vectorised, and the four points are one call of it.  Central
-    for ``side`` 0; one-sided toward t + side * h for side +-1.
+    for ``side`` 0; one-sided toward t + side * h for side +-1, with h at
+    most half the way to the end of [0, 1] on that side.
     """
     # fk is f at k half steps h / 2 from t (toward side), fmk at -k
     if not side:
@@ -135,6 +157,7 @@ def difference_quotient(f, t: float, h: float, side: float = 0.0):
         half = (f1 - fm1) / (2 * (h / 2))
         full = (f2 - fm2) / (2 * h)
     else:
+        h = min(h, (1.0 - t if side > 0 else t) / 2)
         s1, s2 = side * (h / 2), side * h
         # t + 2 * s1 is t + s2: halving and doubling are exact
         f0, f1, f2, f4 = f(np.array([t, t + s1, t + s2, t + 2 * s2]))

@@ -124,9 +124,13 @@ class TestTraces:
         assert code == 0
         with open(trace) as fh:
             rows = list(csv.reader(fh))
-        # the third column is the near-zero flag, not a kernel dimension
-        assert rows[0] == ["t", "smin", "near_zero"]
-        assert len(rows) > 100
+        # the samples of the Souriau winding: arg det W turns twice for a
+        # loop of rs index 2 that starts and ends on the diagonal
+        assert rows[0] == ["t", "phase_det_w"]
+        assert len(rows) > 64
+        assert [float(x) for x in rows[1]] == [0.0, 0.0]
+        assert float(rows[-1][0]) == 1.0
+        assert float(rows[-1][1]) == pytest.approx(4 * np.pi, abs=1e-9)
 
     @pytest.mark.parametrize("wind,n", [(1, 1), (2, 2)])
     def test_maslov_trace_is_the_valued_winding(self, tmp_path, capsys,

@@ -446,6 +446,23 @@ class TestPassageScreen:
         assert res.diagnostics["anchored_passages"] == 0
         assert evaluated and set(evaluated) <= sampled
 
+    def test_one_exponential_takes_the_closed_form(self, monkeypatch):
+        # a direct sum of exponentials is one exponential, and so is its
+        # conjugate by a constant: neither runs the sampled passage search
+        blocks = [np.diag(d) for d in
+                  ([7.0, 6.5], [2.0, -1.5], [-9.0, -8.5], [3.0, -2.0])]
+        total = sum((cz_dim2_closed_form(b, 1.0) for b in blocks), HalfInt(0))
+        joined = DirectSumPath(parts=tuple(ExpPath(s_matrix=b)
+                                           for b in blocks))
+        k = random_symplectic(4, seed=3, scale=0.3, max_cond=10.0)
+
+        def sampled_route(*args):
+            raise AssertionError("the sampled passage search ran")
+
+        monkeypatch.setattr(cz, "_unit_passage_times", sampled_route)
+        for path in (joined, ConjPath(phi=ConstPath(k), psi=joined)):
+            assert conley_zehnder(path).value == total
+
     def test_fast_rotation_keeps_every_anchor(self):
         s = np.diag([300.0, 300.0])
         res = conley_zehnder(ExpPath(s_matrix=s))

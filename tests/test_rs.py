@@ -1,18 +1,24 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sympindex import (CatPath, ConjPath, ConstPath, DEFAULT_TOL,
-                       DirectSumPath, ExpPath, HalfInt, LagrangianFrame,
+                       DirectSumPath, ExpPath, HalfInt,
+                       InternalConsistencyError, LagrangianFrame,
                        NoCrossingError, ProdPath, ReversePath, SampledPath,
                        ShearPath, UnsupportedStructureError, conley_zehnder,
                        cz_dim2_closed_form, direct_sum_many, evaluate_array,
                        graph_lagrangian, horizontal_frame,
                        lagrangian_crossing_form, lagrangian_rs_index,
-                       make_loop, make_shear, omega_matrix, random_symplectic,
-                       rs2_index, rs_index, vertical_frame)
-from sympindex import paths, sampling
+                       make_loop, make_shear, omega_matrix, path_from_json,
+                       random_symplectic, rs2_index, rs_index, vertical_frame)
+from sympindex import lagrangian, paths
 from sympindex.lagrangian import doubled_omega
 from sympindex.rs import _rs2
+
+DATA = Path(__file__).parent / "data"
 
 
 def exp_path(n=1, seed=0, scale=1.0, duration=1.0):
@@ -88,30 +94,38 @@ class TestGenericEngine:
 
     def test_direct_sum_of_exponentials_has_exact_forms(self, monkeypatch):
         # a rotation of frequency 7 returns to Id at t = 2 pi / 7; the other
-        # block turns back by 4 and has its only crossing at t = 0
+        # block turns back by 4 and has its only crossing at t = 0.  Under a
+        # constant conjugator K the generator is K^-T S K^-1, exact too.
         s1, s2 = np.diag([7.0, 7.0]), np.diag([-4.0, -4.0])
         p = DirectSumPath(parts=(ExpPath(s_matrix=s1), ExpPath(s_matrix=s2)))
+        k = random_symplectic(2, seed=5, scale=0.3, max_cond=10.0)
+        k_inv = np.linalg.inv(k)
+        s = direct_sum_many([s1, s2])
+        q = ConjPath(phi=ConstPath(k), psi=p)
+        s_q = paths._exponential(q).s_matrix
+        assert np.allclose(s_q, k_inv.T @ s @ k_inv, rtol=0.0, atol=1e-12)
 
         def no_quotient(*args):
             raise AssertionError("difference quotient of an exact generator")
 
         monkeypatch.setattr(paths, "difference_quotient", no_quotient)
-        res = rs_index(p)
-        assert res.value == conley_zehnder(p).value == HalfInt.from_int(2)
-        assert [(c.t, c.signature) for c in res.crossings] == \
-            [(0.0, 0), (pytest.approx(2 * np.pi / 7), 2)]
-        s = direct_sum_many([s1, s2])
-        for c in res.crossings:
-            gamma = c.kernel_basis.T @ s @ c.kernel_basis
-            assert np.array_equal(c.gamma, 0.5 * (gamma + gamma.T))
+        for path, gen in ((p, s), (q, s_q)):
+            res = rs_index(path)
+            assert res.value == conley_zehnder(path).value == \
+                HalfInt.from_int(2)
+            assert [(c.t, c.signature) for c in res.crossings] == \
+                [(0.0, 0), (pytest.approx(2 * np.pi / 7), 2)]
+            for c in res.crossings:
+                gamma = c.kernel_basis.T @ gen @ c.kernel_basis
+                assert np.array_equal(c.gamma, 0.5 * (gamma + gamma.T))
 
 
 def _turn_hold_return():
     """A full turn, a wobble within 1e-6 of Id, and the turn undone.
 
-    The wobble keeps the whole kernel (dimension 2) over [1/3, 2/3] and its
-    sigma_min has a strict grid minimum at t = 1/2.  Wrapped in a reversal,
-    so the crossing scan sees the catenation as one path.
+    The wobble keeps the whole kernel (dimension 2) over [1/3, 2/3]: every
+    sample there is on V, and the Souriau count of each interval between
+    them is 0.  Wrapped in a reversal, so the catenation is one path.
     """
     turn = ExpPath(s_matrix=np.diag([2 * np.pi, 2 * np.pi]))
     tiny = ExpPath(s_matrix=np.diag([1e-6, 1e-6]))
@@ -120,22 +134,28 @@ def _turn_hold_return():
 
 
 class TestScanPlateaus:
+    """A run of samples on V joined by intervals of Souriau count 0 is a
+    plateau: it scores 0, and only its ends are reported, half each, with
+    the one-sided form of the part outside it."""
+
     def test_interior_plateau_scores_zero_without_a_search(self, monkeypatch):
-        brackets = []
-        golden = sampling._golden_min
+        counted = []
+        counts = lagrangian._doubled_counts
 
-        def spy(curve, a, b, width):
-            brackets.extend(zip(a, b))
-            return golden(curve, a, b, width)
+        def spy(lam, on):
+            counted.append(len(lam))
+            return counts(lam, on)
 
-        monkeypatch.setattr(sampling, "_golden_min", spy)
+        monkeypatch.setattr(lagrangian, "_doubled_counts", spy)
         res = rs_index(ReversePath(inner=_turn_hold_return()))
         assert res.value == HalfInt(0)
-        assert [(c.t, c.signature) for c in res.crossings] == [(0.0, 2),
-                                                              (1.0, -2)]
-        near = [t for t, _, flag in res.trace if flag]
-        assert min(near) < 0.34 and max(near) > 0.66
-        assert not [ab for ab in brackets if 0.33 < ab[1] and ab[0] < 0.67]
+        assert [(c.t, c.signature, c.weight) for c in res.crossings] == [
+            (0.0, 2, 0.5), (pytest.approx(1 / 3), 2, 0.5),
+            (pytest.approx(2 / 3), -2, 0.5), (1.0, -2, 0.5)]
+        inside = [phase for t, phase in res.trace if 0.34 < t < 0.66]
+        assert len(inside) > 10 and np.ptp(inside) < 1e-4
+        # the trace is counted once, and no interval is searched
+        assert counted == [len(res.trace)]
 
     def test_interior_plateau_with_varying_kernel_raises(self):
         # the second summand returns to Id at t = 1/2, inside the plateau
@@ -143,15 +163,93 @@ class TestScanPlateaus:
             _turn_hold_return(),
             ExpPath(s_matrix=np.diag([4 * np.pi, 4 * np.pi]))))
         with pytest.raises(UnsupportedStructureError,
-                           match="crossing plateau near t=0.334"):
+                           match="crossing plateau near t=0.484"):
             rs_index(p)
 
     def test_full_length_plateau_with_varying_kernel_raises(self):
         # a shear always has a kernel; B(1/2) = 0 doubles it
         shear = ShearPath(b0=np.array([[1.0]]), b1=np.array([[-1.0]]))
         with pytest.raises(UnsupportedStructureError,
-                           match="full-length plateau"):
+                           match="varying kernel dimension"):
             rs_index(DirectSumPath(parts=(shear,)))
+
+
+def _vertical_closed_form(s) -> int:
+    """Doubled rs2 of exp(t J0 diag(a, b)) on [0, 1]: for ab > 0 the
+    vertical line turns at frequency sqrt(ab) and meets itself at
+    t = k pi / sqrt(ab) with form sign b, half of it at t = 0; for ab < 0
+    only at t = 0."""
+    a, b = np.diag(s)
+    sign = 1 if b > 0 else -1
+    if a * b < 0:
+        return sign
+    return sign * (1 + 2 * int(np.floor(np.sqrt(a * b) / np.pi)))
+
+
+class TestSouriauCount:
+    """The index is the Souriau count of one winding of det W, returned
+    only when the crossing forms at the crossings it locates sum to it."""
+
+    def test_interior_plateau_keeps_the_forms_at_its_ends(self):
+        # the path enters Id with form 2 pi Id and leaves it with form Id
+        i2 = np.eye(2)
+        b = CatPath(parts=(ExpPath(s_matrix=2 * np.pi * i2), ConstPath(i2),
+                           ExpPath(s_matrix=i2)))
+        assert [rs_index(p).value for p in (
+            b, ProdPath(b, ConstPath(i2)), ReversePath(inner=b))] == \
+            [HalfInt.from_int(3), HalfInt.from_int(3), HalfInt.from_int(-3)]
+
+    def test_nested_junction_is_scored_per_side(self):
+        # both parts cross the vertical Lagrangian at the junction t = 1/2,
+        # also when the catenation sits inside another node
+        c = CatPath(parts=(
+            ExpPath(s_matrix=np.diag([np.pi, np.pi])),
+            ProdPath(ExpPath(s_matrix=np.diag([2.0, -5.0])),
+                     ConstPath(-np.eye(2)))))
+        for p in (c, ProdPath(c, ConstPath(np.eye(2))),
+                  ReversePath(inner=ReversePath(inner=c))):
+            res = _rs2(p)
+            assert res.value == rs2_index(p) == HalfInt(1)
+            assert [(c.t, c.signature, c.weight) for c in res.crossings] == \
+                [(0.0, 1, 0.5), (0.5, 1, 0.5), (0.5, -1, 0.5)]
+
+    def test_near_pair_is_counted_and_located(self):
+        # n = 8, conjugated sum of diagonal blocks: two vertical crossings
+        # 5.7e-4 apart, less than a cell of a 512-point grid
+        obj = json.loads((DATA / "near_pair_path.json").read_text())
+        path = path_from_json(obj)
+        blocks = [np.array(part["S"]) for part in obj["path"]["psi"]["parts"]]
+        assert rs_index(path).value == sum(
+            (cz_dim2_closed_form(b, 1.0) for b in blocks), HalfInt(0))
+        res = _rs2(path)
+        assert res.value == HalfInt(sum(_vertical_closed_form(b)
+                                        for b in blocks))
+        pair = [c.t for c in res.crossings if 0.538 < c.t < 0.540]
+        assert len(pair) == 2 and pair[1] - pair[0] > 5e-4
+
+    def test_plateau_ending_next_to_the_end_has_a_one_sided_form(self):
+        # Id until 4e-6 before the end, then a small turn: the one-sided
+        # forms at the end of the plateau fit their stencil into [t1, 1]
+        t1 = 1.0 - 4e-6
+        turn = evaluate_array(ExpPath(s_matrix=0.01 * np.eye(2)), 1.0)
+        p = SampledPath(times=np.array([0.0, t1, 1.0]),
+                        matrices=(np.eye(2), np.eye(2), turn))
+        for res, value in ((rs_index(p), HalfInt.from_int(1)),
+                           (_rs2(p), HalfInt(1))):
+            assert res.value == value
+            assert [(c.t, c.weight) for c in res.crossings] == \
+                [(pytest.approx(t1), 0.5)]
+            gamma = res.crossings[0].gamma
+            assert np.allclose(gamma, 0.01 / 4e-6 * np.eye(len(gamma)),
+                               rtol=1e-6)
+
+    def test_forms_that_miss_the_count_raise(self, monkeypatch):
+        monkeypatch.setattr(lagrangian, "_signature",
+                            lambda gamma, tol_form: (0, True))
+        with pytest.raises(InternalConsistencyError,
+                           match="Souriau count 3 but the crossing forms "
+                                 "sum to 0"):
+            rs_index(ExpPath(s_matrix=np.diag([7.0, 7.0])))
 
 
 class TestVerticalIndex:
@@ -189,7 +287,9 @@ class TestVerticalIndex:
         assert res.value == HalfInt(1)
         assert [(c.t, c.signature) for c in res.crossings] == \
             [(0.0, 1), (0.5, 1), (0.5, -1)]
-        assert res.trace == ()
+        # the Souriau winding samples the junction
+        assert res.trace[0] == (0.0, 0.0) and res.trace[-1][0] == 1.0
+        assert 0.5 in [t for t, _ in res.trace]
 
 
 class TestLagrangian:

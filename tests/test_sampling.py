@@ -4,8 +4,8 @@ import scipy.linalg as sla
 
 from sympindex import WindingResolutionError
 from sympindex.core import j_matrix, normalize_unit
-from sympindex.sampling import (PHASE_STEP, _golden_min, difference_quotient,
-                                local_minima, winding)
+from sympindex.sampling import (PHASE_STEP, _golden_min, bracketed_roots,
+                                difference_quotient, local_minima, winding)
 
 
 def scalar_golden_min(curve, a, b, width):
@@ -75,14 +75,14 @@ def vectorised(f, calls=None):
     return g
 
 
-def _minima(vals, skip=()):
+def _minima(vals):
     vals = np.asarray(vals, dtype=float)
     ts = np.linspace(0.0, 1.0, len(vals))
 
     def curve(t):
         return np.interp(t, ts, vals)
 
-    return [i for i, _, _ in local_minima(curve, ts, vals, 1e-8, skip)]
+    return [i for i, _, _ in local_minima(curve, ts, vals, 1e-8)]
 
 
 class TestLocalMinima:
@@ -100,16 +100,10 @@ class TestLocalMinima:
         def curve(t):
             return (t - 0.3) ** 2
 
-        ((i, t_star, s_star),) = local_minima(curve, ts, curve(ts), 1e-10, ())
+        ((i, t_star, s_star),) = local_minima(curve, ts, curve(ts), 1e-10)
         assert i == 2
         assert t_star == pytest.approx(0.3, abs=1e-9)
         assert s_star == pytest.approx(0.0, abs=1e-15)
-
-    def test_skip_is_honoured(self):
-        vals = [3.0, 1.0, 2.0, 0.5, 2.0]
-        assert _minima(vals) == [1, 3]
-        assert _minima(vals, skip={3}) == [1]
-        assert _minima(vals, skip={1, 3}) == []
 
 
 class TestLockstepSearches:
@@ -127,12 +121,29 @@ class TestLockstepSearches:
             calls.append(len(t))
             return self.wavy(t)
 
-        found = local_minima(curve, ts, vals, 1e-10, ())
+        found = local_minima(curve, ts, vals, 1e-10)
         assert len(found) >= 5
         assert len(calls) <= 50
         for i, t_star, s_star in found:
             ref = scalar_golden_min(self.wavy, ts[i - 1], ts[i + 1], 1e-10)
             assert (t_star, s_star) == ref
+
+    def test_secant_roots_in_lockstep(self):
+        # one root of cos(14 pi t), at (2j + 1) / 28, in each bracket
+        calls = []
+
+        def f(t):
+            calls.append(len(t))
+            return np.cos(14 * np.pi * t)
+
+        a, b = np.array([0.0, 0.09, 0.15]), np.array([0.06, 0.13, 0.2])
+        t, ft = bracketed_roots(f, a, b, f(a), f(b), 1e-12, 16)
+        assert np.allclose(t, np.array([1, 3, 5]) / 28, rtol=0, atol=1e-12)
+        assert np.all(np.abs(ft) <= 1e-12)
+        assert calls[0] == calls[1] == 3 and len(calls) <= 2 + 16
+        calls.clear()
+        bracketed_roots(f, a, b, f(a), f(b), 1e-12, 2)
+        assert len(calls) == 2 + 2
 
     def test_golden_brackets_of_different_widths(self):
         a = np.array([0.0, 0.1, 0.5])
@@ -215,6 +226,13 @@ class TestDifferenceQuotient:
         seen.clear()
         difference_quotient(g, 1.0, 1e-5, -1.0)
         assert max(seen) == 1.0
+        # a step that would leave [0, 1] shrinks to fit between t and 1
+        for t, side in [(1.0 - 4e-6, 1.0), (4e-6, -1.0)]:
+            seen.clear()
+            d = difference_quotient(g, t, 1e-5, side)
+            assert min(seen) == (t if side > 0 else 0.0)
+            assert max(seen) == (1.0 if side > 0 else t)
+            assert np.linalg.norm(d - js @ f([t])[0]) < 1e-8
 
     @pytest.mark.parametrize("t, side", [(0.4, 0.0), (0.0, 1.0), (0.4, 1.0),
                                          (1.0, -1.0), (0.4, -1.0)])
