@@ -7,22 +7,28 @@ one of the two component representatives
     W+ = -Id          W- = diag(2, -1, ..., -1, 1/2, -1, ..., -1).
 
 The winding over [0, 1] is sampled adaptively, for all three circle maps at
-the same +-1 passage anchors.  The extension's contribution is computed three
-ways and cross-checked:
+the same +-1 passage anchors.  The extension runs from A through a nearby
+semisimple matrix A' with distinct eigenvalues.  A' is A itself when A's
+normal form has only order-1 semisimple blocks whose eigenvalues are as far
+apart as ``semisimple_perturb`` separates its output; otherwise A' is that
+perturbation of A, normal-formed again.  The extension's contribution is
+computed three ways and cross-checked:
 
-* for the spectral rotation map, analytically from the spectrum of a nearby
-  semisimple matrix (each Krein-kappa unit eigenvalue pair at angle phi in
-  (0, pi) contributes kappa*(pi - phi)/pi; other regimes contribute 0), plus
-  a sampled bridge to the perturbed endpoint;
+* for the spectral rotation map, analytically from the spectrum of A' (each
+  Krein-kappa unit eigenvalue pair at angle phi in (0, pi) contributes
+  kappa*(pi - phi)/pi; other regimes contribute 0), plus a sampled bridge
+  from A to A' (two samples when A' is A, the bridge being constant);
 * for the polar and C-linear-part maps, whose values are not functions of the
   spectrum alone, by sampling an explicitly materialized extension: the
   bridge, a blockwise eigenvalue deformation in the normal-form basis, and a
   final unwinding of the conjugation.
 
-The extension's matrices are built once and sampled with plain arithmetic:
-the bridge is the Cayley path A (I - uC)^-1 (I + uC) of the Hamiltonian
-C = (B - I)(B + I)^-1, B = A^-1 A', and the unwinding K(t) carries its
-inverse from the decompositions that build it.  No scipy routine is used.
+The extension's matrices are built once and each third is sampled as one
+stack in plain array arithmetic: the bridge is the Cayley path
+A (I - uC)^-1 (I + uC) of the Hamiltonian C = (B - I)(B + I)^-1,
+B = A^-1 A' (C = 0 when A' is A), each deformer is a function of an array
+of t, and the unwinding K(t) carries its inverse from the decompositions
+that build it.  No scipy routine is used.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .errors import (AdmissibilityError, ContractError,
                      IllConditionedSpectrumError, InternalConsistencyError,
                      KreinDegenerateError, ParameterError)
 from .halfint import HalfInt
-from .normal_form import _rot, normal_form, semisimple_perturb
+from .normal_form import _rot, _separated, normal_form, semisimple_perturb
 from .paths import (ExpPath, PathSpec, _exponential, evaluate_array,
                     evaluate_stack)
 from .sampling import PHASE_STEP, local_minima, winding
@@ -238,26 +244,46 @@ def _spectrum_moves(angles: np.ndarray) -> bool:
 
 
 def _pair_block(t, lam, target):
+    """Stack of diag(m, 1/m), m running linearly from lam to target."""
     m = (1 - t) * lam + t * target
-    return np.diag([m, 1.0 / m])
+    return np.stack([m, 1.0 / m], -1)[..., None] * np.eye(2)
 
 
 def _quad_block(r, th):
-    """4x4 block diag(r R(th), r^-1 R(th)) in the {e1,e2,f1,f2} layout."""
-    out = np.zeros((4, 4))
-    out[:2, :2] = r * _rot(th)
-    out[2:, 2:] = _rot(th) / r
+    """Stack of 4x4 blocks diag(r R(th), r^-1 R(th)) in the {e1,e2,f1,f2}
+    layout, for arrays r and th of one shape."""
+    rot, r = _rot(th), np.asarray(r)[..., None, None]
+    out = np.zeros(rot.shape[:-2] + (4, 4))
+    out[..., :2, :2] = r * rot
+    out[..., 2:, 2:] = rot / r
     return out
+
+
+def _quad_to_minus_one(t, r0, th0):
+    """A quadruple r0 e^{+-i th0} to the double pair at -1."""
+    return _quad_block(1 + (r0 - 1) * (1 - t), th0 + (np.pi - th0) * t)
+
+
+def _unit_to_minus_one(t, phi):
+    """A unit pair e^{+-i phi} to -1, keeping its Krein sign."""
+    return _rot((1 - t) * phi + t * (np.pi if phi > 0 else -np.pi))
 
 
 def _positive_pairs_block(t, lam1, lam2):
     """Two positive real pairs to a quadruple at -1: lam2 slides to lam1,
     then the double pair turns by pi as its modulus goes to 1."""
-    if t <= 0.5:
-        return direct_sum_many([np.diag([lam1, 1 / lam1]),
-                                _pair_block(2 * t, lam2, lam1)])
-    s = 2 * t - 1
-    return _quad_block(1 + (lam1 - 1) * (1 - s), np.pi * s)
+    out = np.empty(t.shape + (4, 4))
+    slide = t <= 0.5
+    still = np.broadcast_to(np.diag([lam1, 1 / lam1]),
+                            (np.count_nonzero(slide), 2, 2))
+    out[slide] = direct_sum_many([still, _pair_block(2 * t[slide], lam2, lam1)])
+    s = 2 * t[~slide] - 1
+    out[~slide] = _quad_block(1 + (lam1 - 1) * (1 - s), np.pi * s)
+    return out
+
+
+# the block cases of a semisimple endpoint, each of order 1
+_SEMISIMPLE = ("UnitNonRealOdd", "OffCircleReal", "OffCircleComplex")
 
 
 class _Extension(PathSpec):
@@ -276,12 +302,26 @@ class _Extension(PathSpec):
         eps = min(1e-6, 0.01 * abs(det_gap) ** (1.0 / dim))
         nf_tol = tol.with_overrides(tol_eig=max(1e-12, 2.5e-3 * eps))
         self.tol = nf_tol
-        base_report = normal_form(a_end, tol)
-        aprime = semisimple_perturb(a_end, eps=eps, seed=seed, tol=tol,
-                                    report=base_report)
-        report = normal_form(aprime, nf_tol)
+        report = normal_form(a_end, tol)
+        # an endpoint of order-1 semisimple blocks whose eigenvalues are as
+        # separated as semisimple_perturb makes its output is its own nearby
+        # semisimple matrix, and the bridge to it is constant; the spectrum
+        # is the report's, so a cluster it merged fails the separation
+        self.perturbed = not (
+            all(b.case in _SEMISIMPLE and b.jordan_order == 1
+                for b in report.blocks)
+            and _separated(np.linalg.eigvals(report.normal_matrix()), eps))
+        eye = np.eye(dim)
+        self._cayley = np.zeros((dim, dim))
+        if self.perturbed:
+            aprime = semisimple_perturb(a_end, eps=eps, seed=seed, tol=tol,
+                                        report=report)
+            report = normal_form(aprime, nf_tol)
+            # Cayley bridge A (I - uC)^-1 (I + uC) to the perturbed endpoint
+            b = np.linalg.solve(a_end, aprime)
+            self._cayley = np.linalg.solve(b + eye, b - eye)
 
-        # classify the (all order-1) blocks of the perturbed endpoint
+        # classify the (all order-1) blocks of the bridge's far end
         unit, pos, neg, quad = [], [], [], []
         for i, b in enumerate(report.blocks):
             if b.case == "UnitNonRealOdd" and b.jordan_order == 1:
@@ -292,7 +332,7 @@ class _Extension(PathSpec):
                 quad.append(i)
             else:
                 raise InternalConsistencyError(
-                    f"perturbed endpoint has a non-semisimple block {b.case}")
+                    f"bridged endpoint has a non-semisimple block {b.case}")
         want_odd = self.endpoint == "W-"
         if (len(pos) % 2 == 1) != want_odd:
             raise InternalConsistencyError(
@@ -318,7 +358,8 @@ class _Extension(PathSpec):
                                       for i in order], axis=2).reshape(dim, dim)
         self.k_perm_inv = np.linalg.inv(self.k_perm)
 
-        # blockwise deformers on [0, 1], in the same order
+        # blockwise deformers, each a stack over an array of t in [0, 1], in
+        # the same order
         deformers = []
         for i in survivor:
             deformers.append(partial(_pair_block, lam=lam[i][0], target=2.0))
@@ -328,25 +369,18 @@ class _Extension(PathSpec):
         for i in neg:
             deformers.append(partial(_pair_block, lam=lam[i][0], target=-1.0))
         for i in quad:
-            deformers.append(
-                lambda t, r0=lam[i][0], th0=lam[i][1]: _quad_block(
-                    1 + (r0 - 1) * (1 - t), th0 + (np.pi - th0) * t))
-        for i in unit:                   # e^{i phi} -> -1, same Krein sign
-            deformers.append(
-                lambda t, phi=lam[i][0]: _rot(
-                    (1 - t) * phi + t * (np.pi if phi > 0 else -np.pi)))
+            deformers.append(partial(_quad_to_minus_one, r0=lam[i][0],
+                                     th0=lam[i][1]))
+        for i in unit:
+            deformers.append(partial(_unit_to_minus_one, phi=lam[i][0]))
         self._deformers = deformers
 
-        # Cayley bridge to the perturbed endpoint and final unwinding of the
-        # conjugation
+        # final unwinding of the conjugation
         self.a_end = a_end
-        eye = np.eye(dim)
-        b = np.linalg.solve(a_end, aprime)
-        self._cayley = np.linalg.solve(b + eye, b - eye)
-        self._w_matrix = self._deform(1.0)
+        self._w_matrix = self._deform(np.ones(1))[0]
         self._unwind = self._build_unwind(self.k_perm)
 
-    def _deform(self, t: float) -> np.ndarray:
+    def _deform(self, t: np.ndarray) -> np.ndarray:
         return direct_sum_many([fn(t) for fn in self._deformers])
 
     @staticmethod
@@ -360,7 +394,10 @@ class _Extension(PathSpec):
         eigenbasis of its unitary block u is orthonormalised (u is normal):
         eig returns a skewed basis for a cluster such as u = -Id, whose
         angles may land on both branches +-pi, and only an orthonormal
-        basis keeps O^(1-t) orthogonal with O^(1-t)^T its inverse."""
+        basis keeps O^(1-t) orthogonal with O^(1-t)^T its inverse.
+
+        ``k_at`` broadcasts over the shape of t: an array of t gives stacks,
+        a scalar t one matrix each."""
         n = k.shape[0] // 2
         x, s, vt = np.linalg.svd(k)
         o = x @ vt
@@ -370,11 +407,16 @@ class _Extension(PathSpec):
         vu, _ = np.linalg.qr(vu)
         vu_inv = vu.conj().T
 
-        def k_at(t: float) -> tuple[np.ndarray, np.ndarray]:
-            ut = (vu * np.exp(1j * (1 - t) * theta)) @ vu_inv
-            ot = np.block([[ut.real, -ut.imag], [ut.imag, ut.real]])
-            return (ot @ ((vt.T * s ** (1 - t)) @ vt),
-                    (vt.T * s ** (t - 1)) @ vt @ ot.T)
+        def k_at(t) -> tuple[np.ndarray, np.ndarray]:
+            t = np.asarray(t, dtype=float)[..., None]
+            ut = (vu * np.exp(1j * (1 - t) * theta)[..., None, :]) @ vu_inv
+            ot = np.empty(ut.shape[:-2] + (2 * n, 2 * n))
+            ot[..., :n, :n] = ot[..., n:, n:] = ut.real
+            ot[..., :n, n:] = -ut.imag
+            ot[..., n:, :n] = ut.imag
+            return (ot @ ((vt.T * (s ** (1 - t))[..., None, :]) @ vt),
+                    (vt.T * (s ** (t - 1))[..., None, :]) @ vt
+                    @ np.swapaxes(ot, -1, -2))
 
         return k_at
 
@@ -383,28 +425,28 @@ class _Extension(PathSpec):
 
         The winding over the bridge to the nearby semisimple matrix, sampled
         on the extension's first third, plus the analytic unit-spectrum sum.
+        A constant bridge (an unperturbed endpoint) is sampled at its ends.
         """
         bridge = _rho_map(lambda ts: evaluate_stack(self, ts / 3.0), self.tol,
                           events, 2)
-        turns, _, _ = winding(bridge, self.tol.max_refine, coarse=16)
+        turns, _, _ = winding(bridge, self.tol.max_refine,
+                              coarse=16 if self.perturbed else 1)
         return turns + self.unit_turns
 
     def _evaluate(self, ts: np.ndarray) -> np.ndarray:
-        """The full materialized extension on [0, 1]: the bridge in one
-        stacked solve, the other two thirds sample by sample."""
+        """The full materialized extension on [0, 1], one stack per third:
+        the bridge in one stacked solve, the deformation and the unwinding
+        in array arithmetic."""
         out = np.empty((len(ts),) + self.a_end.shape)
-        bridge = ts <= 1.0 / 3.0
+        bridge, unwind = ts <= 1.0 / 3.0, ts > 2.0 / 3.0
+        deform = ~(bridge | unwind)
         uc = (3.0 * ts[bridge])[:, None, None] * self._cayley
         eye = np.eye(self.a_end.shape[0])
         out[bridge] = self.a_end @ np.linalg.solve(eye - uc, eye + uc)
-        for i in np.flatnonzero(~bridge):
-            t = float(ts[i])
-            if t <= 2.0 / 3.0:
-                nt = self._deform(3.0 * t - 1.0)
-                out[i] = self.k_perm @ nt @ self.k_perm_inv
-            else:
-                kt, kt_inv = self._unwind(3.0 * t - 2.0)
-                out[i] = kt @ self._w_matrix @ kt_inv
+        out[deform] = (self.k_perm @ self._deform(3.0 * ts[deform] - 1.0)
+                       @ self.k_perm_inv)
+        kt, kt_inv = self._unwind(3.0 * ts[unwind] - 2.0)
+        out[unwind] = kt @ self._w_matrix @ kt_inv
         return out
 
 

@@ -73,9 +73,10 @@ def _jordan(lam: float, m: int) -> np.ndarray:
     return J
 
 
-def _rot(phi: float) -> np.ndarray:
+def _rot(phi) -> np.ndarray:
+    """Rotation by phi; of an array of angles, a stack of rotations."""
     c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, -s], [s, c]])
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
 
 def _jordan_rot(r: float, phi: float, two_m: int) -> np.ndarray:
@@ -611,6 +612,13 @@ def _stretch_block(block: NormalFormBlock, eps_draws) -> np.ndarray:
     return S
 
 
+def _separated(evals: np.ndarray, eps: float) -> bool:
+    """Whether the eigenvalues are pairwise at least 0.05 eps apart: the
+    separation ``semisimple_perturb`` asks of its output at that eps."""
+    gaps = np.abs(evals[:, None] - evals[None, :]) + np.eye(len(evals))
+    return bool(np.min(gaps) >= 0.05 * eps)
+
+
 def semisimple_perturb(A, eps: float = 1e-6, seed: int = 0,
                        tol: ToleranceProfile = DEFAULT_TOL,
                        report: NormalFormReport | None = None) -> np.ndarray:
@@ -634,9 +642,7 @@ def semisimple_perturb(A, eps: float = 1e-6, seed: int = 0,
                      * np.linspace(1.0, 2.0, 4 * n2))
         S = direct_sum_many([_stretch_block(b, draws) for b in report.blocks])
         ap = a @ (K @ S @ Kinv)
-        evals = np.linalg.eigvals(ap)
-        gaps = np.abs(evals[:, None] - evals[None, :]) + np.eye(n2)
-        if np.min(gaps) < 0.05 * eps:
+        if not _separated(np.linalg.eigvals(ap), eps):
             continue
         if abs(det_sign) > 0.5 and \
                 np.sign(np.linalg.det(ap - np.eye(n2))) != det_sign:

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from sympindex import (AdmissibilityError, CatPath, ConjPath, ConstPath,
                        path_from_json, random_symplectic, winding)
 import sympindex.cz as cz
 from sympindex.core import symplectic_residual
+from sympindex.spectral import first_kind_eigenvalues
 from sympindex.cz import (PASSAGE_GRID, _Extension, _exp_passage_times,
                           _rho_map, _unit_passage_times)
 from sympindex.tolerances import DEFAULT_TOL
@@ -221,6 +223,169 @@ class TestExtension:
                                        [12.03765861, 16.53431942]]))
         with pytest.raises(SympindexError):
             conley_zehnder(p)
+
+
+def _rot2(phi):
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([[c, -s], [s, c]])
+
+
+def _scalar_pair(t, lam, target):
+    m = (1 - t) * lam + t * target
+    return np.diag([m, 1.0 / m])
+
+
+def _scalar_quad(r, th):
+    out = np.zeros((4, 4))
+    out[:2, :2] = r * _rot2(th)
+    out[2:, 2:] = _rot2(th) / r
+    return out
+
+
+def _scalar_positive_pairs(t, lam1, lam2):
+    if t <= 0.5:
+        return direct_sum_many([np.diag([lam1, 1 / lam1]),
+                                _scalar_pair(2 * t, lam2, lam1)])
+    s = 2 * t - 1
+    return _scalar_quad(1 + (lam1 - 1) * (1 - s), np.pi * s)
+
+
+# the per-sample deformer that each stacked one replaced, by its function
+SCALAR_DEFORMERS = {
+    cz._pair_block: _scalar_pair,
+    cz._positive_pairs_block: _scalar_positive_pairs,
+    cz._quad_to_minus_one: lambda t, r0, th0: _scalar_quad(
+        1 + (r0 - 1) * (1 - t), th0 + (np.pi - th0) * t),
+    cz._unit_to_minus_one: lambda t, phi: _rot2(
+        (1 - t) * phi + t * (np.pi if phi > 0 else -np.pi)),
+}
+
+
+def scalar_k_at(k):
+    """The unwinding K(t) and its inverse at one t, in the per-sample
+    arithmetic before ``_Extension._build_unwind`` broadcast over t."""
+    n = k.shape[0] // 2
+    x, s, vt = np.linalg.svd(k)
+    o = x @ vt
+    wu, vu = np.linalg.eig(o[:n, :n] + 1j * o[n:, :n])
+    theta = np.angle(wu)
+    vu, _ = np.linalg.qr(vu)
+    vu_inv = vu.conj().T
+
+    def k_at(t):
+        ut = (vu * np.exp(1j * (1 - t) * theta)) @ vu_inv
+        ot = np.block([[ut.real, -ut.imag], [ut.imag, ut.real]])
+        return (ot @ ((vt.T * s ** (1 - t)) @ vt),
+                (vt.T * s ** (t - 1)) @ vt @ ot.T)
+
+    return k_at
+
+
+def scalar_extension(ext, t):
+    """One sample of the extension, third by third as it was evaluated
+    before the thirds were stacked: the reference for ``_evaluate``."""
+    eye = np.eye(len(ext.a_end))
+    if t <= 1.0 / 3.0:
+        uc = 3.0 * t * ext._cayley
+        return ext.a_end @ np.linalg.solve(eye - uc, eye + uc)
+    deformers = [partial(SCALAR_DEFORMERS[fn.func], **fn.keywords)
+                 for fn in ext._deformers]
+
+    def deform(u):
+        return direct_sum_many([fn(u) for fn in deformers])
+
+    if t <= 2.0 / 3.0:
+        return ext.k_perm @ deform(3.0 * t - 1.0) @ ext.k_perm_inv
+    kt, kt_inv = scalar_k_at(ext.k_perm)(3.0 * t - 2.0)
+    return kt @ deform(1.0) @ kt_inv
+
+
+def every_block_endpoint():
+    """A conjugated W- endpoint with distinct eigenvalues and every deformer
+    kind: three positive real pairs (a survivor and a pair of pairs), a
+    negative pair, a quadruple and two unit pairs of opposite Krein sign."""
+    blocks = [np.diag([2.0, 0.5]), np.diag([3.0, 1 / 3.0]),
+              np.diag([1.5, 1 / 1.5]), np.diag([-2.0, -0.5]),
+              cz._quad_block(1.3, 0.7), _rot2(0.9), _rot2(-2.1)]
+    k = random_symplectic(8, seed=4, scale=0.3)
+    return k @ direct_sum_many(blocks) @ np.linalg.inv(k)
+
+
+def repeated_eigenvalue_path():
+    # the first two exponentials share the eigenvalue e of their endpoints
+    return DirectSumPath(parts=(ExpPath(s_matrix=np.diag([1.0, -1.0])),
+                                ExpPath(s_matrix=np.diag([0.5, -2.0])),
+                                ExpPath(s_matrix=np.diag([2.0, -0.7]))))
+
+
+class TestStackedExtension:
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_thirds_match_the_per_sample_arithmetic(self, perturbed):
+        a_end = (evaluate_array(repeated_eigenvalue_path(), 1.0) if perturbed
+                 else every_block_endpoint())
+        ext = _Extension(a_end, DEFAULT_TOL, seed=0)
+        assert ext.perturbed == perturbed
+        kinds = {(fn.func, fn.keywords.get("target")) for fn in ext._deformers}
+        assert (cz._pair_block, 2.0) in kinds
+        assert (cz._positive_pairs_block, None) in kinds
+        if not perturbed:
+            assert kinds == {(cz._pair_block, 2.0), (cz._pair_block, -1.0),
+                             (cz._positive_pairs_block, None),
+                             (cz._quad_to_minus_one, None),
+                             (cz._unit_to_minus_one, None)}
+        # the joins and both halves of the positive pairs (t = 1/2)
+        joins = [1.0 / 3.0, 2.0 / 3.0]
+        ts = np.unique(np.concatenate([
+            np.linspace(0.0, 1.0, 46), joins, np.nextafter(joins, 1.0),
+            [0.5, 0.5 + 1e-9]]))
+        stack = ext._evaluate(ts)
+        for t, got in zip(ts.tolist(), stack):
+            ref = scalar_extension(ext, t)
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), t
+
+
+class TestExtensionRoutes:
+    @staticmethod
+    def spy_calls(monkeypatch):
+        calls = Counter()
+        for name in ("normal_form", "semisimple_perturb"):
+            def wrapped(*args, _fn=getattr(cz, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cz, name, wrapped)
+        return calls
+
+    def test_semisimple_endpoint_is_its_own_bridge_end(self, monkeypatch):
+        calls = self.spy_calls(monkeypatch)
+        a_end = every_block_endpoint()
+        ext = _Extension(a_end, DEFAULT_TOL, seed=0)
+        assert not ext.perturbed
+        assert calls == {"normal_form": 1}
+        seen = []
+        build = _Extension._evaluate
+
+        def spy(self, ts):
+            seen.extend(ts.tolist())
+            return build(self, ts)
+
+        monkeypatch.setattr(_Extension, "_evaluate", spy)
+        turns = ext.rho_winding(Counter())
+        assert sorted(seen) == [0.0, 1.0 / 3.0]
+        # sum of sign(theta) (pi - |theta|) / pi over the first-kind unit
+        # eigenvalues e^{i theta}
+        angles = [np.angle(z) for z in first_kind_eigenvalues(a_end)
+                  if abs(abs(z) - 1.0) < 1e-9]
+        assert len(angles) == 2
+        closed = sum(np.sign(th) * (np.pi - abs(th)) / np.pi for th in angles)
+        assert turns == pytest.approx(closed, abs=1e-12)
+        assert closed == pytest.approx(((np.pi - 0.9) - (np.pi - 2.1)) / np.pi)
+
+    def test_repeated_eigenvalue_is_perturbed(self, monkeypatch):
+        calls = self.spy_calls(monkeypatch)
+        result = conley_zehnder(repeated_eigenvalue_path())
+        assert calls == {"normal_form": 2, "semisimple_perturb": 1}
+        assert result.endpoint == "W-"
+        assert result.value == HalfInt.from_int(0)
 
 
 class TestIndexProperties:
