@@ -11,6 +11,12 @@ A real 2n x 2n matrix is symplectic when ``A.T @ Omega0 @ A == Omega0``,
 and C-linear (commutes with J0) exactly when it has the block shape
 ``[[B, -C], [C, B]]``; its complex determinant is ``det(B + iC)``.
 
+``polar_decompose`` is SVD-based, but ``rho_polar`` is not: for symplectic
+A = U P the C-linear part C_A = (A - J0 A J0)/2 is U C_P, with C_P Hermitian
+positive definite, so det_C(C_A) = det_C(U) det_C(C_P) and the phase of
+det_C(C_A) is det_C(U).  On Sp(2n) the two determinant circle maps
+``rho_polar`` and ``rho_hat`` are thus one map, computed by one routine.
+
 The symplectic check, the polar factors, the complex determinant, the two
 determinant circle maps and the direct sum also take a stack (k, 2n, 2n) of
 matrices, which a path evaluates at an array of parameters; they then check
@@ -181,10 +187,10 @@ def polar_decompose(A, tol: ToleranceProfile = DEFAULT_TOL):
     return O, P
 
 
-def _complex_det_unchecked(O: np.ndarray):
-    """det(B + iC) of the blocks B = O[:n, :n], C = O[n:, :n] of each matrix."""
+def _complex_blocks(O: np.ndarray) -> np.ndarray:
+    """B + iC of the blocks B = O[:n, :n], C = O[n:, :n] of each matrix."""
     n = O.shape[-1] // 2
-    return np.linalg.det(O[..., :n, :n] + 1j * O[..., n:, :n])
+    return O[..., :n, :n] + 1j * O[..., n:, :n]
 
 
 def complex_det(O, tol: ToleranceProfile = DEFAULT_TOL):
@@ -195,7 +201,7 @@ def complex_det(O, tol: ToleranceProfile = DEFAULT_TOL):
     comm = np.max(_fro(o @ jm - jm @ o) / (1.0 + _fro(o)))
     if comm > max(tol.tol_symp, 1e-8):
         raise ContractError(f"matrix does not commute with J0 (residual {comm:.3e})")
-    return _complex_det_unchecked(o)
+    return np.linalg.det(_complex_blocks(o))
 
 
 def normalize_unit(z):
@@ -207,19 +213,34 @@ def normalize_unit(z):
     return z / m
 
 
+def _clinear_phase(A, tol: ToleranceProfile, name: str):
+    """det_C(C_A) / |det_C(C_A)| of the C-linear part C_A = (A - J0 A J0)/2
+    of a symplectic A, or of each matrix of a stack; the errors name the
+    circle map ``name``.
+
+    The phase comes from ``slogdet``, which never forms |det_C(C_A)|, so it
+    does not overflow however large the entries.  |det_C(C_A)| >= 1 on
+    Sp(2n), so a zero phase (a singular C_A) shows rounding past repair.
+    """
+    a = as_array(A)
+    _check_even_square(a, stacked=True)
+    if not np.isfinite(a).all():
+        raise ContractError(f"{name} requires a matrix of finite entries")
+    if not is_symplectic(a, tol):
+        raise ContractError(f"{name} requires a symplectic matrix")
+    jm = j_matrix(a.shape[-1] // 2)
+    phase, _ = np.linalg.slogdet(_complex_blocks(0.5 * (a - jm @ a @ jm)))
+    if not (np.abs(phase) > 0.5).all():     # a zero (or NaN) phase
+        raise ContractError(f"{name}: the C-linear part has zero determinant")
+    return phase
+
+
 def rho_polar(A, tol: ToleranceProfile = DEFAULT_TOL):
     """Circle map det_C of the unitary polar factor of A; of a stack, the
-    array of them."""
-    O, _ = polar_decompose(A, tol)
-    # the polar factor commutes with J0 exactly; project out rounding noise
-    jm = j_matrix(O.shape[-1] // 2)
-    # the commutator residual grows like eps * cond(A)^2 through the
-    # eigendecomposition; the check only needs to catch structural errors
-    comm = np.max(_fro(O @ jm - jm @ O) / (1.0 + _fro(O)))
-    if comm > 1e-3:
-        raise ContractError(
-            f"polar factor does not commute with J0 (residual {comm:.3e})")
-    return normalize_unit(complex_det(0.5 * (O - jm @ O @ jm), tol))
+    array of them.  Taken, with no SVD, as the phase of det_C of the
+    C-linear part (see the module docstring), so on Sp(2n) it is the map
+    ``rho_hat``."""
+    return _clinear_phase(A, tol, "rho_polar")
 
 
 def rho_hat(A, tol: ToleranceProfile = DEFAULT_TOL):
@@ -229,11 +250,7 @@ def rho_hat(A, tol: ToleranceProfile = DEFAULT_TOL):
     C_g = (g - J0 g J0)/2 is the C-linear part of g and is invertible for
     every symplectic g; rho_hat(g) = det_C(C_g) / |det_C(C_g)|.
     """
-    a = as_array(A)
-    if not is_symplectic(a, tol):
-        raise ContractError("rho_hat requires a symplectic matrix")
-    jm = j_matrix(a.shape[-1] // 2)
-    return normalize_unit(_complex_det_unchecked(0.5 * (a - jm @ a @ jm)))
+    return _clinear_phase(A, tol, "rho_hat")
 
 
 def direct_sum_many(mats: list[np.ndarray]) -> np.ndarray:

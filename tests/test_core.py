@@ -106,6 +106,31 @@ class TestCircleMaps:
         p = np.diag([3.0, 1 / 3.0])
         assert rho_hat(p) == pytest.approx(1.0)
         assert rho_polar(p) == pytest.approx(1.0)
+        # det_C of this C-linear part overflows; its phase does not
+        huge = np.diag([1e200, 1e200, 1e-200, 1e-200])
+        assert rho_hat(huge) == rho_polar(huge) == 1.0
+        # det_C(C_A) = det_C(U) det_C(C_P) with C_P > 0: both maps are the
+        # complex determinant of the orthogonal polar factor U, which the
+        # SVD gives to within eps * cond(A)
+        largest = 0.0
+        for n in (1, 2, 4, 8):
+            stack = np.array([random_symplectic(n, seed, scale=scale,
+                                                max_cond=2e6)
+                              for scale in (0.5, 1.0, 1.5) for seed in range(3)])
+            cond = np.linalg.cond(stack)
+            largest = max(largest, cond.max())
+            want = complex_det(polar_decompose(stack)[0])
+            for circle_map in (rho_polar, rho_hat):
+                assert (np.abs(circle_map(stack) - want) <= 1e-13 * cond).all()
+        assert largest > 1e5
+
+    def test_determinant_maps_name_themselves_in_their_errors(self):
+        infinite = rotation(0.3)
+        infinite[0, 1] = np.inf
+        for bad in (np.diag([2.0, 2.0]), infinite):
+            for circle_map in (rho_polar, rho_hat):
+                with pytest.raises(ContractError, match=circle_map.__name__):
+                    circle_map(bad)
 
     def test_complex_det_requires_j_commutation(self):
         with pytest.raises(ContractError):

@@ -387,6 +387,33 @@ class TestExtensionRoutes:
         assert result.endpoint == "W-"
         assert result.value == HalfInt.from_int(0)
 
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_determinant_windings_skip_a_constant_bridge(self, perturbed,
+                                                         monkeypatch):
+        path = repeated_eigenvalue_path() if perturbed else exp_path(2, seed=1)
+        ext = _Extension(evaluate_array(path, 1.0), DEFAULT_TOL, seed=0)
+        assert ext.perturbed == perturbed
+        seen = []
+        build = _Extension._evaluate
+
+        def spy(self, ts):
+            seen.extend(ts.tolist())
+            return build(self, ts)
+
+        monkeypatch.setattr(_Extension, "_evaluate", spy)
+        turns = [ext.det_winding(circle_map, DEFAULT_TOL)
+                 for circle_map in (cz.rho_polar, cz.rho_hat)]
+        assert turns[0] == pytest.approx(turns[1], abs=1e-12)
+        # the bridge third is t <= 1/3; a constant one shares only t = 1/3
+        bridge = sorted(t for t in seen if t <= 1.0 / 3.0)
+        if perturbed:
+            assert bridge[0] == 0.0 and len(bridge) > 2
+        else:
+            assert bridge == [1.0 / 3.0]
+        assert max(seen) == 1.0
+        w = conley_zehnder(path).diagnostics["windings"]
+        assert w["polar"] == pytest.approx(w["clinear"], abs=1e-12)
+
 
 class TestIndexProperties:
     def test_rotation_anchor(self):
