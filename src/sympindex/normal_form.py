@@ -97,49 +97,43 @@ def _coupling(k: int, d: int, lam: float) -> np.ndarray:
 
 
 def _block_matrix(block: NormalFormBlock) -> np.ndarray:
-    case = block.case
-    if case == "OffCircleReal":
-        (lam,) = block.lambda_param
-        if abs(lam) in (0.0, 1.0):
-            raise ParameterError("OffCircleReal requires |lam| not in {0, 1}")
-        J = _jordan(lam, block.jordan_order)
-        Z = np.zeros_like(J)
-        Jt = np.linalg.inv(J).T
-        return np.block([[J, Z], [Z, Jt]])
+    case, order = block.case, block.jordan_order
+    if case in ("UnitNonRealEven", "UnitNonRealOdd"):
+        (phi,) = block.lambda_param
+        if np.sin(phi) == 0.0:
+            raise ParameterError("unit non-real blocks require sin(phi) != 0")
+        if case == "UnitNonRealOdd" and order == 1:
+            return _rot(phi)
+        if block.payload is None:
+            raise ParameterError(
+                f"{case} of order {order} has free coupling rows; "
+                "a realized payload matrix is required"
+            )
+        return np.asarray(block.payload)
     if case == "OffCircleComplex":
         r, phi = block.lambda_param
         if r <= 0 or r == 1.0:
             raise ParameterError("OffCircleComplex requires r in (0,1) or (1,inf)")
-        J = _jordan_rot(r, phi, 2 * block.jordan_order)
-        Z = np.zeros_like(J)
-        Jt = np.linalg.inv(J).T
-        return np.block([[J, Z], [Z, Jt]])
-    if case == "PlusMinusOne":
+        J = _jordan_rot(r, phi, 2 * order)
+    elif case == "OffCircleReal":
+        (lam,) = block.lambda_param
+        if abs(lam) in (0.0, 1.0):
+            raise ParameterError("OffCircleReal requires |lam| not in {0, 1}")
+        J = _jordan(lam, order)
+    elif case == "PlusMinusOne":
         (lam,) = block.lambda_param
         if lam not in (1.0, -1.0):
             raise ParameterError("PlusMinusOne requires lam in {1, -1}")
         if block.d not in (-1, 0, 1):
             raise ParameterError("d must be in {-1, 0, +1}")
-        if block.d == 0 and block.jordan_order % 2 == 0:
+        if block.d == 0 and order % 2 == 0:
             raise ParameterError("d = 0 requires odd jordan order")
-        r = block.jordan_order
-        J = _jordan(lam, r)
-        C = _coupling(r, block.d, lam)
-        Jt = np.linalg.inv(J).T
-        return np.block([[J, C], [np.zeros_like(J), Jt]])
-    if case in ("UnitNonRealEven", "UnitNonRealOdd"):
-        (phi,) = block.lambda_param
-        if np.sin(phi) == 0.0:
-            raise ParameterError("unit non-real blocks require sin(phi) != 0")
-        if case == "UnitNonRealOdd" and block.jordan_order == 1:
-            return _rot(phi)
-        if block.payload is None:
-            raise ParameterError(
-                f"{case} of order {block.jordan_order} has free coupling rows; "
-                "a realized payload matrix is required"
-            )
-        return np.asarray(block.payload)
-    raise ParameterError(f"unknown block case {case!r}")
+        J = _jordan(lam, order)
+    else:
+        raise ParameterError(f"unknown block case {case!r}")
+    Z = np.zeros_like(J)
+    C = _coupling(order, block.d, lam) if case == "PlusMinusOne" else Z
+    return np.block([[J, C], [Z, np.linalg.inv(J).T]])
 
 
 def assemble(blocks) -> np.ndarray:
@@ -164,33 +158,20 @@ def invariants_of(report: NormalFormReport, decimals: int = 4):
 # construction helpers
 
 
-def _omega_of(dim2n: int) -> np.ndarray:
-    return omega_matrix(dim2n // 2)
-
-
 def _pair(om: np.ndarray, x: np.ndarray, y: np.ndarray):
     """Bilinear symplectic pairing, extended complex-bilinearly."""
     return x @ om @ y
 
 
-def _real_gen_eigenspace(a: np.ndarray, lam: float, mult: int) -> np.ndarray:
-    """Real orthonormal basis of the generalized eigenspace of a real lam."""
-    M = np.linalg.matrix_power(a - lam * np.eye(a.shape[0]), mult)
-    _, _, vh = np.linalg.svd(M)
-    return vh[-mult:].T
-
-
-def _nilpotency(N: np.ndarray, Vb: np.ndarray, scale: float) -> int:
-    """Largest p with (A - lam)^p nonzero on span(Vb)."""
-    p = 0
-    M = Vb.copy()
-    for j in range(1, Vb.shape[1] + 1):
-        M = N @ M
-        if np.linalg.norm(M) > 1e-6 * scale:
-            p = j
-        else:
+def _nilpotency(N: np.ndarray, Vb: np.ndarray, scale: float):
+    """Largest p with (A - lam)^p nonzero on span(Vb), and (A - lam)^p Vb."""
+    p, NpV = 0, Vb
+    for _ in range(Vb.shape[1]):
+        M = N @ NpV
+        if np.linalg.norm(M) <= 1e-6 * scale:
             break
-    return p
+        p, NpV = p + 1, M
+    return p, NpV
 
 
 def _chain(N: np.ndarray, v: np.ndarray, p: int) -> list[np.ndarray]:
@@ -211,193 +192,6 @@ def _dual_basis(om, e_cols: list[np.ndarray], g_cols: list[np.ndarray]):
             for j in range(len(e_cols))]
 
 
-# ---------------------------------------------------------------------------
-# case 1: eigenvalues off the unit circle (real or complex quadruples)
-
-
-def _case_off_circle(a, om, lam, mult, is_real, tol):
-    """Blocks and real (E, F) basis columns for an off-circle quadruple.
-
-    E_{1/lam} of A is E_lam of A^-1 = Omega^T A^T Omega, where lam lies
-    outside the disk: that eigenspace is separated from the rest of the
-    spectrum by about |lam|, against gaps of about 1/|lam| inside the disk.
-    """
-    a_inv = om.T @ a.T @ om
-    if is_real:
-        Vb = _real_gen_eigenspace(a, lam.real, mult).astype(float)
-        Wb = _real_gen_eigenspace(a_inv, lam.real, mult).astype(float)
-        N = a - lam.real * np.eye(a.shape[0])
-        Nw = a - (1.0 / lam.real) * np.eye(a.shape[0])
-    else:
-        Vb = generalized_eigenspace(a, lam, tol, multiplicity=mult)
-        Wb = generalized_eigenspace(a_inv, lam, tol, multiplicity=mult)
-        N = a.astype(complex) - lam * np.eye(a.shape[0])
-        Nw = a.astype(complex) - (1.0 / lam) * np.eye(a.shape[0])
-
-    blocks, e_parts, f_parts = [], [], []
-    while Vb.shape[1] > 0:
-        p = _nilpotency(N, Vb, np.linalg.norm(Vb))
-        NpV = np.linalg.matrix_power(N, p) @ Vb
-        M = NpV.T @ om @ Wb
-        i, j = np.unravel_index(np.argmax(np.abs(M)), M.shape)
-        if abs(M[i, j]) < tol.tol_form:
-            raise NormalFormError("degenerate off-circle pairing")
-        v = Vb[:, i]
-        w = Wb[:, j] / M[i, j]
-
-        e_cols = _chain(N, v, p)
-        g_cols = _chain(Nw, w, p)[::-1]  # (A - 1/lam)^{j-1} w, j = 1..p+1
-        f_cols = _dual_basis(om, e_cols, g_cols)
-
-        if is_real:
-            E = np.column_stack(e_cols).real
-            F = np.column_stack(f_cols).real
-            blocks.append(NormalFormBlock(
-                case="OffCircleReal", size=2 * (p + 1),
-                lambda_param=(float(lam.real),), jordan_order=p + 1, d=None))
-        else:
-            xs, ys = _realify_pairs(e_cols, f_cols)
-            E = np.column_stack(xs)
-            F = np.column_stack(ys)
-            r, phi = abs(lam), float(np.angle(lam))
-            blocks.append(NormalFormBlock(
-                case="OffCircleComplex", size=4 * (p + 1),
-                lambda_param=(float(r), phi), jordan_order=p + 1, d=None))
-        e_parts.append(E)
-        f_parts.append(F)
-
-        Fm = np.column_stack(f_cols)
-        Em = np.column_stack(e_cols)
-        prev_dim = Vb.shape[1]
-        Vb = Vb @ _nullspace(Fm.T @ om @ Vb)
-        Wb = Wb @ _nullspace(Em.T @ om @ Wb)
-        if Vb.shape[1] >= prev_dim:
-            raise NormalFormError("off-circle recursion failed to shrink")
-    return blocks, e_parts, f_parts
-
-
-# ---------------------------------------------------------------------------
-# case 2: eigenvalues +-1
-
-
-def _clean_update(om, N, x, y, s, p, delta):
-    """Solve x' = x + c N^{p-s} y so that Omega(N^s x', x') = 0."""
-    Ny = np.linalg.matrix_power(N, p - s) @ y
-    bracket = _pair(om, np.linalg.matrix_power(N, s) @ Ny, x) \
-        + _pair(om, np.linalg.matrix_power(N, s) @ x, Ny)
-    if abs(bracket) < 1e-12:
-        if abs(delta) < 1e-9:
-            return x
-        raise NormalFormError("cleaning step unsolvable (zero bracket)")
-    return x + (-delta / bracket) * Ny
-
-
-def _case_plus_minus_one(a, om, lam, mult, tol):
-    lam = float(lam.real)
-    Vb = _real_gen_eigenspace(a, lam, mult)
-    N = a - lam * np.eye(a.shape[0])
-
-    blocks, e_parts, f_parts = [], [], []
-    while Vb.shape[1] > 0:
-        p = _nilpotency(N, Vb, np.linalg.norm(Vb))
-        NpV = np.linalg.matrix_power(N, p) @ Vb
-        M = NpV.T @ om @ Vb
-
-        if p % 2 == 1:
-            # symmetric top form: block [[J(lam,k), C(k,d,lam)], [0, J^-T]]
-            k = (p + 1) // 2
-            Ms = 0.5 * (M + M.T)
-            w_eig, U = np.linalg.eigh(Ms)
-            imax = int(np.argmax(np.abs(w_eig)))
-            if abs(w_eig[imax]) < tol.tol_form:
-                raise NormalFormError("degenerate symmetric pairing at +-1")
-            v = Vb @ U[:, imax]
-            val = _pair(om, np.linalg.matrix_power(N, p) @ v, v)
-            v = v / np.sqrt(abs(val))
-
-            # kill Omega(N^i v, N^j v) for i, j <= k-1: even sums vanish by
-            # antisymmetry, odd sums are cleaned in descending order
-            for r in range(1, k):
-                s_sum = 2 * (k - r) - 1
-                alpha = _pair(om, np.linalg.matrix_power(N, s_sum) @ v, v)
-                v = _clean_update(om, N, v, v, s_sum, p, alpha)
-
-            chain = _chain(N, v, p)           # e_1 .. e_{2k}
-            e_cols = chain[:k]
-            g_cols = chain[k:]
-            f_cols = _dual_basis(om, e_cols, g_cols)
-            # the sign invariant is read off the realized coupling row
-            B_real = _block_payload(
-                a, om, np.column_stack(e_cols), np.column_stack(f_cols))
-            D = B_real[:k, k:] @ _jordan(lam, k).T
-            d = int(round(D[k - 1, k - 1]))
-            if d not in (-1, 1) or \
-                    np.linalg.norm(D - _coupling(k, d, lam) @ _jordan(lam, k).T) > 1e-6:
-                raise NormalFormError("unexpected coupling at +-1 (sign readoff)")
-            blocks.append(NormalFormBlock(
-                case="PlusMinusOne", size=2 * k, lambda_param=(lam,),
-                jordan_order=k, d=d))
-        else:
-            # antisymmetric top form: block [[J(lam,p+1), 0], [0, J^-T]], d = 0
-            Ma = 0.5 * (M - M.T)
-            i, j = np.unravel_index(np.argmax(np.abs(Ma)), Ma.shape)
-            if abs(Ma[i, j]) < tol.tol_form:
-                raise NormalFormError("degenerate antisymmetric pairing at +-1")
-            v = Vb[:, i]
-            w = Vb[:, j]
-            w = w / _pair(om, np.linalg.matrix_power(N, p) @ v, w)
-            for s_sum in range(p - 1, -1, -1):
-                delta = _pair(om, np.linalg.matrix_power(N, s_sum) @ v, v)
-                if abs(delta) > 1e-13:
-                    v = _clean_update(om, N, v, w, s_sum, p, delta)
-            w = w / _pair(om, np.linalg.matrix_power(N, p) @ v, w)
-            for s_sum in range(p - 1, -1, -1):
-                delta = _pair(om, np.linalg.matrix_power(N, s_sum) @ w, w)
-                if abs(delta) > 1e-13:
-                    w = _clean_update(om, N, w, v, s_sum, p, delta)
-
-            e_cols = _chain(N, v, p)
-            g_cols = _chain(N, w, p)
-            f_cols = _dual_basis(om, e_cols, g_cols)
-            blocks.append(NormalFormBlock(
-                case="PlusMinusOne", size=2 * (p + 1), lambda_param=(lam,),
-                jordan_order=p + 1, d=0))
-
-        E = np.column_stack(e_cols)
-        F = np.column_stack(f_cols)
-        e_parts.append(E)
-        f_parts.append(F)
-        span = np.column_stack([E, F])
-        prev_dim = Vb.shape[1]
-        Vb = Vb @ _nullspace(span.T @ om @ Vb)
-        if Vb.shape[1] >= prev_dim:
-            raise NormalFormError("plus-minus-one recursion failed to shrink")
-    return blocks, e_parts, f_parts
-
-
-# ---------------------------------------------------------------------------
-# case 3: unit non-real eigenvalues
-
-
-def _hermitian_top_form(om, N, Vb, p):
-    """Hermitian matrix H with Q_hat(v, v) proportional to c^H H c.
-
-    The sesquilinear top pairing Q_hat(x, y) = Omega(N^p x, conj(y)) on the
-    unit eigenspace is Hermitian only up to a global unit-modulus phase; the
-    phase is removed using the largest entry so that a real eigensolver can
-    pick the extremal vector.
-    """
-    NpV = np.linalg.matrix_power(N, p) @ Vb
-    Q = NpV.T @ om @ Vb.conj()        # Q[a, b] = Q_hat(v_a, v_b)
-    H = Q.T                           # value of Q_hat(Vc, Vc) is c^H H c
-    a, b = np.unravel_index(np.argmax(np.abs(H)), H.shape)
-    if abs(H[a, b]) < 1e-14 or abs(H[b, a]) < 0.5 * abs(H[a, b]):
-        return np.zeros_like(H)
-    theta = 0.5 * np.angle(H[a, b] / np.conj(H[b, a]))
-    Hh = np.exp(-1j * theta) * H
-    return 0.5 * (Hh + Hh.conj().T)
-
-
 def _realify_pairs(u_list, f_list):
     """Real (x, y) columns from conjugate chain pairs and their duals."""
     s2 = np.sqrt(2.0)
@@ -408,6 +202,154 @@ def _realify_pairs(u_list, f_list):
         ys.append(s2 * f.real)
         ys.append(s2 * f.imag)
     return xs, ys
+
+
+def _complement(om, Vb, span, name):
+    """The part of span(Vb) symplectically orthogonal to the columns of span."""
+    rest = Vb @ _nullspace(span.T @ om @ Vb)
+    if rest.shape[1] >= Vb.shape[1]:
+        raise NormalFormError(f"{name} recursion failed to shrink")
+    return rest
+
+
+# ---------------------------------------------------------------------------
+# case 1: eigenvalues off the unit circle (real or complex quadruples)
+
+
+def _case_off_circle(a, om, lam, mult, is_real, tol):
+    """(block, E, F) per block of an off-circle quadruple, with real E, F.
+
+    E_{1/lam} of A is E_lam of A^-1 = Omega^T A^T Omega, where lam lies
+    outside the disk: that eigenspace is separated from the rest of the
+    spectrum by about |lam|, against gaps of about 1/|lam| inside the disk.
+    """
+    if is_real:
+        lam = lam.real
+    Vb = generalized_eigenspace(a, lam, tol, multiplicity=mult)
+    Wb = generalized_eigenspace(om.T @ a.T @ om, lam, tol, multiplicity=mult)
+    N = a - lam * np.eye(a.shape[0])
+    Nw = a - (1.0 / lam) * np.eye(a.shape[0])
+    while Vb.shape[1] > 0:
+        p, NpV = _nilpotency(N, Vb, np.linalg.norm(Vb))
+        M = NpV.T @ om @ Wb
+        i, j = np.unravel_index(np.argmax(np.abs(M)), M.shape)
+        if abs(M[i, j]) < tol.tol_form:
+            raise NormalFormError("degenerate off-circle pairing")
+        e_cols = _chain(N, Vb[:, i], p)
+        g_cols = _chain(Nw, Wb[:, j] / M[i, j], p)[::-1]  # (A - 1/lam)^{j-1} w
+        f_cols = _dual_basis(om, e_cols, g_cols)
+        if is_real:
+            yield (NormalFormBlock(case="OffCircleReal", size=2 * (p + 1),
+                                   lambda_param=(float(lam),), jordan_order=p + 1),
+                   np.column_stack(e_cols), np.column_stack(f_cols))
+        else:
+            xs, ys = _realify_pairs(e_cols, f_cols)
+            r, phi = float(abs(lam)), float(np.angle(lam))
+            yield (NormalFormBlock(case="OffCircleComplex", size=4 * (p + 1),
+                                   lambda_param=(r, phi), jordan_order=p + 1),
+                   np.column_stack(xs), np.column_stack(ys))
+        Wb = _complement(om, Wb, np.column_stack(e_cols), "off-circle")
+        Vb = _complement(om, Vb, np.column_stack(f_cols), "off-circle")
+
+
+# ---------------------------------------------------------------------------
+# case 2: eigenvalues +-1
+
+
+def _clean(om, N, x, p, sums, y=None):
+    """x plus multiples of N^{p-s} y so that Omega(N^s x, x) = 0 for each s
+    of sums in turn; y defaults to x itself, as it is updated."""
+    for s in sums:
+        Ns = np.linalg.matrix_power(N, s)
+        delta = _pair(om, Ns @ x, x)
+        if abs(delta) <= 1e-13:
+            continue
+        Ny = np.linalg.matrix_power(N, p - s) @ (x if y is None else y)
+        bracket = _pair(om, Ns @ Ny, x) + _pair(om, Ns @ x, Ny)
+        if abs(bracket) < 1e-12:
+            if abs(delta) < 1e-9:
+                continue
+            raise NormalFormError("cleaning step unsolvable (zero bracket)")
+        x = x + (-delta / bracket) * Ny
+    return x
+
+
+def _case_plus_minus_one(a, om, lam, mult, tol):
+    lam = float(lam.real)
+    Vb = generalized_eigenspace(a, lam, tol, multiplicity=mult)
+    N = a - lam * np.eye(a.shape[0])
+    while Vb.shape[1] > 0:
+        p, NpV = _nilpotency(N, Vb, np.linalg.norm(Vb))
+        M = NpV.T @ om @ Vb
+        if p % 2 == 1:
+            # symmetric top form: block [[J(lam,k), C(k,d,lam)], [0, J^-T]]
+            k = (p + 1) // 2
+            w_eig, U = np.linalg.eigh(0.5 * (M + M.T))
+            imax = int(np.argmax(np.abs(w_eig)))
+            if abs(w_eig[imax]) < tol.tol_form:
+                raise NormalFormError("degenerate symmetric pairing at +-1")
+            v = Vb @ U[:, imax]
+            v = v / np.sqrt(abs(_pair(om, np.linalg.matrix_power(N, p) @ v, v)))
+            # kill Omega(N^i v, N^j v) for i, j <= k-1: even sums vanish by
+            # antisymmetry, odd sums are cleaned in descending order
+            chain = _chain(N, _clean(om, N, v, p, range(p - 2, 0, -2)), p)
+            e_cols, f_cols = chain[:k], _dual_basis(om, chain[:k], chain[k:])
+            # the sign invariant is read off the realized coupling row
+            B_real = _block_payload(
+                a, om, np.column_stack(e_cols), np.column_stack(f_cols))
+            D = B_real[:k, k:] @ _jordan(lam, k).T
+            d = int(round(D[k - 1, k - 1]))
+            if d not in (-1, 1) or \
+                    np.linalg.norm(D - _coupling(k, d, lam) @ _jordan(lam, k).T) > 1e-6:
+                raise NormalFormError("unexpected coupling at +-1 (sign readoff)")
+        else:
+            # antisymmetric top form: block [[J(lam,p+1), 0], [0, J^-T]], d = 0
+            k, d = p + 1, 0
+            Ma = 0.5 * (M - M.T)
+            i, j = np.unravel_index(np.argmax(np.abs(Ma)), Ma.shape)
+            if abs(Ma[i, j]) < tol.tol_form:
+                raise NormalFormError("degenerate antisymmetric pairing at +-1")
+            v, w = Vb[:, i], Vb[:, j]
+            w = w / _pair(om, np.linalg.matrix_power(N, p) @ v, w)
+            v = _clean(om, N, v, p, range(p - 1, -1, -1), w)
+            w = w / _pair(om, np.linalg.matrix_power(N, p) @ v, w)
+            w = _clean(om, N, w, p, range(p - 1, -1, -1), v)
+            e_cols = _chain(N, v, p)
+            f_cols = _dual_basis(om, e_cols, _chain(N, w, p))
+        E, F = np.column_stack(e_cols), np.column_stack(f_cols)
+        yield (NormalFormBlock(case="PlusMinusOne", size=2 * k, lambda_param=(lam,),
+                               jordan_order=k, d=d), E, F)
+        Vb = _complement(om, Vb, np.column_stack([E, F]), "plus-minus-one")
+
+
+# ---------------------------------------------------------------------------
+# case 3: unit non-real eigenvalues
+
+
+def _hermitian_top_form(om, NpV, Vb):
+    """Hermitian matrix H with Q_hat(v, v) proportional to c^H H c.
+
+    The sesquilinear top pairing Q_hat(x, y) = Omega(N^p x, conj(y)) on the
+    unit eigenspace is Hermitian only up to a global unit-modulus phase; the
+    phase is removed using the largest entry so that a real eigensolver can
+    pick the extremal vector.
+    """
+    Q = NpV.T @ om @ Vb.conj()        # Q[a, b] = Q_hat(v_a, v_b)
+    H = Q.T                           # value of Q_hat(Vc, Vc) is c^H H c
+    a, b = np.unravel_index(np.argmax(np.abs(H)), H.shape)
+    if abs(H[a, b]) < 1e-14 or abs(H[b, a]) < 0.5 * abs(H[a, b]):
+        return np.zeros_like(H)
+    theta = 0.5 * np.angle(H[a, b] / np.conj(H[b, a]))
+    Hh = np.exp(-1j * theta) * H
+    return 0.5 * (Hh + Hh.conj().T)
+
+
+def _isotropic(om, W, u_lo):
+    """W plus conj(U B), U = [u_lo], with B such that the columns F of the
+    result have Omega(F_i, conj(F_j)) = 0."""
+    U = np.column_stack(u_lo)
+    B = np.linalg.solve(W.T @ om @ U, -0.5 * (W.T @ om @ W.conj()))
+    return W + (U @ B).conj()
 
 
 def _block_payload(a, om_full, E, F):
@@ -425,115 +367,54 @@ def _block_payload(a, om_full, E, F):
 
 
 def _case_unit(a, om, lam, mult, tol):
-    ac = a.astype(complex)
-    dim = a.shape[0]
+    eye = np.eye(a.shape[0])
     Vb = generalized_eigenspace(a, lam, tol, multiplicity=mult)
-
-    blocks, e_parts, f_parts = [], [], []
     while Vb.shape[1] > 0:
         lam_cur = lam
-        N = ac - lam_cur * np.eye(dim)
-        p = _nilpotency(N, Vb, np.linalg.norm(Vb))
-        H = _hermitian_top_form(om, N, Vb, p)
-        w_eig, U = np.linalg.eigh(H)
+        N = a - lam_cur * eye
+        p, NpV = _nilpotency(N, Vb, np.linalg.norm(Vb))
+        w_eig, U = np.linalg.eigh(_hermitian_top_form(om, NpV, Vb))
         imax = int(np.argmax(np.abs(w_eig)))
         if abs(w_eig[imax]) < tol.tol_form:
             raise NormalFormError("degenerate Krein-type pairing on unit eigenspace")
         v = Vb @ U[:, imax]
-
-        if p % 2 == 1:
-            k = (p + 1) // 2
-            u_chain = _chain(N, v, p)               # u_1 .. u_{2k}
-            u_lo, u_hi = u_chain[:k], u_chain[k:]
-            v_lo = [u.conj() for u in u_lo]
-            v_hi = [u.conj() for u in u_hi]
-
-            A1 = np.array([[_pair(om, um, vc) for vc in v_hi] for um in u_lo])
-            alpha = np.linalg.inv(A1)               # columns a_i
-            Vhi = np.column_stack(v_hi)
-            Uhi = np.column_stack(u_hi)
-            Ulo = np.column_stack(u_lo)
-            Vlo = np.column_stack(v_lo)
-            Kmat = Vhi.T @ om @ Uhi
-            Rmat = Vhi.T @ om @ Ulo
-            G = alpha.T @ Kmat @ alpha.conj()
-            X = -0.5 * G
-            Bbar = np.linalg.solve(Rmat, np.linalg.solve(alpha.T, X))
-            Bcoef = Bbar.conj()
-            Fv = [Vhi @ alpha[:, i] + Vlo @ Bcoef[:, i] for i in range(k)]
-
-            xs, ys = _realify_pairs(u_lo, Fv)
-            E = np.column_stack(xs)
-            F = np.column_stack(ys)
-            phi = abs(float(np.angle(lam_cur)))
-            payload = _block_payload(a, om, E, F)
-            blocks.append(NormalFormBlock(
-                case="UnitNonRealEven", size=2 * (p + 1), lambda_param=(phi,),
-                jordan_order=p + 1, d=None, payload=payload))
-        else:
-            k = p // 2
-            u_chain = _chain(N, v, p)               # u_1 .. u_{2k+1}
-            u_mid = u_chain[k] if p > 0 else u_chain[0]
-            v_mid = u_mid.conj()
-            c0 = _pair(om, v_mid, u_mid)            # purely imaginary
+        odd = p % 2 == 0               # an odd block has a middle vector u_{k+1}
+        k = (p + 1) // 2               # u_1..u_k pair with u_{p+2-k}..u_{p+1}
+        u_chain = _chain(N, v, p)
+        if odd:
+            u_mid = u_chain[k]
+            c0 = _pair(om, u_mid.conj(), u_mid)        # purely imaginary
             if abs(c0) < tol.tol_form:
                 raise NormalFormError("degenerate middle pairing on unit eigenspace")
-            scale = 1.0 / np.sqrt(abs(c0))
-            v = v * scale
+            v = v * (1.0 / np.sqrt(abs(c0)))
             if (c0 / abs(c0)).imag > 0:
                 # swap lam and conj(lam) so the middle pairing is -i
                 lam_cur = np.conj(lam_cur)
                 v = v.conj()
-                N = ac - lam_cur * np.eye(dim)
+                N = a - lam_cur * eye
             u_chain = _chain(N, v, p)
-            u_lo = u_chain[:k]
             u_mid = u_chain[k]
-            u_hi = u_chain[k + 1:]
-            v_lo = [u.conj() for u in u_lo]
-            v_mid = u_mid.conj()
-            v_hi = [u.conj() for u in u_hi]
-
-            Fv = []
-            if k > 0:
-                A1 = np.array([[_pair(om, um, vc) for vc in v_hi] for um in u_lo])
-                alpha = np.linalg.inv(A1)
-                Vhi = np.column_stack(v_hi)
-                Vlo = np.column_stack(v_lo)
-                row_mid = np.array([_pair(om, u_mid, vc) for vc in v_hi])
-                c_coef = 1j * (row_mid @ alpha)     # coefficients of v_mid
-                W = Vhi @ alpha + np.outer(v_mid, c_coef)
-                Rt = np.array([[_pair(om, W[:, i], u_lo[m]) for m in range(k)]
-                               for i in range(k)])
-                G = np.array([[_pair(om, W[:, i], W[:, i2].conj()) for i2 in range(k)]
-                              for i in range(k)])
-                Bbar = np.linalg.solve(Rt, -0.5 * G)
-                Bcoef = Bbar.conj()
-                Fv = [W[:, i] + Vlo @ Bcoef[:, i] for i in range(k)]
-
-            xs, ys = _realify_pairs(u_lo, Fv)
-            s2 = np.sqrt(2.0)
-            xs.append(s2 * v_mid.real)
-            ys.append(s2 * v_mid.imag)
-            E = np.column_stack(xs)
-            F = np.column_stack(ys)
-            phi = float(np.angle(lam_cur))
-            if p == 0:
-                payload = None
-            else:
-                payload = _block_payload(a, om, E, F)
-            blocks.append(NormalFormBlock(
-                case="UnitNonRealOdd", size=2 * (p + 1), lambda_param=(phi,),
-                jordan_order=p + 1, d=None, payload=payload))
-
-        e_parts.append(E)
-        f_parts.append(F)
+        u_lo, Fv = u_chain[:k], []
+        if k > 0:
+            u_hi = u_chain[p + 1 - k:]
+            W = np.column_stack(_dual_basis(om, u_lo, [u.conj() for u in u_hi]))
+            if odd:
+                # Omega(u_mid, W_i) = 0 through the middle pairing -i
+                W = W + np.outer(u_mid.conj(), 1j * (u_mid @ om @ W))
+            Fv = _isotropic(om, W, u_lo).T
+        xs, ys = _realify_pairs(u_lo, Fv)
+        if odd:
+            xs.append(np.sqrt(2.0) * u_mid.real)
+            ys.append(-np.sqrt(2.0) * u_mid.imag)
+        E, F = np.column_stack(xs), np.column_stack(ys)
+        phi = float(np.angle(lam_cur))
+        yield (NormalFormBlock(
+            case="UnitNonRealOdd" if odd else "UnitNonRealEven", size=2 * (p + 1),
+            lambda_param=(phi if odd else abs(phi),), jordan_order=p + 1,
+            payload=None if p == 0 else _block_payload(a, om, E, F)), E, F)
         # complement within E_lam: symplectically orthogonal to the block span
-        prev_dim = Vb.shape[1]
-        span = np.column_stack([E, F]).astype(complex)
-        Vb = Vb @ _nullspace(span.T @ om @ Vb)
-        if Vb.shape[1] >= prev_dim:
-            raise NormalFormError("unit-eigenspace recursion failed to shrink")
-    return blocks, e_parts, f_parts
+        Vb = _complement(om, Vb, np.column_stack([E, F]).astype(complex),
+                         "unit-eigenspace")
 
 
 # ---------------------------------------------------------------------------
@@ -548,27 +429,19 @@ def normal_form(A, tol: ToleranceProfile = DEFAULT_TOL) -> NormalFormReport:
     conjugators, not for adversarial inputs.
     """
     a = as_array(A)
-    om = _omega_of(a.shape[0])
-    quads = eigen_quadruples(a, tol)
-
-    blocks: list[NormalFormBlock] = []
-    e_parts: list[np.ndarray] = []
-    f_parts: list[np.ndarray] = []
-    for q in quads:
-        lam = q.representative
-        if q.regime in ("RealPositive", "RealNegative"):
-            bl, ep, fp = _case_off_circle(a, om, lam, q.multiplicity, True, tol)
-        elif q.regime == "OffCircleComplex":
-            bl, ep, fp = _case_off_circle(a, om, lam, q.multiplicity, False, tol)
+    om = omega_matrix(a.shape[0] // 2)
+    parts = []
+    for q in eigen_quadruples(a, tol):
+        lam, mult = q.representative, q.multiplicity
+        if q.regime in ("RealPositive", "RealNegative", "OffCircleComplex"):
+            parts.extend(_case_off_circle(a, om, lam, mult,
+                                          q.regime != "OffCircleComplex", tol))
         elif q.regime in ("PlusOne", "MinusOne"):
-            bl, ep, fp = _case_plus_minus_one(a, om, lam, q.multiplicity, tol)
+            parts.extend(_case_plus_minus_one(a, om, lam, mult, tol))
         else:
-            bl, ep, fp = _case_unit(a, om, lam, q.multiplicity, tol)
-        blocks.extend(bl)
-        e_parts.extend(ep)
-        f_parts.extend(fp)
-
-    K = np.column_stack(e_parts + f_parts)
+            parts.extend(_case_unit(a, om, lam, mult, tol))
+    blocks = [b for b, _, _ in parts]
+    K = np.column_stack([E for _, E, _ in parts] + [F for _, _, F in parts])
     N = direct_sum_many([b.matrix() for b in blocks])
     try:
         residual = float(np.linalg.norm(np.linalg.solve(K, a @ K) - N))
@@ -592,23 +465,14 @@ def _stretch_block(block: NormalFormBlock, eps_draws) -> np.ndarray:
     s = block.size // 2
     if block.case == "OffCircleReal" or block.case == "PlusMinusOne":
         d = 1.0 + np.array([next(eps_draws) for _ in range(s)])
-        return np.diag(np.concatenate([d, 1.0 / d]))
-    if block.case in ("OffCircleComplex", "UnitNonRealEven"):
-        d = 1.0 + np.repeat([next(eps_draws) for _ in range(s // 2)], 2)
-        return np.diag(np.concatenate([d, 1.0 / d]))
-    # UnitNonRealOdd: stretch the chain pairs, rotate the middle plane
-    k = (block.jordan_order - 1) // 2
-    d = np.ones(s)
-    if k > 0:
-        d[:2 * k] = 1.0 + np.repeat([next(eps_draws) for _ in range(k)], 2)
+    else:
+        # conjugate pairs of columns stretch alike; the middle plane of a
+        # UnitNonRealOdd block is rotated instead
+        d = np.ones(s)
+        d[:s - s % 2] = 1.0 + np.repeat([next(eps_draws) for _ in range(s // 2)], 2)
     S = np.diag(np.concatenate([d, 1.0 / d]))
-    eps0 = next(eps_draws)
-    c, sn = np.cos(eps0), np.sin(eps0)
-    i_e, i_f = s - 1, 2 * s - 1
-    S[i_e, i_e] = c
-    S[i_e, i_f] = -sn
-    S[i_f, i_e] = sn
-    S[i_f, i_f] = c
+    if block.case == "UnitNonRealOdd":
+        S[np.ix_([s - 1, 2 * s - 1], [s - 1, 2 * s - 1])] = _rot(next(eps_draws))
     return S
 
 

@@ -300,14 +300,13 @@ def _nullspace(M: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical kernel of M.
 
     Singular values up to rtol * max(1, largest) count as zero; a wide M
-    keeps at least its column excess.
+    adds its column excess.
     """
     if M.shape[0] == 0:
         return np.eye(M.shape[1], dtype=M.dtype)
     _, s, vh = np.linalg.svd(M)
     scale = s[0] if len(s) and s[0] > 0 else 1.0
-    k = int(np.sum(s <= rtol * max(1.0, scale)))
-    k = max(k, M.shape[1] - M.shape[0])
+    k = int(np.sum(s <= rtol * max(1.0, scale))) + max(M.shape[1] - M.shape[0], 0)
     if k == 0:
         return np.zeros((M.shape[1], 0), dtype=M.dtype)
     return vh[-k:].conj().T
@@ -315,7 +314,7 @@ def _nullspace(M: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
 
 def generalized_eigenspace(A, lam: complex, tol: ToleranceProfile = DEFAULT_TOL,
                            multiplicity: int | None = None) -> np.ndarray:
-    """Orthonormal complex basis of E_lam = union_j Ker(A - lam)^j.
+    """Orthonormal basis of E_lam = union_j Ker(A - lam)^j, real for a real lam.
 
     Kernels of increasing powers are computed by SVD until the dimension
     stabilizes.  If the algebraic multiplicity is supplied and the staircase
@@ -323,7 +322,7 @@ def generalized_eigenspace(A, lam: complex, tol: ToleranceProfile = DEFAULT_TOL,
     the singular subspace of (A - lam)^multiplicity belonging to its
     smallest singular values.
     """
-    a = finite_matrix(A).astype(complex)
+    a = finite_matrix(A).astype(np.result_type(lam, float))
     dim = a.shape[0]
     M = a - lam * np.eye(dim)
     thresh = max(tol.tol_kernel, tol.tol_eig)

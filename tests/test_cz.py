@@ -1,3 +1,4 @@
+import importlib
 import json
 from collections import Counter
 from functools import partial
@@ -26,6 +27,8 @@ from sympindex.tolerances import DEFAULT_TOL
 from conftest import krein_degenerate_rotation, rotation
 
 DATA = Path(__file__).parent / "data"
+# the package exports the function normal_form under the module's name
+nf = importlib.import_module("sympindex.normal_form")
 
 
 def exp_path(n=1, seed=0, scale=1.0, duration=1.0):
@@ -413,6 +416,33 @@ class TestExtensionRoutes:
         assert max(seen) == 1.0
         w = conley_zehnder(path).diagnostics["windings"]
         assert w["polar"] == pytest.approx(w["clinear"], abs=1e-12)
+
+    @pytest.mark.parametrize("rates,doubled", [
+        # two equal hyperbolic pairs and a rotation by 2
+        ((np.diag([0.7, -0.7]), np.diag([0.7, -0.7]), np.diag([2.0, 2.0])), 2),
+        # a unit eigenvalue of multiplicity 3
+        ((1.5 * np.eye(2),) * 3, 6)])
+    def test_perturbed_endpoint_rotates_its_unit_blocks(self, rates, doubled,
+                                                        monkeypatch):
+        # the repeated eigenvalue forces the perturbation, which stretches
+        # each order-1 UnitNonRealOdd block by a rotation
+        calls = self.spy_calls(monkeypatch)
+        stretched = []
+        stretch = nf._stretch_block
+
+        def spy(block, draws):
+            stretched.append(block.case)
+            return stretch(block, draws)
+
+        monkeypatch.setattr(nf, "_stretch_block", spy)
+        result = conley_zehnder(DirectSumPath(
+            parts=tuple(ExpPath(s_matrix=s) for s in rates)))
+        assert calls == {"normal_form": 2, "semisimple_perturb": 1}
+        assert "UnitNonRealOdd" in stretched
+        assert result.endpoint == "W+"
+        closed = [cz_dim2_closed_form(s, 1.0) for s in rates]
+        assert result.value == sum(closed[1:], closed[0])
+        assert result.value == HalfInt(doubled)
 
 
 class TestIndexProperties:

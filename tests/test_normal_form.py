@@ -53,7 +53,8 @@ class TestRoundTrips:
         assert rep.residual < 1e-8
         assert invariants_of(rep) == ((b.case, b.size, order, (round(lam, 4),), None),)
 
-    @pytest.mark.parametrize("r,phi,order", [(1.6, 0.7, 1), (1.4, 2.1, 1)])
+    @pytest.mark.parametrize("r,phi,order", [(1.6, 0.7, 1), (1.4, 2.1, 1),
+                                             (1.6, 0.7, 2), (1.4, 2.1, 2)])
     def test_off_circle_complex(self, r, phi, order):
         b = block("OffCircleComplex", 4 * order, (r, phi), order)
         a = conjugate(assemble([b]), 2 * order, seed=5)
@@ -110,6 +111,19 @@ class TestRoundTrips:
             assert invariants_of(direct) == invariants_of(conj)
             assert conj.residual < 1e-6 * (1 + np.linalg.norm(a0))
             assert symplectic_residual(conj.basis) < 1e-7
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_repeated_unit_rotations(self, m):
+        # once a rotation block is split off, the rest of the eigenspace of
+        # e^{1.5i} has dimension m - 1 and pairs with the block in rank 1
+        rot = [block("UnitNonRealOdd", 2, (1.5,), 1)] * m
+        a = conjugate(assemble(rot + [block("UnitNonRealOdd", 2, (-1.5,), 1)]),
+                      m + 1, seed=6)
+        rep = normal_form(a)
+        assert rep.residual < 1e-8
+        assert invariants_of(rep) == (
+            ("UnitNonRealOdd", 2, 1, (-1.5,), None),) + (
+            ("UnitNonRealOdd", 2, 1, (1.5,), None),) * m
 
     def test_basis_actually_conjugates(self):
         blocks = [block("OffCircleComplex", 4, (1.5, 0.9), 1),

@@ -156,6 +156,51 @@ class TestEigenspaces:
         p = (a - 2.0 * np.eye(a.shape[0]))
         assert np.linalg.norm(p @ p @ basis) < 1e-8
 
+    def test_nullspace_of_a_wide_matrix_counts_its_column_excess(self):
+        # rank 1 with three columns: a kernel of dimension 2
+        m = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
+        kernel = spectral._nullspace(m)
+        assert kernel.shape == (3, 2)
+        assert np.linalg.norm(m @ kernel) < 1e-12
+
+    @staticmethod
+    def defective_real_and_unit():
+        # a Jordan chain of order 2 at 2 and its inverse-transpose, and a
+        # rotation by 0.9, conjugated
+        jordan = np.array([[2.0, 1.0], [0.0, 2.0]])
+        zero = np.zeros((2, 2))
+        a = direct_sum_many([np.block([[jordan, zero],
+                                       [zero, np.linalg.inv(jordan).T]]),
+                             rotation(0.9)])
+        k = random_symplectic(3, seed=2, scale=0.3, max_cond=20)
+        assert symplectic_residual(a) < 1e-12
+        return k @ a @ np.linalg.inv(k)
+
+    def test_real_eigenvalue_gives_a_real_basis(self):
+        a = self.defective_real_and_unit()
+        basis = generalized_eigenspace(a, 2.0, multiplicity=2)
+        assert basis.dtype == np.float64 and basis.shape == (6, 2)
+        assert np.linalg.norm(basis.T @ basis - np.eye(2)) < 1e-12
+        # the same space as the basis a complex lam gives
+        ref = generalized_eigenspace(a, 2.0 + 0.0j, multiplicity=2)
+        assert ref.dtype == np.complex128
+        assert np.linalg.norm(basis @ basis.T - ref @ ref.conj().T) < 1e-8
+        p = a - 2.0 * np.eye(6)
+        assert np.linalg.norm(p @ p @ basis) < 1e-8 * np.linalg.norm(a) ** 2
+
+    def test_complex_eigenvalue_gives_a_complex_basis(self):
+        a = self.defective_real_and_unit()
+        lam = np.exp(0.9j)
+        basis = generalized_eigenspace(a, lam, multiplicity=1)
+        assert basis.dtype == np.complex128 and basis.shape == (6, 1)
+        assert np.linalg.norm(a @ basis - lam * basis) < 1e-8 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("lam", [1.3, 1.3 + 0.0j])
+    def test_non_eigenvalue_fails_the_invariance_check(self, lam):
+        a = self.defective_real_and_unit()
+        with pytest.raises(IllConditionedSpectrumError, match="not invariant"):
+            generalized_eigenspace(a, lam, multiplicity=1)
+
 
 class TestKrein:
     def test_rotation_has_positive_eigenvalue_of_first_kind(self):
