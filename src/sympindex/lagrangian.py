@@ -9,7 +9,10 @@ It is counted without them by the Souriau map W = U U^T conj(U_V U_V^T),
 U = X + iY for an orthonormal frame [X; Y] in a Darboux basis, whose
 eigenvalue 1 has multiplicity dim(Lambda & V) (Robbin-Salamon, Topology
 1993; Howard-Latushkin-Sukhtayev, J. Dyn. Diff. Eq. 2017); the crossing
-forms at the crossings the count locates must sum to it.
+forms at the crossings the count locates must sum to it.  Where V is
+R^m x 0, the eigenvalue angles of W are 2 arctan of the eigenvalues of the
+symmetric S = Y X^-1 of any frame [X; Y]; rows with an angle near pi,
+where X is near singular, take the complex eig of U U^T instead.
 """
 
 from __future__ import annotations
@@ -189,6 +192,45 @@ def _darboux_inverse(v: LagrangianFrame) -> np.ndarray:
     return np.linalg.inv(np.hstack([q, p + q @ (0.5 * p.T @ v.omega @ p)]))
 
 
+# rows with an eigenvalue s of Y X^-1 this large, an angle within about
+# 2e-3 of pi, take the complex eig: 2 arctan(s) errs on an angle near 0 by
+# up to about 8e-16 max|s| (measured on random 3 x 3 frames for max|s| from
+# 1e3 to 2e9), below 1e-12 here
+CAYLEY_MAX = 1e3
+
+
+def _souriau_angles(frames: np.ndarray):
+    """Eigenvalue angles of W, a row per frame of the stack ``frames`` of
+    Lagrangian frames [X; Y] in a Darboux basis where V is R^m x 0, and the
+    mask of the rows computed by the complex eig.
+
+    S = Y X^-1 is symmetric and does not depend on the frame, and
+    W = (I + iS)(I - iS)^-1, so the angles are 2 arctan of the eigenvalues
+    of S.  That loses an angle near 0 when W has one near -1 (X near
+    singular); those rows, and the whole stack when X is singular, take the
+    angles of the eigenvalues of U U^T, U = X + iY for an orthonormal frame.
+    """
+    m = frames.shape[2]
+    try:
+        # (Y X^-1)^T = X^-T Y^T
+        s = np.linalg.solve(np.swapaxes(frames[:, :m], 1, 2),
+                            np.swapaxes(frames[:, m:], 1, 2))
+    except np.linalg.LinAlgError:
+        fallback = np.ones(len(frames), dtype=bool)
+    else:
+        s = np.linalg.eigvalsh(0.5 * (s + np.swapaxes(s, 1, 2)))
+        # a NaN row fails the comparison too
+        fallback = ~(np.abs(s).max(axis=1) < CAYLEY_MAX)
+    lam = np.empty((len(frames), m))
+    if not fallback.all():
+        lam[~fallback] = 2.0 * np.arctan(s[~fallback])
+    if fallback.any():
+        q = np.linalg.qr(frames[fallback])[0]
+        u = q[:, :m] + 1j * q[:, m:]
+        lam[fallback] = np.angle(np.linalg.eigvals(u @ np.swapaxes(u, 1, 2)))
+    return lam, fallback
+
+
 def _doubled_counts(lam: np.ndarray, on: np.ndarray) -> np.ndarray:
     """Twice the Souriau count of each interval between samples, from a row
     per sample of eigenvalue angles of W in (-pi, pi], when arg det W moves
@@ -203,7 +245,9 @@ def _souriau_index(frame_stack, v: LagrangianFrame, tol: ToleranceProfile,
                    form_at, junctions=()):
     """Index of the path of Lagrangians ``frame_stack(ts)`` against V.
 
-    In a Darboux basis where V is R^m x 0, W ~ U U^T.  The count is one
+    In a Darboux basis where V is R^m x 0, W ~ U U^T, whose eigenvalue
+    angles are 2 arctan of those of Y X^-1 (``_souriau_angles``, with the
+    complex eig of U U^T near an eigenvalue -1).  The count is one
     ``winding`` of det W, sampled also at the ``junctions`` (kinks).  An
     interval that the crossings found so far do not explain is split at a
     secant root of the angle of the eigenvalue nearest 1 where that angle
@@ -219,9 +263,7 @@ def _souriau_index(frame_stack, v: LagrangianFrame, tol: ToleranceProfile,
 
     def sample(ts: np.ndarray) -> np.ndarray:
         """The eigenvalue angles of W at ``ts``, a row per t, kept."""
-        q = np.linalg.qr(d_inv @ frame_stack(ts))[0]
-        u = q[:, :q.shape[2]] + 1j * q[:, q.shape[2]:]
-        lam = np.angle(np.linalg.eigvals(u @ np.swapaxes(u, 1, 2)))
+        lam = _souriau_angles(d_inv @ frame_stack(ts))[0]
         angles.update(zip(ts.tolist(), lam))
         return lam
 
@@ -297,16 +339,6 @@ def _souriau_index(frame_stack, v: LagrangianFrame, tol: ToleranceProfile,
     return HalfInt(total), reports, trace
 
 
-def _lagrangian_rs(frame_stack, v: LagrangianFrame, tol: ToleranceProfile,
-                   junctions=()):
-    """``lagrangian_rs_index`` of the path whose frames at an array of
-    parameters are the stack ``frame_stack(ts)`` (len(ts), 2m, m), with
-    kinks at most at ``junctions``."""
-    return _souriau_index(
-        frame_stack, v, tol, lambda t, k, side: _crossing_form(
-            frame_stack, t, v, tol, side=side, k=k), junctions)
-
-
 def lagrangian_rs_index(frames, v: LagrangianFrame,
                         tol: ToleranceProfile = DEFAULT_TOL):
     """Maslov index of a path of Lagrangians against V: the Souriau count,
@@ -318,7 +350,10 @@ def lagrangian_rs_index(frames, v: LagrangianFrame,
     (HalfInt, crossing reports, trace) where the trace rows are (t,
     unwrapped arg det W in radians), the samples of its winding.
     """
-    return _lagrangian_rs(_stacked(frames), v, tol)
+    frame_stack = _stacked(frames)
+    return _souriau_index(
+        frame_stack, v, tol, lambda t, k, side: _crossing_form(
+            frame_stack, t, v, tol, side=side, k=k))
 
 
 def graph_lagrangian(a) -> LagrangianFrame:

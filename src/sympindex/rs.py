@@ -19,7 +19,7 @@ import numpy as np
 from .core import omega_matrix
 from .halfint import HalfInt
 from .lagrangian import (CrossingReport, LagrangianFrame, _kernel,
-                         _lagrangian_rs, _souriau_index, vertical_frame)
+                         _souriau_index, vertical_frame)
 # not called here, but bench/tracing.py wraps sympindex.rs.lagrangian_rs_index
 from .lagrangian import lagrangian_rs_index  # noqa: F401
 from .paths import (ExpPath, PathSpec, ShearPath, evaluate_array,
@@ -65,6 +65,15 @@ def _closed_form_shear(path: ShearPath, tol: ToleranceProfile):
     return RSResult(value=HalfInt(doubled), crossings=(), trace=())
 
 
+def _generator_form(path: PathSpec, t: float, side, kernel: np.ndarray):
+    """The crossing form kernel^T S_t kernel, S_t the generator of the path
+    at t, or a hair to one side of a junction for a side of +-1, where the
+    generator differences away from it, on that side."""
+    s_t = generator(path, t + 1e-9 * side if side else t).s_matrix
+    gamma = kernel.T @ s_t @ kernel
+    return 0.5 * (gamma + gamma.T)
+
+
 def _generic_rs(path: PathSpec, tol: ToleranceProfile) -> RSResult:
     """The graphs [Id; psi_t] of the path against the diagonal, Lagrangian
     for (-Omega0) (+) Omega0; ker(psi_t - Id) is their intersection."""
@@ -72,11 +81,7 @@ def _generic_rs(path: PathSpec, tol: ToleranceProfile) -> RSResult:
 
     def form_at(t: float, k: int, side):
         kernel = _kernel(evaluate_array(path, t) - eye, tol.tol_kernel, k)
-        # a hair to one side of a junction, generator differences away from
-        # it, on that side
-        s_t = generator(path, t + 1e-9 * side if side else t).s_matrix
-        gamma = kernel.T @ s_t @ kernel
-        return kernel, 0.5 * (gamma + gamma.T)
+        return kernel, _generator_form(path, t, side, kernel)
 
     value, reports, trace = _souriau_index(
         lambda ts: np.concatenate(
@@ -100,10 +105,21 @@ def rs_index(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL) -> RSResult:
 
 
 def _rs2(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL) -> RSResult:
-    """Crossings of the evolved vertical Lagrangian t -> psi_t ({0} x R^n)."""
+    """Crossings of the evolved vertical Lagrangian t -> psi_t ({0} x R^n).
+
+    Its intersection with the vertical is the frame psi_t [0; Id] on the
+    kernel of the frame's top half, and the crossing form the generator's
+    on it, as for ``rs_index``."""
     v = vertical_frame(path.n)
-    value, reports, trace = _lagrangian_rs(
-        lambda ts: evaluate_stack(path, ts) @ v.frame, v, tol,
+
+    def form_at(t: float, k: int, side):
+        frame = evaluate_array(path, t) @ v.frame
+        kernel = np.linalg.qr(
+            frame @ _kernel(frame[:path.n], tol.tol_kernel, k))[0]
+        return kernel, _generator_form(path, t, side, kernel)
+
+    value, reports, trace = _souriau_index(
+        lambda ts: evaluate_stack(path, ts) @ v.frame, v, tol, form_at,
         junction_parameters(path))
     return RSResult(value=value, crossings=tuple(reports), trace=tuple(trace))
 

@@ -417,6 +417,19 @@ class TestExtensionRoutes:
         w = conley_zehnder(path).diagnostics["windings"]
         assert w["polar"] == pytest.approx(w["clinear"], abs=1e-12)
 
+    @pytest.mark.parametrize("gap", [3e-8, 3e-7, 3e-6])
+    def test_endpoint_normal_form_runs_at_the_extension_tolerance(self, gap):
+        # real eigenvalues e^0.7 and e^0.7 + gap: 3e-7 lies in the ambiguity
+        # band (1e-7, 1e-6) of the default tol_eig, not in the band of the
+        # extension's own tol_eig (2.5e-9 here)
+        r = np.log(np.exp(0.7) + gap)
+        s = direct_sum_many([np.diag([0.7, -0.7]), np.diag([r, -r]),
+                             np.diag([2.0, 2.0])])
+        k = random_symplectic(3, seed=2, scale=0.3, max_cond=10)
+        result = conley_zehnder(ConjPath(ConstPath(k), ExpPath(s_matrix=s)))
+        assert result.endpoint == "W+"
+        assert result.value == HalfInt.from_int(1)
+
     @pytest.mark.parametrize("rates,doubled", [
         # two equal hyperbolic pairs and a rotation by 2
         ((np.diag([0.7, -0.7]), np.diag([0.7, -0.7]), np.diag([2.0, 2.0])), 2),

@@ -17,6 +17,7 @@ from sympindex import (CatPath, ConjPath, ConstPath, DEFAULT_TOL,
 from sympindex import lagrangian, paths
 from sympindex.lagrangian import doubled_omega
 from sympindex.rs import _rs2
+import sympindex.rs as rs_module
 
 DATA = Path(__file__).parent / "data"
 
@@ -252,6 +253,77 @@ class TestSouriauCount:
             rs_index(ExpPath(s_matrix=np.diag([7.0, 7.0])))
 
 
+def _lagrangian_frames(rng, m: int, count: int):
+    """``count`` frames [Re U; Im U] G of random Lagrangians, U unitary and
+    G a frame change of condition number 1e3, with the angles of U U^T."""
+    frames, angles = [], []
+    for _ in range(count):
+        u = np.linalg.qr(rng.normal(size=(m, m))
+                         + 1j * rng.normal(size=(m, m)))[0]
+        g = (np.linalg.qr(rng.normal(size=(m, m)))[0]
+             @ np.diag(np.logspace(0, -3, m))
+             @ np.linalg.qr(rng.normal(size=(m, m)))[0])
+        frames.append(np.vstack([u.real, u.imag]) @ g)
+        angles.append(np.angle(np.linalg.eigvals(u @ u.T)))
+    return np.array(frames), np.array(angles)
+
+
+class TestSouriauAngles:
+    """The angles of W are 2 arctan of the eigenvalues of S = Y X^-1, and
+    the complex eig of U U^T where W has an eigenvalue near -1."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_cayley_angles_match_the_complex_eig(self, m):
+        frames, angles = _lagrangian_frames(np.random.default_rng(m), m, 40)
+        lam, fallback = lagrangian._souriau_angles(frames)
+        assert np.max(np.abs(np.sort(lam) - np.sort(angles))) < 1e-12
+        # the rows that take the complex eig have an angle near pi
+        near_pi = np.max(np.abs(angles), axis=1) > np.pi - 2.1e-3
+        assert not (fallback & ~near_pi).any()
+
+    def test_angle_near_pi_takes_the_complex_eig(self):
+        # W = O diag(e^{i theta}) O^T for the frame [O cos(theta/2);
+        # O sin(theta/2)]; a second row has its angles away from pi
+        rng = np.random.default_rng(5)
+        o = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        g = rng.normal(size=(3, 3))
+        rows = [np.array([np.pi - 1e-9, 1e-9, -1e-9]),
+                np.array([2.0, 1e-9, -1.0])]
+        frames = np.array([np.vstack([o * np.cos(th / 2), o * np.sin(th / 2)])
+                           @ g for th in rows])
+        lam, fallback = lagrangian._souriau_angles(frames)
+        assert fallback.tolist() == [True, False]
+        for got, want in zip(lam, rows):
+            assert np.allclose(np.sort(got), np.sort(want), rtol=0, atol=1e-12)
+        # 2 arctan of the eigenvalues of S would miss the small angles of
+        # the first row, where max |s| is about 2e9
+        s = np.linalg.solve(frames[0][:3].T, frames[0][3:].T)
+        s = np.linalg.eigvalsh(0.5 * (s + s.T))
+        assert np.max(np.abs(s)) > lagrangian.CAYLEY_MAX
+        assert np.max(np.abs(2 * np.arctan(s[:2]) - [-1e-9, 1e-9])) > 1e-9
+
+    def test_singular_x_takes_the_complex_eig(self, monkeypatch):
+        # psi_{1/2} = J0 maps the vertical onto the horizontal at a sample
+        # of the grid, where X is exactly 0
+        raised = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                raised.append(len(a))
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        res = _rs2(ExpPath(s_matrix=np.eye(2), duration=np.pi))
+        assert raised
+        assert res.value == HalfInt(2)
+        assert [(c.t, c.kernel_dim, c.signature, c.weight)
+                for c in res.crossings] == [(0.0, 1, 1, 0.5), (1.0, 1, 1, 0.5)]
+        assert len(res.trace) == 65
+
+
 class TestVerticalIndex:
     def test_shear_coincides_with_matrix_index(self):
         rng = np.random.default_rng(3)
@@ -275,6 +347,29 @@ class TestVerticalIndex:
         p = ExpPath(s_matrix=s)
         assert rs_index(p).value == HalfInt(n)
         assert rs2_index(p) == HalfInt(0)
+
+    def test_forms_from_the_generator_match_the_difference_quotient(
+            self, monkeypatch):
+        path = path_from_json(json.loads(
+            (DATA / "near_pair_path.json").read_text()))
+        souriau, pairs = rs_module._souriau_index, []
+
+        def spy(frame_stack, v, tol, form_at, junctions=()):
+            def both(t, k, side):
+                kernel, gamma = form_at(t, k, side)
+                quotient = lagrangian._crossing_form(
+                    frame_stack, t, v, tol, side=side, k=k)[1]
+                pairs.append((np.linalg.eigvalsh(gamma),
+                              np.linalg.eigvalsh(quotient)))
+                return kernel, gamma
+            return souriau(frame_stack, v, tol, both, junctions)
+
+        monkeypatch.setattr(rs_module, "_souriau_index", spy)
+        _rs2(path)
+        assert len(pairs) > 2
+        for got, want in pairs:
+            assert np.allclose(got, want, rtol=0,
+                               atol=1e-9 * np.max(np.abs(want)))
 
     def test_crossing_on_a_junction_is_scored_per_part(self):
         # both parts cross the vertical Lagrangian at the junction t = 1/2;
