@@ -309,7 +309,13 @@ class _Extension(PathSpec):
         eps = min(1e-6, 0.01 * abs(det_gap) ** (1.0 / dim))
         nf_tol = tol.with_overrides(tol_eig=max(1e-12, 2.5e-3 * eps))
         self.tol = nf_tol
-        report = normal_form(a_end, nf_tol)
+        # the caller's tol merges eigenvalues that rounding splits off a
+        # Jordan block; a gap inside its ambiguity band is separated at
+        # nf_tol, whose band (tol_eig <= 2.5e-9) lies below the default's
+        try:
+            report = normal_form(a_end, tol)
+        except IllConditionedSpectrumError:
+            report = normal_form(a_end, nf_tol)
         # an endpoint of order-1 semisimple blocks whose eigenvalues are as
         # separated as semisimple_perturb makes its output is its own nearby
         # semisimple matrix, and the bridge to it is constant; the spectrum

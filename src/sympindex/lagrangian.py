@@ -201,8 +201,7 @@ CAYLEY_MAX = 1e3
 
 def _souriau_angles(frames: np.ndarray):
     """Eigenvalue angles of W, a row per frame of the stack ``frames`` of
-    Lagrangian frames [X; Y] in a Darboux basis where V is R^m x 0, and the
-    mask of the rows computed by the complex eig.
+    Lagrangian frames [X; Y] in a Darboux basis where V is R^m x 0.
 
     S = Y X^-1 is symmetric and does not depend on the frame, and
     W = (I + iS)(I - iS)^-1, so the angles are 2 arctan of the eigenvalues
@@ -228,7 +227,7 @@ def _souriau_angles(frames: np.ndarray):
         q = np.linalg.qr(frames[fallback])[0]
         u = q[:, :m] + 1j * q[:, m:]
         lam[fallback] = np.angle(np.linalg.eigvals(u @ np.swapaxes(u, 1, 2)))
-    return lam, fallback
+    return lam
 
 
 def _doubled_counts(lam: np.ndarray, on: np.ndarray) -> np.ndarray:
@@ -263,7 +262,7 @@ def _souriau_index(frame_stack, v: LagrangianFrame, tol: ToleranceProfile,
 
     def sample(ts: np.ndarray) -> np.ndarray:
         """The eigenvalue angles of W at ``ts``, a row per t, kept."""
-        lam = _souriau_angles(d_inv @ frame_stack(ts))[0]
+        lam = _souriau_angles(d_inv @ frame_stack(ts))
         angles.update(zip(ts.tolist(), lam))
         return lam
 

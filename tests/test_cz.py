@@ -417,16 +417,34 @@ class TestExtensionRoutes:
         w = conley_zehnder(path).diagnostics["windings"]
         assert w["polar"] == pytest.approx(w["clinear"], abs=1e-12)
 
-    @pytest.mark.parametrize("gap", [3e-8, 3e-7, 3e-6])
-    def test_endpoint_normal_form_runs_at_the_extension_tolerance(self, gap):
-        # real eigenvalues e^0.7 and e^0.7 + gap: 3e-7 lies in the ambiguity
-        # band (1e-7, 1e-6) of the default tol_eig, not in the band of the
-        # extension's own tol_eig (2.5e-9 here)
+    @pytest.mark.parametrize("gap", [1e-8, 2e-8, 3e-8, 3e-7, 3e-6])
+    def test_endpoint_normal_form_retries_at_the_extension_tolerance(self,
+                                                                     gap):
+        # real eigenvalues e^0.7 and e^0.7 + gap: 1e-8 and 2e-8 lie in the
+        # ambiguity band (2.5e-9, 2.5e-8) of the extension's own tol_eig and
+        # are merged at the default tol_eig; 3e-7 lies in the default band
+        # (1e-7, 1e-6) and is separated at the extension's
         r = np.log(np.exp(0.7) + gap)
         s = direct_sum_many([np.diag([0.7, -0.7]), np.diag([r, -r]),
                              np.diag([2.0, 2.0])])
         k = random_symplectic(3, seed=2, scale=0.3, max_cond=10)
         result = conley_zehnder(ConjPath(ConstPath(k), ExpPath(s_matrix=s)))
+        assert result.endpoint == "W+"
+        assert result.value == HalfInt.from_int(1)
+
+    @pytest.mark.parametrize("a", [0.3, 0.7, 1.5])
+    def test_jordan_endpoint_is_perturbed(self, a, monkeypatch):
+        # J0 S = [[A, 0], [0, -A^T]], A = [[a, 1], [0, a]], on the first two
+        # degrees of freedom: an order-2 Jordan chain at e^a, with a rotation
+        # by 2 on the third; the chain's corner 1 deforms to 0 through
+        # admissible paths, so the index is that of the rotation
+        calls = self.spy_calls(monkeypatch)
+        h = np.array([[a, 1.0], [0.0, a]])
+        zero = np.zeros((2, 2))
+        s = direct_sum_many([np.block([[zero, -h.T], [-h, zero]]),
+                             np.diag([2.0, 2.0])])
+        result = conley_zehnder(ExpPath(s_matrix=s))
+        assert calls == {"normal_form": 2, "semisimple_perturb": 1}
         assert result.endpoint == "W+"
         assert result.value == HalfInt.from_int(1)
 
