@@ -525,6 +525,8 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
     Computed with the spectral rotation map, the polar-factor map and the
     C-linear-part map; the three integers must agree.  The last two are
     equal on Sp(2n), so this checks two routes: spectral and determinant.
+    The index must also satisfy the parity rule
+    (-1)^(n - CZ) = sign det(Id - A) at the endpoint A.
     """
     _check_starts_at_identity(path, tol)
     a_end = evaluate_array(path, 1.0)
@@ -551,6 +553,14 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
             f"circle maps disagree on the index: {rounded}")
 
     value = rounded["spectral"]
+    # the parity rule (-1)^(n - CZ) = sign det(Id - A), where
+    # det(Id - A) = det(A - Id) in even dimension: a turn that every circle
+    # map lost between two samples breaks it when it is a single one
+    if (path.n - value) % 2 != (ext.det_gap < 0):
+        raise InternalConsistencyError(
+            f"index {value} breaks the parity rule (-1)^(n - CZ) = "
+            f"sign det(Id - A) at n = {path.n}, det(A - Id) = "
+            f"{ext.det_gap:.3e}")
     smin_end = float(np.linalg.svd(a_end - np.eye(a_end.shape[0]),
                                    compute_uv=False)[-1])
     return IndexResult(

@@ -18,6 +18,7 @@ where X is near singular, take the complex eig of U U^T instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,21 @@ class LagrangianFrame:
     def orthonormal(self) -> np.ndarray:
         q, _ = np.linalg.qr(self.frame)
         return q
+
+    @cached_property
+    def _darboux_inverse(self) -> np.ndarray:
+        """D^-1 for a Darboux basis D = [Q, P] (D^T omega D = Omega0) whose
+        Q is an orthonormal frame of V, which D^-1 takes to R^m x 0: P is
+        omega^-1 Q, shifted by Q (P^T omega P) / 2 to make it Lagrangian.
+        Made on first use and read-only."""
+        if np.linalg.cond(self.omega) > 1e12:
+            raise ContractError("the symplectic form is degenerate")
+        q = self.orthonormal()
+        p = np.linalg.solve(self.omega, q)
+        p = p + q @ (0.5 * p.T @ self.omega @ p)
+        d_inv = np.linalg.inv(np.hstack([q, p]))
+        d_inv.setflags(write=False)
+        return d_inv
 
 
 @dataclass(frozen=True)
@@ -181,17 +197,6 @@ def _crossing_form(frame_stack, t0: float, v: LagrangianFrame,
     return q0 @ coords, coords.T @ q_full @ coords
 
 
-def _darboux_inverse(v: LagrangianFrame) -> np.ndarray:
-    """D^-1 for a Darboux basis D = [Q, P] (D^T omega D = Omega0) whose Q is
-    an orthonormal frame of V, which D^-1 takes to R^m x 0: P is
-    omega^-1 Q, shifted by Q (P^T omega P) / 2 to make it Lagrangian."""
-    if np.linalg.cond(v.omega) > 1e12:
-        raise ContractError("the symplectic form is degenerate")
-    q = v.orthonormal()
-    p = np.linalg.solve(v.omega, q)
-    return np.linalg.inv(np.hstack([q, p + q @ (0.5 * p.T @ v.omega @ p)]))
-
-
 # rows with an eigenvalue s of Y X^-1 this large, an angle within about
 # 2e-3 of pi, take the complex eig: 2 arctan(s) errs on an angle near 0 by
 # up to about 8e-16 max|s| (measured on random 3 x 3 frames for max|s| from
@@ -255,7 +260,7 @@ def _souriau_index(frame_stack, v: LagrangianFrame, tol: ToleranceProfile,
     toward t + side h for a side of +-1.
     Returns (HalfInt, crossing reports, trace (t, unwrapped arg det W)).
     """
-    d_inv = _darboux_inverse(v)
+    d_inv = v._darboux_inverse
     near = 2.0 * np.sqrt(tol.tol_kernel)
     angles, scored = {}, {}
     kinks = {round(float(j), 12) for j in junctions}  # as winding rounds them

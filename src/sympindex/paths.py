@@ -303,10 +303,29 @@ class ConjPath(PathSpec):
     def n(self) -> int:
         return self.psi.n
 
+    @cached_property
+    def _phi_inv(self) -> np.ndarray | None:
+        """The inverse of a constant conjugator, made on first use; None
+        when the conjugator is not a ``ConstPath``."""
+        if not isinstance(self.phi, ConstPath):
+            return None
+        return _frozen_array(np.linalg.inv(self.phi.matrix))
+
+    @cached_property
+    def _exponential(self) -> ExpPath | None:
+        """The one exponential path this node is, made on first use: a
+        constant symplectic K conjugating an exponential node (see
+        ``_exponential``) gives K exp(t J S) K^-1 = exp(t J K^-T S K^-1),
+        with the same spectrum.  None for any other node."""
+        k_inv = self._phi_inv
+        inner = None if k_inv is None else _exponential(self.psi)
+        if inner is None:
+            return None
+        return ExpPath(k_inv.T @ (inner.duration * inner.s_matrix) @ k_inv)
+
     def _evaluate(self, ts: np.ndarray) -> np.ndarray:
         g = self.phi._evaluate(ts)
-        # a constant conjugator is inverted once, not once per sample
-        g_inv = np.linalg.inv(self.phi.matrix if isinstance(self.phi, ConstPath) else g)
+        g_inv = np.linalg.inv(g) if self._phi_inv is None else self._phi_inv
         return g @ self.psi._evaluate(ts) @ g_inv
 
 
@@ -483,16 +502,12 @@ def junction_parameters(path: PathSpec) -> list[float]:
 
 def _exponential(path: PathSpec) -> ExpPath | None:
     """The ``ExpPath`` the node is, if one: itself, a direct sum's
-    ``_joined`` node, or either conjugated by a constant symplectic K, as
-    K exp(t J S) K^-1 = exp(t J K^-T S K^-1) (the same spectrum)."""
+    ``_joined`` node, or either conjugated by a constant symplectic K (the
+    ``ConjPath``'s own ``_exponential``), each built once per node."""
     if isinstance(path, DirectSumPath):
         return path._joined
-    if isinstance(path, ConjPath) and isinstance(path.phi, ConstPath):
-        inner = _exponential(path.psi)
-        if inner is None:
-            return None
-        k_inv = np.linalg.inv(path.phi.matrix)
-        return ExpPath(k_inv.T @ (inner.duration * inner.s_matrix) @ k_inv)
+    if isinstance(path, ConjPath):
+        return path._exponential
     return path if isinstance(path, ExpPath) else None
 
 

@@ -13,6 +13,7 @@ locates sum to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,6 +75,19 @@ def _generator_form(path: PathSpec, t: float, side, kernel: np.ndarray):
     return 0.5 * (gamma + gamma.T)
 
 
+@lru_cache(maxsize=None)
+def _diagonal(n: int) -> LagrangianFrame:
+    """The diagonal [Id; Id] of R^{2n} x R^{2n}, Lagrangian for
+    (-Omega0) (+) Omega0 in this block layout: one frame per n."""
+    eye = np.eye(2 * n)
+    return LagrangianFrame(np.vstack([eye, eye]),
+                           np.kron(np.diag([-1.0, 1.0]), omega_matrix(n)))
+
+
+# the vertical {0} x R^n: one frame per n, as for the diagonal
+_vertical = lru_cache(maxsize=None)(vertical_frame)
+
+
 def _generic_rs(path: PathSpec, tol: ToleranceProfile) -> RSResult:
     """The graphs [Id; psi_t] of the path against the diagonal, Lagrangian
     for (-Omega0) (+) Omega0; ker(psi_t - Id) is their intersection."""
@@ -87,9 +101,7 @@ def _generic_rs(path: PathSpec, tol: ToleranceProfile) -> RSResult:
         lambda ts: np.concatenate(
             [np.broadcast_to(eye, (len(ts),) + eye.shape),
              evaluate_stack(path, ts)], axis=1),
-        LagrangianFrame(np.vstack([eye, eye]),
-                        np.kron(np.diag([-1.0, 1.0]), omega_matrix(path.n))),
-        tol, form_at, junction_parameters(path))
+        _diagonal(path.n), tol, form_at, junction_parameters(path))
     return RSResult(value=value, crossings=tuple(reports), trace=tuple(trace))
 
 
@@ -110,7 +122,7 @@ def _rs2(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL) -> RSResult:
     Its intersection with the vertical is the frame psi_t [0; Id] on the
     kernel of the frame's top half, and the crossing form the generator's
     on it, as for ``rs_index``."""
-    v = vertical_frame(path.n)
+    v = _vertical(path.n)
 
     def form_at(t: float, k: int, side):
         frame = evaluate_array(path, t) @ v.frame

@@ -23,9 +23,9 @@ __all__ = ["PHASE_STEP", "winding", "local_minima", "bracketed_roots",
 PHASE_STEP = 0.5 * np.pi
 
 
-def _unit_samples(f, ts: list[float]) -> list[complex]:
+def _unit_samples(f, ts: np.ndarray) -> np.ndarray:
     """The values of the vectorised map ``f`` at ``ts``, on the unit circle."""
-    return [normalize_unit(complex(z)) for z in f(np.array(ts))]
+    return normalize_unit(np.asarray(f(ts), dtype=complex))
 
 
 def winding(f, max_refine: int = 40, coarse: int = 64, anchor_ts=None):
@@ -34,8 +34,10 @@ def winding(f, max_refine: int = 40, coarse: int = 64, anchor_ts=None):
     ``f`` is vectorised: it maps an array of parameters to an array of
     values.  Adaptive bisection until every consecutive phase step is below
     ``PHASE_STEP``, breadth first: the coarse grid is one call of ``f``, and
-    so is each level of midpoints.  Returns (turns, trace, max_depth) where
-    trace is the ordered list of (t, cumulative phase in radians).
+    so is each level of midpoints, whose intervals are held as arrays in t
+    order; the resolved steps are summed once, in t order.  Returns
+    (turns, trace, max_depth) where trace is the ordered list of
+    (t, cumulative phase in radians).
     ``anchor_ts`` adds extra initial sample parameters so features invisible
     to the uniform grid (a full sweep between two equal values) still
     trigger refinement.  An interval still unresolved at depth
@@ -46,34 +48,37 @@ def winding(f, max_refine: int = 40, coarse: int = 64, anchor_ts=None):
         ts = sorted({round(min(max(float(t), 0.0), 1.0), 12) for t in ts}
                     | {round(min(max(float(t), 0.0), 1.0), 12)
                        for t in anchor_ts})
+    ts = np.array(ts)
     zs = _unit_samples(f, ts)
-    # intervals (t0, z0, t1, z1) of the current level, in t order
-    level = list(zip(ts[:-1], zs[:-1], ts[1:], zs[1:]))
-    steps = []                  # (t1, phase step) of every resolved interval
+    # the intervals [t0, t1] of the current level, in t order, with their
+    # end values z0, z1
+    t0, z0, t1, z1 = ts[:-1], zs[:-1], ts[1:], zs[1:]
+    ends, steps = [], []        # t1 and phase step of each resolved interval
     depth = 0
     while True:
-        split = []
-        for t0, z0, t1, z1 in level:
-            dphi = float(np.angle(z1 / z0))
-            if abs(dphi) < PHASE_STEP:
-                steps.append((t1, dphi))
-            elif depth >= max_refine:
-                raise WindingResolutionError(
-                    f"phase step {dphi:.3f} at t in [{t0:.6g},{t1:.6g}] "
-                    f"not resolved within depth {max_refine}")
-            else:
-                split.append((t0, z0, t1, z1))
-        if not split:
+        dphi = np.angle(z1 / z0)
+        fine = np.abs(dphi) < PHASE_STEP
+        ends.append(t1[fine])
+        steps.append(dphi[fine])
+        if fine.all():
             break
+        if depth >= max_refine:
+            i = np.argmin(fine)
+            raise WindingResolutionError(
+                f"phase step {dphi[i]:.3f} at t in [{t0[i]:.6g},{t1[i]:.6g}] "
+                f"not resolved within depth {max_refine}")
         depth += 1
-        mids = [0.5 * (t0 + t1) for t0, _, t1, _ in split]
-        level = [half for (t0, z0, t1, z1), tm, zm
-                 in zip(split, mids, _unit_samples(f, mids))
-                 for half in ((t0, z0, tm, zm), (tm, zm, t1, z1))]
+        t0, z0, t1, z1 = (a[~fine] for a in (t0, z0, t1, z1))
+        tm = 0.5 * (t0 + t1)
+        zm = _unit_samples(f, tm)
+        # each interval gives way to its two halves, in t order
+        t0, t1 = np.stack([t0, tm], 1).ravel(), np.stack([tm, t1], 1).ravel()
+        z0, z1 = np.stack([z0, zm], 1).ravel(), np.stack([zm, z1], 1).ravel()
 
-    trace = [(0.0, 0.0)]
-    for t1, dphi in sorted(steps):
-        trace.append((t1, trace[-1][1] + dphi))
+    ends = np.concatenate(ends)
+    order = np.argsort(ends)
+    phases = np.cumsum(np.concatenate(steps)[order])
+    trace = [(0.0, 0.0)] + list(zip(ends[order].tolist(), phases.tolist()))
     return trace[-1][1] / (2.0 * np.pi), trace, depth
 
 

@@ -828,6 +828,34 @@ def _diagonal_sweep_path(seed):
     return path, value, rate
 
 
+class TestParityGuard:
+    """exp(t J0 diag(w, 1.1 w)) at n = 1 turns faster than the 64-cell
+    winding grid resolves from w of about 147: the circle maps lose one
+    turn together, which the parity rule (-1)^(n - CZ) = sign det(Id - A)
+    catches.  A loss of two turns keeps the parity (w = 161.7 returns 51
+    for 53) and stays open."""
+
+    @pytest.mark.parametrize("w", [150.0, 170.0, 185.0])
+    def test_a_lost_turn_raises(self, w):
+        with pytest.raises(InternalConsistencyError, match="parity rule"):
+            conley_zehnder(ExpPath(s_matrix=np.diag([w, 1.1 * w])))
+
+    def test_no_value_of_the_wrong_parity(self):
+        # the sweep 10 + 3.7 k over the band where turns are lost
+        outcomes = Counter()
+        for w in np.arange(10.0, 400.0, 3.7)[35:52]:
+            s = np.diag([w, 1.1 * w])
+            ref = cz_dim2_closed_form(s, 1.0)
+            try:
+                got = conley_zehnder(ExpPath(s_matrix=s)).value
+            except InternalConsistencyError:
+                outcomes["typed"] += 1
+                continue
+            assert (int(got.as_float()) - int(ref.as_float())) % 2 == 0, w
+            outcomes["right" if got == ref else "off by two"] += 1
+        assert outcomes == {"typed": 12, "right": 4, "off by two": 1}
+
+
 class TestFailureSurface:
     def test_diagonal_sweep_answers_every_path(self):
         # rates reach 15, where the endpoint's condition number is about

@@ -10,6 +10,7 @@ from sympindex import (CatPath, ConjPath, ConstPath, DimensionError,
                        junction_parameters, make_loop, make_shear,
                        path_from_json, path_to_json, random_symplectic,
                        symplectic_residual)
+from sympindex import paths
 from sympindex.cz import _Extension
 from sympindex.tolerances import DEFAULT_TOL
 
@@ -323,6 +324,62 @@ class TestJoinedDirectSum:
         assert not g.one_sided
         # nothing was evaluated: no difference quotient
         assert not p._cache
+
+
+def _conjugated_sum(n=2):
+    """A constant symplectic K conjugating a sum of exponential parts, with
+    the exact generator K^-T S K^-1 it should have."""
+    parts = _mixed_blocks(n)
+    k = random_symplectic(n, seed=5, scale=0.3, max_cond=10.0)
+    k_inv = np.linalg.inv(k)
+    s = direct_sum_many([q.duration * q.s_matrix for q in parts])
+    return ConjPath(phi=ConstPath(k), psi=DirectSumPath(parts=parts)), \
+        k_inv.T @ s @ k_inv
+
+
+class TestConjugatorCache:
+    def test_exponential_is_built_once_per_node(self):
+        q, want = _conjugated_sum()
+        e = paths._exponential(q)
+        assert isinstance(e, ExpPath) and paths._exponential(q) is e
+        assert np.allclose(e.s_matrix, want, rtol=0.0, atol=1e-12)
+        assert not q._phi_inv.flags.writeable
+
+    def test_generator_builds_no_path_after_the_first_call(self,
+                                                           monkeypatch):
+        q, want = _conjugated_sum()
+        built, init = [], ExpPath.__post_init__
+        monkeypatch.setattr(ExpPath, "__post_init__",
+                            lambda self: built.append(self) or init(self))
+        first = generator(q, 0.3).s_matrix
+        # the sum's joined path and the conjugated one
+        assert len(built) == 2
+        for t in (0.0, 0.3, 0.71, 1.0):
+            assert generator(q, t).s_matrix.tobytes() == first.tobytes()
+        assert len(built) == 2
+        assert np.allclose(first, want, rtol=0.0, atol=1e-12)
+
+    def test_constant_conjugator_is_inverted_once(self, monkeypatch):
+        k = random_symplectic(2, seed=1, scale=0.3, max_cond=10.0)
+        q = ConjPath(phi=ConstPath(k), psi=make_loop(3, 2))
+        shapes, inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a: shapes.append(np.shape(a)) or inv(a))
+        stacks = [evaluate_stack(q, ts)
+                  for ts in (STACK_TS[:10], STACK_TS[10:], [0.123])]
+        assert shapes == [(4, 4)]
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        for ts, stack in zip((STACK_TS[:10], STACK_TS[10:], [0.123]), stacks):
+            want = k @ make_loop(3, 2)._evaluate(np.array(ts)) @ inv(k)
+            assert np.allclose(stack, want, rtol=0.0, atol=1e-12)
+
+    def test_moving_conjugator_inverts_each_sample(self):
+        phi = exp_path(n=1, seed=3)
+        q = ConjPath(phi=phi, psi=exp_path(n=1, seed=4))
+        assert q._phi_inv is None and paths._exponential(q) is None
+        g = phi._evaluate(STACK_TS)
+        want = g @ q.psi._evaluate(STACK_TS) @ np.linalg.inv(g)
+        assert np.allclose(q._evaluate(STACK_TS), want, rtol=0.0, atol=1e-12)
 
 
 class TestGenerator:

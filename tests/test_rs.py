@@ -121,6 +121,38 @@ class TestGenericEngine:
                 assert np.array_equal(c.gamma, 0.5 * (gamma + gamma.T))
 
 
+class TestReferenceFrames:
+    @staticmethod
+    def _path(seed):
+        k = random_symplectic(2, seed=seed, scale=0.3, max_cond=10.0)
+        return ConjPath(phi=ConstPath(k), psi=DirectSumPath(parts=(
+            ExpPath(s_matrix=np.diag([7.0, 7.0])),
+            ExpPath(s_matrix=np.diag([-4.0, -4.0])))))
+
+    def test_frames_are_shared_per_n_and_read_only(self, monkeypatch):
+        first = self._path(5)
+        values = rs_index(first).value, rs2_index(first)
+        frames = rs_module._diagonal(2), rs_module._vertical(2)
+        d_invs = [v._darboux_inverse for v in frames]
+        for v, d_inv in zip(frames, d_invs):
+            for a in (v.frame, v.omega, d_inv):
+                assert not a.flags.writeable
+            # D^-1 takes the reference to R^m x 0
+            lower = (d_inv @ v.frame)[v.m:]
+            assert np.abs(lower).max() <= 1e-14
+
+        built, init = [], LagrangianFrame.__post_init__
+        monkeypatch.setattr(LagrangianFrame, "__post_init__",
+                            lambda self: built.append(self) or init(self))
+        second = self._path(6)
+        assert (rs_index(second).value, rs2_index(second)) == values
+        assert built == []
+        for v, again, d_inv in zip(
+                frames, (rs_module._diagonal(2), rs_module._vertical(2)),
+                d_invs):
+            assert again is v and again._darboux_inverse is d_inv
+
+
 def _turn_hold_return():
     """A full turn, a wobble within 1e-6 of Id, and the turn undone.
 

@@ -186,6 +186,33 @@ class TestLockstepSearches:
         assert str(got.value) == str(ref.value)
         assert "[0,0.125]" in str(got.value)
 
+    @staticmethod
+    def chirp(t):
+        # the phase speed grows as t^2: intervals near t = 1 split over
+        # two levels, those near 0 over none
+        return np.exp(2j * np.pi * (12 * t ** 3 + 3 * t))
+
+    @pytest.mark.parametrize("anchor_ts", [None, [0.1234, 0.5, 0.77777]])
+    def test_array_levels_match_the_recursive_sampler(self, anchor_ts):
+        got = winding(vectorised(self.chirp), anchor_ts=anchor_ts)
+        ref = recursive_winding(self.chirp, anchor_ts=anchor_ts)
+        assert [t for t, _ in got[1]] == [t for t, _ in ref[1]]
+        assert got[2] == ref[2] == 2
+        assert max(abs(p - q) for (_, p), (_, q) in zip(got[1], ref[1])) \
+            <= 1e-12
+        assert abs(got[0] - ref[0]) <= 1e-12 and round(got[0]) == 15
+        assert all(type(t) is float and type(p) is float for t, p in got[1])
+
+    @pytest.mark.parametrize("max_refine", [0, 1])
+    def test_depth_cap_names_the_recursive_samplers_interval(self,
+                                                             max_refine):
+        with pytest.raises(WindingResolutionError) as ref:
+            recursive_winding(self.chirp, max_refine=max_refine)
+        with pytest.raises(WindingResolutionError) as got:
+            winding(vectorised(self.chirp), max_refine=max_refine)
+        assert str(got.value) == str(ref.value)
+
+
 
 def scalar_difference_quotient(f, t, h, side=0.0):
     """The difference quotient of a scalar map, point by point, as it ran
