@@ -51,10 +51,12 @@ from .errors import (AdmissibilityError, ContractError,
                      IllConditionedSpectrumError, InternalConsistencyError,
                      KreinDegenerateError, ParameterError)
 from .halfint import HalfInt
+from .lagrangian import _doubled_counts, _souriau_angles
 from .normal_form import _rot, _separated, normal_form, semisimple_perturb
 from .paths import (ExpPath, PathSpec, _exponential, evaluate_array,
                     evaluate_stack)
-from .sampling import PHASE_STEP, local_minima, winding
+from .rs import _diagonal, _graphs
+from .sampling import PHASE_STEP, bracketed_roots, winding
 from .spectral import rho
 from .tolerances import DEFAULT_TOL, ToleranceProfile
 
@@ -147,7 +149,8 @@ def _rho_map(stack_at, tol: ToleranceProfile, events: Counter, power: int,
 # canonical extension of an endpoint to W+/-
 
 
-# sigma_min(psi_t -+ Id) samples of the passage search: PASSAGE_GRID + 1
+# the sampled passage search takes the Souriau angles of the graph of psi
+# at these PASSAGE_GRID + 1 points
 PASSAGE_GRID = 256
 _PASSAGE_TS = np.linspace(0.0, 1.0, PASSAGE_GRID + 1)
 # a passage refines to a window boundary where the map is back at +-1;
@@ -177,32 +180,65 @@ def _screened_anchors(candidates, angles_at, events: Counter) -> list[float]:
     return out
 
 
+def _earliest_per_index(t: np.ndarray):
+    """(grid index i, t*) of the earliest of the times ``t`` nearest each
+    interior grid point, i in [1, PASSAGE_GRID - 1], in t order."""
+    t = np.sort(t)
+    cells, first = np.unique(
+        np.clip(np.rint(PASSAGE_GRID * t), 1, PASSAGE_GRID - 1).astype(int),
+        return_index=True)
+    return zip(cells.tolist(), t[first].tolist())
+
+
 def _unit_passage_times(path: PathSpec, events: Counter) -> list[float]:
     """Parameters where an eigenvalue of the path passes +-1.
 
     The sampled route, for every path but one exponential.  The spectral
     rotation map is locally constant on hyperbolic stretches, so a full
     circle sweep between two passages is invisible to a uniform grid; the
-    refined passage parameters anchor the winding sampler there.  A passage
-    candidate is a ``local_minima`` candidate of sigma_min(psi_t -+ Id) on
-    the grid, so a flat run (a constant path) yields none.  A candidate
-    keeps its anchors only when ``_spectrum_moves`` says, from the
-    eigenvalues of psi sampled at the screen times, that a turn could hide
-    between them.
+    refined passage parameters anchor the winding sampler there.  In the
+    Darboux basis of ``rs._diagonal`` a Souriau angle of the graph
+    [Id; psi_t] passes 0 where psi_t has eigenvalue 1, and pi where it has
+    eigenvalue -1.  A candidate is a grid cell whose Souriau count of the
+    angles, or of the angles less pi, is not 0 (a constant path has none);
+    t* is the secant root of the angle nearest 0 or pi where that angle
+    changes sign across the cell, else the cell's midpoint.  A crossing on
+    t = 0 (psi_0 = Id) or on a loop's t = 1 is no passage.  The earliest
+    candidate per grid index keeps its anchors only when ``_spectrum_moves``
+    says, from the eigenvalues of psi sampled at the screen times, that a
+    turn could hide between them.
     """
-    eye = np.eye(2 * path.n)
+    d_inv = _diagonal(path.n)._darboux_inverse
 
-    def smin(ts):
-        stack = evaluate_stack(path, ts)
-        return np.minimum(np.linalg.svd(stack - eye, compute_uv=False)[:, -1],
-                          np.linalg.svd(stack + eye, compute_uv=False)[:, -1])
+    def graph_angles(ts):
+        return _souriau_angles(d_inv @ _graphs(path, ts))
+
+    def shifted(lam, shift):
+        """The angles less ``shift`` in (-pi, pi], and the one nearest 0."""
+        lam = np.angle(np.exp(1j * (lam - shift)))
+        return lam, lam[np.arange(len(lam)), np.argmin(np.abs(lam), axis=1)]
 
     def angles_at(times):
         return np.angle(np.linalg.eigvals(evaluate_stack(path, times)))
 
-    candidates = ((i, t_star) for i, t_star, _ in local_minima(
-        smin, _PASSAGE_TS, smin(_PASSAGE_TS), 1e-8))
-    return _screened_anchors(candidates, angles_at, events)
+    ts, lam = _PASSAGE_TS, graph_angles(_PASSAGE_TS)
+    off, found = np.zeros(lam.shape, dtype=bool), []
+    for shift in (0.0, np.pi):
+        rows, g = shifted(lam, shift)
+        cells = np.flatnonzero(_doubled_counts(rows, off))
+        on_end = np.abs(g[[0, -1]]) < np.sqrt(DEFAULT_TOL.tol_kernel)
+        cells = cells[~(on_end[0] & (cells == 0)
+                        | on_end[1] & (cells == PASSAGE_GRID - 1))]
+        a, b = cells, cells + 1
+        t, signed = 0.5 * (ts[a] + ts[b]), g[a] * g[b] < 0
+        if signed.any():
+            t[signed] = bracketed_roots(
+                lambda u, shift=shift: shifted(graph_angles(u), shift)[1],
+                ts[a][signed], ts[b][signed], g[a][signed], g[b][signed],
+                1e-10, 16)[0]
+        found.append(t)
+    return _screened_anchors(_earliest_per_index(np.concatenate(found)),
+                             angles_at, events)
 
 
 def _exp_passage_times(path: ExpPath, events: Counter) -> list[float]:
@@ -212,8 +248,8 @@ def _exp_passage_times(path: ExpPath, events: Counter) -> list[float]:
     for a defective M, so an eigenvalue can meet +-1 only at t = k pi / Im mu
     and the angles of the spectrum are wrap(t Im mu): no sample of the path
     is needed.  Every mu with Im mu > 0 gives candidates, a complex
-    quadruple too; a candidate costs a screen only.  One candidate per grid
-    index is kept, the earliest, as the sampled route finds at most one.
+    quadruple too; a candidate costs a screen only.  The earliest candidate
+    per grid index is kept, as on the sampled route.
     """
     mu = np.linalg.eigvals(path.duration * path._js)
     ts = []
@@ -223,17 +259,13 @@ def _exp_passage_times(path: ExpPath, events: Counter) -> list[float]:
         # PASSAGE_GRID of them however fast the rotation
         k = np.ceil(np.arange(0.5, PASSAGE_GRID) / PASSAGE_GRID * freq / np.pi)
         ts.append(np.unique(np.maximum(k, 1.0)) * np.pi / freq)
-    t = np.sort(np.concatenate([np.empty(0)] + ts))
-    t = t[t < 1.0]
-    cells, first = np.unique(
-        np.clip(np.rint(PASSAGE_GRID * t), 1, PASSAGE_GRID - 1).astype(int),
-        return_index=True)
+    t = np.concatenate([np.empty(0)] + ts)
 
     def angles_at(times):
         return np.angle(np.exp(1j * np.outer(times, mu.imag)))
 
-    return _screened_anchors(zip(cells.tolist(), t[first].tolist()),
-                             angles_at, events)
+    return _screened_anchors(_earliest_per_index(t[t < 1.0]), angles_at,
+                             events)
 
 
 def _spectrum_moves(angles: np.ndarray) -> bool:

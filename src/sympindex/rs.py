@@ -13,11 +13,12 @@ locates sum to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .core import omega_matrix
+from .errors import InternalConsistencyError
 from .halfint import HalfInt
 from .lagrangian import (CrossingReport, LagrangianFrame, _kernel,
                          _souriau_index, vertical_frame)
@@ -88,6 +89,13 @@ def _diagonal(n: int) -> LagrangianFrame:
 _vertical = lru_cache(maxsize=None)(vertical_frame)
 
 
+def _graphs(path: PathSpec, ts: np.ndarray) -> np.ndarray:
+    """The stack of graph frames [Id; psi_t] at ``ts``."""
+    stack = evaluate_stack(path, ts)
+    return np.concatenate(
+        [np.broadcast_to(np.eye(2 * path.n), stack.shape), stack], axis=1)
+
+
 def _generic_rs(path: PathSpec, tol: ToleranceProfile) -> RSResult:
     """The graphs [Id; psi_t] of the path against the diagonal, Lagrangian
     for (-Omega0) (+) Omega0; ker(psi_t - Id) is their intersection."""
@@ -98,10 +106,18 @@ def _generic_rs(path: PathSpec, tol: ToleranceProfile) -> RSResult:
         return kernel, _generator_form(path, t, side, kernel)
 
     value, reports, trace = _souriau_index(
-        lambda ts: np.concatenate(
-            [np.broadcast_to(eye, (len(ts),) + eye.shape),
-             evaluate_stack(path, ts)], axis=1),
-        _diagonal(path.n), tol, form_at, junction_parameters(path))
+        partial(_graphs, path), _diagonal(path.n), tol, form_at,
+        junction_parameters(path))
+    # a path from the identity to a nondegenerate end has the parity rule
+    # (-1)^(n - value) = sign det(Id - psi_1), which one crossing lost or
+    # gained alone breaks
+    det_gap = np.linalg.det(evaluate_array(path, 1.0) - eye)
+    if (abs(det_gap) > tol.tol_kernel and np.linalg.norm(
+            evaluate_array(path, 0.0) - eye) <= 1e3 * tol.tol_symp
+            and (2 * path.n - value.doubled) % 4 != 2 * (det_gap < 0)):
+        raise InternalConsistencyError(
+            f"index {value} breaks the parity rule (-1)^(n - RS) = sign "
+            f"det(Id - psi_1) at n = {path.n}, det = {det_gap:.3e}")
     return RSResult(value=value, crossings=tuple(reports), trace=tuple(trace))
 
 

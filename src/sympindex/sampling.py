@@ -1,10 +1,9 @@
 """Search primitives shared by the index routes.
 
 The adaptive winding sampler of the circle maps and of the Souriau map, the
-grid-minimum search that the passage search runs on a vectorised sigma_min
-curve (a map from an array of parameters to an array of values), the
-bracketed secant search that locates crossings as sign changes of a
-vectorised angle, and the Richardson difference quotient behind generators
+bracketed secant search that locates crossings and +-1 passages as sign
+changes of a vectorised angle (a map from an array of parameters to an
+array of values), and the Richardson difference quotient behind generators
 and crossing forms, which takes a vectorised map too.
 """
 
@@ -15,8 +14,7 @@ import numpy as np
 from .core import normalize_unit
 from .errors import WindingResolutionError
 
-__all__ = ["PHASE_STEP", "winding", "local_minima", "bracketed_roots",
-           "difference_quotient"]
+__all__ = ["PHASE_STEP", "winding", "bracketed_roots", "difference_quotient"]
 
 # the sampler refines every interval whose phase step is not below this; the
 # passage screen keeps a passage's anchors when the spectrum moves this much
@@ -80,53 +78,6 @@ def winding(f, max_refine: int = 40, coarse: int = 64, anchor_ts=None):
     phases = np.cumsum(np.concatenate(steps)[order])
     trace = [(0.0, 0.0)] + list(zip(ends[order].tolist(), phases.tolist()))
     return trace[-1][1] / (2.0 * np.pi), trace, depth
-
-
-def _golden_min(curve, a: np.ndarray, b: np.ndarray, width: float):
-    """Golden-section minima of ``curve`` on the brackets [a[k], b[k]], in
-    lockstep: one curve call per step for every bracket still wider than
-    ``width``.  Returns the arrays (t, curve at t)."""
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = np.split(np.array(curve(np.concatenate([c, d])), dtype=float), 2)
-    live = b - a > width
-    while live.any():
-        # per bracket: keep [a, d] when fc < fd, else [c, b]
-        lo = live & (fc < fd)
-        hi = live & ~(fc < fd)
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = b[lo] - inv_phi * (b[lo] - a[lo])
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = a[hi] + inv_phi * (b[hi] - a[hi])
-        vals = curve(np.where(lo, c, d)[live])
-        fc[lo] = vals[lo[live]]
-        fd[hi] = vals[hi[live]]
-        live = b - a > width
-    t = 0.5 * (a + b)
-    return t, curve(t)
-
-
-def local_minima(curve, ts, vals, width: float):
-    """Refined interior grid minima of a vectorised curve, in grid order.
-
-    A candidate is an interior sample no larger than either neighbour and
-    smaller than at least one, so a flat run yields none.  Each candidate i
-    is refined by golden section on [ts[i-1], ts[i+1]] to ``width``, all
-    candidates in lockstep; returns a list of (i, t*, curve at t*).
-    """
-    found = []
-    for i in range(1, len(ts) - 1):
-        lo, hi = sorted((vals[i - 1], vals[i + 1]))
-        if vals[i] <= lo and vals[i] < hi:
-            found.append(i)
-    if not found:
-        return []
-    idx = np.array(found)
-    t_star, s_star = _golden_min(curve, np.asarray(ts)[idx - 1],
-                                 np.asarray(ts)[idx + 1], width)
-    return list(zip(found, t_star.tolist(), s_star.tolist()))
 
 
 def bracketed_roots(f, a, b, fa, fb, tol: float, steps: int):

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +284,24 @@ class TestSouriauCount:
                            match="Souriau count 3 but the crossing forms "
                                  "sum to 0"):
             rs_index(ExpPath(s_matrix=np.diag([7.0, 7.0])))
+
+    def test_a_count_off_by_one_breaks_the_parity_rule(self, monkeypatch):
+        # exp(t J0 diag(7, 7)) has index 3; a count that is off by two keeps
+        # the parity, and the rule cannot see it
+        count = rs_module._souriau_index
+
+        def shifted_count(shift, *args):
+            value, reports, trace = count(*args)
+            return value + HalfInt.from_int(shift), reports, trace
+
+        path = ExpPath(s_matrix=np.diag([7.0, 7.0]))
+        monkeypatch.setattr(rs_module, "_souriau_index",
+                            partial(shifted_count, 1))
+        with pytest.raises(InternalConsistencyError, match="parity rule"):
+            rs_index(path)
+        monkeypatch.setattr(rs_module, "_souriau_index",
+                            partial(shifted_count, 2))
+        assert rs_index(path).value == HalfInt.from_int(5)
 
 
 def _lagrangian_frames(rng, m: int, count: int):

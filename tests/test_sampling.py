@@ -4,31 +4,8 @@ import scipy.linalg as sla
 
 from sympindex import WindingResolutionError
 from sympindex.core import j_matrix, normalize_unit
-from sympindex.sampling import (PHASE_STEP, _golden_min, bracketed_roots,
-                                difference_quotient, local_minima, winding)
-
-
-def scalar_golden_min(curve, a, b, width):
-    """The golden section one bracket at a time, as it ran before the
-    lockstep search: the reference for ``_golden_min``."""
-    def f(t):
-        return curve(np.array([t]))[0]
-
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > width:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    t = 0.5 * (a + b)
-    return t, f(t)
+from sympindex.sampling import (PHASE_STEP, bracketed_roots,
+                                difference_quotient, winding)
 
 
 def recursive_winding(f, max_refine=40, coarse=64, anchor_ts=None):
@@ -75,59 +52,7 @@ def vectorised(f, calls=None):
     return g
 
 
-def _minima(vals):
-    vals = np.asarray(vals, dtype=float)
-    ts = np.linspace(0.0, 1.0, len(vals))
-
-    def curve(t):
-        return np.interp(t, ts, vals)
-
-    return [i for i, _, _ in local_minima(curve, ts, vals, 1e-8)]
-
-
-class TestLocalMinima:
-    def test_flat_run_gives_no_candidate(self):
-        assert _minima([2.0, 2.0, 2.0, 2.0, 2.0]) == []
-        # only the run's ends, each below an outer neighbour, are candidates
-        assert _minima([3.0, 1.0, 1.0, 1.0, 3.0]) == [1, 3]
-
-    def test_equal_pair_gives_both(self):
-        assert _minima([3.0, 1.0, 1.0, 3.0]) == [1, 2]
-
-    def test_strict_minimum_is_refined(self):
-        ts = np.linspace(0.0, 1.0, 9)
-
-        def curve(t):
-            return (t - 0.3) ** 2
-
-        ((i, t_star, s_star),) = local_minima(curve, ts, curve(ts), 1e-10)
-        assert i == 2
-        assert t_star == pytest.approx(0.3, abs=1e-9)
-        assert s_star == pytest.approx(0.0, abs=1e-15)
-
-
 class TestLockstepSearches:
-    @staticmethod
-    def wavy(ts):
-        # seven interior minima of different depths on [0, 1]
-        return np.cos(14 * np.pi * ts) + 0.3 * ts + 0.05 * np.sin(40 * ts)
-
-    def test_golden_matches_the_scalar_search_bitwise(self):
-        ts = np.linspace(0.0, 1.0, 65)
-        vals = self.wavy(ts)
-        calls = []
-
-        def curve(t):
-            calls.append(len(t))
-            return self.wavy(t)
-
-        found = local_minima(curve, ts, vals, 1e-10)
-        assert len(found) >= 5
-        assert len(calls) <= 50
-        for i, t_star, s_star in found:
-            ref = scalar_golden_min(self.wavy, ts[i - 1], ts[i + 1], 1e-10)
-            assert (t_star, s_star) == ref
-
     def test_secant_roots_in_lockstep(self):
         # one root of cos(14 pi t), at (2j + 1) / 28, in each bracket
         calls = []
@@ -144,14 +69,6 @@ class TestLockstepSearches:
         calls.clear()
         bracketed_roots(f, a, b, f(a), f(b), 1e-12, 2)
         assert len(calls) == 2 + 2
-
-    def test_golden_brackets_of_different_widths(self):
-        a = np.array([0.0, 0.1, 0.5])
-        b = np.array([0.3, 0.11, 0.9])
-        t, vals = _golden_min(self.wavy, a, b, 1e-9)
-        for k in range(3):
-            assert (t[k], vals[k]) == scalar_golden_min(self.wavy, a[k], b[k],
-                                                        1e-9)
 
     @pytest.mark.parametrize("anchored", [False, True])
     def test_winding_matches_the_recursive_sampler(self, anchored):
