@@ -6,11 +6,16 @@ one of the two component representatives
 
     W+ = -Id          W- = diag(2, -1, ..., -1, 1/2, -1, ..., -1).
 
-The winding over [0, 1] is sampled adaptively, for all three circle maps at
-the same +-1 passage anchors.  The extension runs from A through a nearby
-semisimple matrix A' with distinct eigenvalues.  A' is A itself when A's
-normal form has only order-1 semisimple blocks whose eigenvalues are as far
-apart as ``semisimple_perturb`` separates its output; otherwise A' is that
+The winding over [0, 1] is sampled adaptively, for all three circle maps on
+one grid.  A path that is one exponential exp(t M) winds on a grid sized from
+the eigenvalues of M, so that no turn of rho^2 fits between two samples;
+every other path winds on 64 cells plus anchors at the +-1 passages of its
+spectrum.
+
+The extension runs from A through a nearby semisimple matrix A' with
+distinct eigenvalues.  A' is A itself when A's normal form has only order-1
+semisimple blocks whose eigenvalues are as far apart as
+``semisimple_perturb`` separates its output; otherwise A' is that
 perturbation of A, normal-formed again.  The extension's contribution is
 computed three ways and cross-checked:
 
@@ -53,8 +58,7 @@ from .errors import (AdmissibilityError, ContractError,
 from .halfint import HalfInt
 from .lagrangian import _doubled_counts, _souriau_angles
 from .normal_form import _rot, _separated, normal_form, semisimple_perturb
-from .paths import (ExpPath, PathSpec, _exponential, evaluate_array,
-                    evaluate_stack)
+from .paths import PathSpec, _exponential, evaluate_array, evaluate_stack
 from .rs import _diagonal, _graphs
 from .sampling import PHASE_STEP, bracketed_roots, winding
 from .spectral import rho
@@ -160,43 +164,39 @@ _ANCHOR_OFFSETS = [0.0] + [sign * 2.0 ** -k / PASSAGE_GRID
                            for sign in (1, -1) for k in range(30)]
 
 
-def _screened_anchors(candidates, angles_at, events: Counter) -> list[float]:
-    """Anchors of the passage candidates whose spectrum moves.
+def _screened_anchors(path: PathSpec, t: np.ndarray,
+                      events: Counter) -> list[float]:
+    """Anchors of the passage candidates ``t`` where the spectrum moves.
 
-    ``candidates`` yields (grid index i, t*); ``angles_at(times)`` gives the
-    (len(times), 2n) eigenvalue angles of psi at sorted times.  Each
-    candidate is screened on its grid bracket [ts[i-1], ts[i+1]] plus its
-    anchors.  Candidates are counted in ``events["passages"]``, the ones
-    that keep anchors in ``events["anchored_passages"]``.
+    The earliest candidate t* nearest each interior grid point i in
+    [1, PASSAGE_GRID - 1] is screened on its grid bracket [ts[i-1], ts[i+1]]
+    plus its anchors, from the eigenvalue angles of psi there.  Screened
+    candidates are counted in ``events["passages"]``, the ones that keep
+    anchors in ``events["anchored_passages"]``.
     """
+    t = np.sort(t)
+    cells, first = np.unique(
+        np.clip(np.rint(PASSAGE_GRID * t), 1, PASSAGE_GRID - 1).astype(int),
+        return_index=True)
     out = []
-    for i, t_star in candidates:
+    for i, t_star in zip(cells.tolist(), t[first].tolist()):
         events["passages"] += 1
         anchors = [min(max(t_star + d, 0.0), 1.0) for d in _ANCHOR_OFFSETS]
         times = np.sort([_PASSAGE_TS[i - 1], _PASSAGE_TS[i + 1]] + anchors)
-        if _spectrum_moves(angles_at(times)):
+        angles = np.angle(np.linalg.eigvals(evaluate_stack(path, times)))
+        if _spectrum_moves(angles):
             events["anchored_passages"] += 1
             out.extend(anchors)
     return out
 
 
-def _earliest_per_index(t: np.ndarray):
-    """(grid index i, t*) of the earliest of the times ``t`` nearest each
-    interior grid point, i in [1, PASSAGE_GRID - 1], in t order."""
-    t = np.sort(t)
-    cells, first = np.unique(
-        np.clip(np.rint(PASSAGE_GRID * t), 1, PASSAGE_GRID - 1).astype(int),
-        return_index=True)
-    return zip(cells.tolist(), t[first].tolist())
-
-
 def _unit_passage_times(path: PathSpec, events: Counter) -> list[float]:
     """Parameters where an eigenvalue of the path passes +-1.
 
-    The sampled route, for every path but one exponential.  The spectral
-    rotation map is locally constant on hyperbolic stretches, so a full
-    circle sweep between two passages is invisible to a uniform grid; the
-    refined passage parameters anchor the winding sampler there.  In the
+    For every path but one exponential (see ``_winding_grid``).  The
+    spectral rotation map is locally constant on hyperbolic stretches, so a
+    full circle sweep between two passages is invisible to a uniform grid;
+    the refined passage parameters anchor the winding sampler there.  In the
     Darboux basis of ``rs._diagonal`` a Souriau angle of the graph
     [Id; psi_t] passes 0 where psi_t has eigenvalue 1, and pi where it has
     eigenvalue -1.  A candidate is a grid cell whose Souriau count of the
@@ -205,8 +205,8 @@ def _unit_passage_times(path: PathSpec, events: Counter) -> list[float]:
     changes sign across the cell, else the cell's midpoint.  A crossing on
     t = 0 (psi_0 = Id) or on a loop's t = 1 is no passage.  The earliest
     candidate per grid index keeps its anchors only when ``_spectrum_moves``
-    says, from the eigenvalues of psi sampled at the screen times, that a
-    turn could hide between them.
+    says, from the eigenvalues of psi at the screen times, that a turn could
+    hide between them.
     """
     d_inv = _diagonal(path.n)._darboux_inverse
 
@@ -217,9 +217,6 @@ def _unit_passage_times(path: PathSpec, events: Counter) -> list[float]:
         """The angles less ``shift`` in (-pi, pi], and the one nearest 0."""
         lam = np.angle(np.exp(1j * (lam - shift)))
         return lam, lam[np.arange(len(lam)), np.argmin(np.abs(lam), axis=1)]
-
-    def angles_at(times):
-        return np.angle(np.linalg.eigvals(evaluate_stack(path, times)))
 
     ts, lam = _PASSAGE_TS, graph_angles(_PASSAGE_TS)
     off, found = np.zeros(lam.shape, dtype=bool), []
@@ -237,46 +234,18 @@ def _unit_passage_times(path: PathSpec, events: Counter) -> list[float]:
                 ts[a][signed], ts[b][signed], g[a][signed], g[b][signed],
                 1e-10, 16)[0]
         found.append(t)
-    return _screened_anchors(_earliest_per_index(np.concatenate(found)),
-                             angles_at, events)
-
-
-def _exp_passage_times(path: ExpPath, events: Counter) -> list[float]:
-    """``_unit_passage_times`` of psi_t = exp(t M) in closed form.
-
-    The eigenvalues of psi_t are e^{t mu} for the eigenvalues mu of M, also
-    for a defective M, so an eigenvalue can meet +-1 only at t = k pi / Im mu
-    and the angles of the spectrum are wrap(t Im mu): no sample of the path
-    is needed.  Every mu with Im mu > 0 gives candidates, a complex
-    quadruple too; a candidate costs a screen only.  The earliest candidate
-    per grid index is kept, as on the sampled route.
-    """
-    mu = np.linalg.eigvals(path.duration * path._js)
-    ts = []
-    for freq in mu.imag[mu.imag > 0]:
-        # k pi / freq for k = 1 and for the first k past each half-integer
-        # grid point: the earliest candidate of every grid index, at most
-        # PASSAGE_GRID of them however fast the rotation
-        k = np.ceil(np.arange(0.5, PASSAGE_GRID) / PASSAGE_GRID * freq / np.pi)
-        ts.append(np.unique(np.maximum(k, 1.0)) * np.pi / freq)
-    t = np.concatenate([np.empty(0)] + ts)
-
-    def angles_at(times):
-        return np.angle(np.exp(1j * np.outer(times, mu.imag)))
-
-    return _screened_anchors(_earliest_per_index(t[t < 1.0]), angles_at,
-                             events)
+    return _screened_anchors(path, np.concatenate(found), events)
 
 
 def _spectrum_moves(angles: np.ndarray) -> bool:
     """Whether rho^2 can move by ``PHASE_STEP`` across the screen times.
 
     ``angles`` holds one row of eigenvalue angles of psi per screen time,
-    the rows in time order; both passage routes screen through here.  arg
-    rho is a signed sum of the angles of the first-kind unit eigenvalues
-    plus pi per negative real pair, and every unit pair appears twice among
-    the |arg| of the eigenvalues.  So the total variation, along the sorted
-    times, of the sorted |arg| profile bounds how far rho^2 moves there.
+    the rows in time order.  arg rho is a signed sum of the angles of the
+    first-kind unit eigenvalues plus pi per negative real pair, and every
+    unit pair appears twice among the |arg| of the eigenvalues.  So the
+    total variation, along the sorted times, of the sorted |arg| profile
+    bounds how far rho^2 moves there.
     """
     profile = np.sort(np.abs(angles), axis=1)
     return float(np.abs(np.diff(profile, axis=0)).sum()) >= PHASE_STEP
@@ -331,7 +300,10 @@ class _Extension(PathSpec):
     def __init__(self, a_end: np.ndarray, tol: ToleranceProfile, seed: int):
         a_end = finite_matrix(a_end)
         dim = a_end.shape[0]
-        det_gap = float(np.linalg.det(a_end - np.eye(dim)))
+        with np.errstate(over="ignore"):
+            det_gap = float(np.linalg.det(a_end - np.eye(dim)))
+        if not np.isfinite(det_gap):
+            raise ContractError("det(A - Id) overflows the float range")
         if abs(det_gap) <= tol.tol_kernel:
             raise AdmissibilityError(
                 f"|det(A - Id)| = {abs(det_gap):.3e} is below tol_kernel")
@@ -526,13 +498,28 @@ def extension_winding(A, tol: ToleranceProfile = DEFAULT_TOL, seed: int = 0):
 # the index
 
 
-def _passage_anchors(path: PathSpec, events: Counter) -> list[float]:
-    """Winding anchors at the path's +-1 passages, shared by every circle
-    map; in closed form when the path is one exponential."""
+def _winding_grid(path: PathSpec, power: int,
+                  events: Counter) -> tuple[int, list[float]]:
+    """(coarse cells, anchors) of the [0, 1] windings of a circle map to
+    ``power``, shared by every circle map.
+
+    On one exponential psi_t = exp(t M) (see ``paths._exponential``) the
+    spectrum is e^{t mu}, so arg rho moves by at most the sum of Im mu over
+    the eigenvalues mu of M with Im mu > 0 per unit t, and a grid of
+    power * that sum / pi cells moves the map by at most pi per cell.  A
+    step must exceed 3 pi / 2 before it aliases below ``PHASE_STEP``, and
+    halving a cell keeps the bound, so no turn hides between two samples and
+    no anchor is needed.  The determinant maps share the grid with no bound
+    of their own: a turn one of them loses disagrees with the spectral
+    winding, which raises.  Every other path winds on 64 cells plus the
+    anchors of its +-1 passages.
+    """
     exact = _exponential(path)
-    if exact is not None:
-        return _exp_passage_times(exact, events)
-    return _unit_passage_times(path, events)
+    if exact is None:
+        return 64, _unit_passage_times(path, events)
+    mu = np.linalg.eigvals(exact.duration * exact._js)
+    speed = float(mu.imag[mu.imag > 0].sum())
+    return max(64, int(np.ceil(power * speed / np.pi))), []
 
 
 def _rounded(name: str, turns: float) -> int:
@@ -564,19 +551,19 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
     a_end = evaluate_array(path, 1.0)
     ext = _Extension(a_end, tol, seed)
 
-    # each circle map winds along the path, at the same +-1 passage
-    # anchors, and along the extension
+    # each circle map winds along the path, on the same grid and anchors,
+    # and along the extension
     events = Counter()
-    anchors = _passage_anchors(path, events)
+    cells, anchors = _winding_grid(path, 2, events)
     w_rho, trace, depth = winding(
         _rho_map(partial(evaluate_stack, path), tol, events, 2),
-        tol.max_refine, anchor_ts=anchors)
+        tol.max_refine, coarse=cells, anchor_ts=anchors)
     e_rho = ext.rho_winding(events)
     totals = {"spectral": w_rho + e_rho}
     for name, circle_map in (("polar", rho_polar), ("clinear", rho_hat)):
         w, _, _ = winding(
             lambda ts, f=circle_map: f(evaluate_stack(path, ts), tol) ** 2,
-            tol.max_refine, anchor_ts=anchors)
+            tol.max_refine, coarse=cells, anchor_ts=anchors)
         totals[name] = w + ext.det_winding(circle_map, tol)
 
     rounded = {name: _rounded(name, val) for name, val in totals.items()}
@@ -602,6 +589,7 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
         endpoint=ext.endpoint,
         diagnostics={
             "refinement_depth": depth,
+            "grid_cells": cells,
             "det_gap": ext.det_gap,
             "smin_end": smin_end,
             "windings": totals,
@@ -641,9 +629,10 @@ def _loop_winding(path: PathSpec, tol: ToleranceProfile):
     if np.linalg.norm(p0 - p1) > 1e3 * tol.tol_symp * (1.0 + np.linalg.norm(p0)):
         raise ContractError("maslov_loop requires a loop")
     events = Counter()
+    cells, anchors = _winding_grid(path, 1, events)
     turns, trace, _ = winding(
         _rho_map(partial(evaluate_stack, path), tol, events, 1),
-        tol.max_refine, anchor_ts=_passage_anchors(path, events))
+        tol.max_refine, coarse=cells, anchor_ts=anchors)
     return _rounded("loop", turns), trace
 
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from .core import (SympMatrix, as_array, direct_sum_many, j_matrix,
                    symplectic_residual)
-from .errors import DimensionError, ParameterError, SamplingError
+from .errors import (ContractError, DimensionError, ParameterError,
+                     SamplingError)
 from .sampling import difference_quotient
 from .tolerances import DEFAULT_TOL
 
@@ -101,12 +102,18 @@ def _check_ts(ts) -> list[float]:
 def _memoised(path: PathSpec, ts) -> list[np.ndarray]:
     """The matrices of the path at ``ts``, memoised per t on this node, not
     on its children (which it evaluates directly); one stacked evaluation
-    covers every t not yet in the memo."""
+    covers every t not yet in the memo.  A stack that overflows the float
+    range raises ``ContractError``."""
     ts = _check_ts(ts)
     cache = path._cache
     missing = [t for t in dict.fromkeys(ts) if t not in cache]
-    fresh = dict(zip(missing, path._evaluate(np.array(missing)))) \
-        if missing else {}
+    fresh = {}
+    if missing:
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = path._evaluate(np.array(missing))
+        if not np.isfinite(stack).all():
+            raise ContractError("path values overflow the float range")
+        fresh = dict(zip(missing, stack))
     if len(cache) < 100_000:
         cache.update(fresh)
     return [fresh[t] if t in fresh else cache[t] for t in ts]

@@ -44,9 +44,10 @@ class TestCommands:
         assert rep["diagnostics"]["endpoint"] in ("W+", "W-")
         assert rep["diagnostics"]["rho_fallbacks"] == 0
         assert rep["diagnostics"]["krein_nudges"] == 0
-        # exp(t pi J0) reaches -1 at t = 1 only: no passage inside [0, 1]
+        # an exponential runs no passage search and winds on 64 cells
         assert rep["diagnostics"]["passages"] == 0
         assert rep["diagnostics"]["anchored_passages"] == 0
+        assert rep["diagnostics"]["grid_cells"] == 64
 
     def test_rs_and_rs2(self, tmp_path, capsys):
         inp = write_json(tmp_path, "s.json", shear_job())

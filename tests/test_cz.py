@@ -22,8 +22,8 @@ from sympindex import (AdmissibilityError, CatPath, ConjPath, ConstPath,
 import sympindex.cz as cz
 from sympindex.core import symplectic_residual
 from sympindex.spectral import first_kind_eigenvalues
-from sympindex.cz import (PASSAGE_GRID, _Extension, _exp_passage_times,
-                          _rho_map, _unit_passage_times)
+from sympindex.cz import (PASSAGE_GRID, _Extension, _rho_map,
+                          _unit_passage_times)
 from sympindex.tolerances import DEFAULT_TOL
 from conftest import krein_degenerate_rotation, rotation
 
@@ -220,6 +220,15 @@ class TestExtension:
         a = random_symplectic(1, seed=3)
         with pytest.raises(AdmissibilityError):
             conley_zehnder(ConstPath(a))
+
+    @pytest.mark.filterwarnings("error")
+    def test_determinant_overflow_is_typed(self):
+        # the endpoint's entries, about e^200, are finite; det(A - Id) of
+        # the 4 x 4 sum is not
+        block = ExpPath(s_matrix=np.diag([200.0, -200.0]))
+        p = DirectSumPath(parts=(block, block))
+        with pytest.raises(ContractError, match="overflow"):
+            conley_zehnder(p)
 
     def test_eigenvalue_rounding_to_zero_is_typed(self):
         # cond(psi_1) ~ 1.7e16: an eigenvalue of the endpoint rounds to 0
@@ -554,9 +563,11 @@ class TestIndexProperties:
         assert res.diagnostics["smin_end"] > 0
         assert res.diagnostics["rho_fallbacks"] == 0
         assert res.diagnostics["krein_nudges"] == 0
-        # exp(t pi J0) reaches -1 at t = 1 only: no passage inside [0, 1]
+        # an exponential runs no passage search and winds on at least 64
+        # cells
         assert res.diagnostics["passages"] == 0
         assert res.diagnostics["anchored_passages"] == 0
+        assert res.diagnostics["grid_cells"] == 64
 
     def test_tolerance_fallback_is_recorded(self):
         # n = 8, spectral radius 12: one sample of the main winding has a
@@ -676,8 +687,8 @@ class TestPassageScreen:
             conley_zehnder(path)
 
     def test_slow_rotation_has_no_anchors(self, monkeypatch):
-        # an ExpPath takes the closed-form passage search: psi is evaluated
-        # only where one of the three [0, 1] windings samples it
+        # an ExpPath runs no passage search: psi is evaluated only where one
+        # of the three [0, 1] windings samples it
         evaluated, sampled = [], set()
         build, wind = ExpPath._evaluate, cz.winding
 
@@ -698,13 +709,15 @@ class TestPassageScreen:
         monkeypatch.setattr(cz, "_unit_passage_times", sampled_route)
         res = conley_zehnder(ExpPath(s_matrix=np.diag([12.0, 12.0])))
         assert res.value == cz_dim2_closed_form(np.diag([12.0, 12.0]), 1.0)
-        assert res.diagnostics["passages"] == 3
+        assert res.diagnostics["passages"] == 0
         assert res.diagnostics["anchored_passages"] == 0
+        # 2 * 12 / pi is below 64 cells
+        assert res.diagnostics["grid_cells"] == 64
         assert evaluated and set(evaluated) <= sampled
 
     def test_one_exponential_takes_the_closed_form(self, monkeypatch):
         # a direct sum of exponentials is one exponential, and so is its
-        # conjugate by a constant: neither runs the sampled passage search
+        # conjugate by a constant: neither runs the passage search
         blocks = [np.diag(d) for d in
                   ([7.0, 6.5], [2.0, -1.5], [-9.0, -8.5], [3.0, -2.0])]
         total = sum((cz_dim2_closed_form(b, 1.0) for b in blocks), HalfInt(0))
@@ -720,27 +733,25 @@ class TestPassageScreen:
             assert conley_zehnder(path).value == total
 
     def test_fast_rotation_keeps_every_anchor(self):
+        # 95 passages of -1 and +1: the grid of ceil(2 * 300 / pi) cells
+        # sees every turn of rho^2 without an anchor
         s = np.diag([300.0, 300.0])
         res = conley_zehnder(ExpPath(s_matrix=s))
         assert res.value == cz_dim2_closed_form(s, 1.0) == HalfInt.from_int(95)
-        assert res.diagnostics["passages"] == 95
-        assert res.diagnostics["anchored_passages"] == 95
+        assert res.diagnostics["passages"] == 0
+        assert res.diagnostics["anchored_passages"] == 0
+        assert res.diagnostics["grid_cells"] == 191
 
     def test_rotation_faster_than_the_grid(self):
-        # 222 passages, about one per 1.15 grid cells: the sampled search
-        # aliases them, the closed form anchors each one, and all three
-        # circle maps sample the anchors
+        # 222 passages, more than one per cell of the 256-point passage
+        # grid: all three circle maps wind on ceil(2 * 700 / pi) cells
         s = np.diag([700.0, 700.0])
         res = conley_zehnder(ExpPath(s_matrix=s))
         assert res.value == cz_dim2_closed_form(s, 1.0) == HalfInt.from_int(223)
-        assert res.diagnostics["anchored_passages"] == 222
+        assert res.diagnostics["anchored_passages"] == 0
+        assert res.diagnostics["grid_cells"] == 446
         for turns in res.diagnostics["windings"].values():
             assert turns == pytest.approx(223.0, abs=1e-9)
-
-    def test_anchored_passages_are_capped_by_the_grid(self):
-        events = Counter()
-        _exp_passage_times(ExpPath(s_matrix=np.diag([3000.0, 3000.0])), events)
-        assert events["anchored_passages"] <= PASSAGE_GRID - 1
 
     @pytest.mark.parametrize("s,duration", [
         (np.diag([5.0, 9.0]), 1.0),                              # elliptic
@@ -752,23 +763,21 @@ class TestPassageScreen:
     ])
     def test_closed_form_candidates_match_sampled_route(self, s, duration,
                                                         monkeypatch):
-        # the sampled route finds the closed-form candidates where an
-        # eigenvalue passes +-1, and none for the quadruple, whose
-        # eigenvalues never reach the unit circle
+        # the eigenvalues of exp(t M) are e^{t mu}: a unit one, mu = i w,
+        # passes +-1 at t = k pi / w, which the sampled route finds; the
+        # quadruple's eigenvalues never reach the unit circle and the shear
+        # has mu = 0, so they have none
         monkeypatch.setattr(cz, "_screened_anchors",
-                            lambda candidates, angles_at, events:
-                            [t for _, t in candidates])
+                            lambda path, t, events: sorted(t))
         path = ExpPath(s_matrix=s, duration=duration)
-        closed = _exp_passage_times(path, Counter())
-        sampled = _unit_passage_times(path, Counter())
-        mu = np.linalg.eigvals(path._js)
-        quadruple = np.any((np.abs(mu.real) > 1e-9) & (np.abs(mu.imag) > 1e-9))
-        shear = np.count_nonzero(np.asarray(s)) == 1
-        assert len(closed) == 0 if shear else len(closed) > 0
-        if quadruple:
-            assert sampled == []
-        else:
-            assert sampled == pytest.approx(closed, rel=0, abs=1e-8)
+        mu = np.linalg.eigvals(duration * path._js)
+        rates = mu.imag[(np.abs(mu.real) < 1e-9) & (mu.imag > 1e-9)]
+        closed = sorted(k * np.pi / w for w in rates
+                        for k in range(1, int(np.ceil(w / np.pi))))
+        # every unit rate passes -1 inside [0, 1]
+        assert len(closed) >= len(rates)
+        assert _unit_passage_times(path, Counter()) == pytest.approx(
+            closed, rel=0, abs=1e-8)
 
     @pytest.mark.parametrize("seed,n", [(0, 1), (1, 2), (2, 3), (3, 4)])
     def test_sampled_copies_of_conjugated_exponentials(self, seed, n):
@@ -808,6 +817,54 @@ class TestPassageScreen:
             assert res.value == base + HalfInt.from_int(2 * k)
             anchored += res.diagnostics["anchored_passages"]
         assert anchored > 0
+
+
+# the fast-rotation family: exp(t J0 diag(w, 1.1 w)) at rate w sqrt(1.1),
+# on the band where a 64-cell grid lost turns (two of them, keeping the
+# parity, at w = 161.7) and at three faster rates
+FAST_RATES = [*np.arange(10.0, 400.0, 3.7)[35:52], 600.0, 1500.0, 3000.0]
+
+
+class TestSizedGrid:
+    """A path that is one exponential exp(t M) winds with no anchors on
+    max(64, ceil(power sum_{Im mu > 0} Im mu / pi)) cells, mu the
+    eigenvalues of M: rho^power moves by at most pi per cell, so no turn
+    hides between two samples, however fast the rotation."""
+
+    EXTRA = (np.diag([0.5, -0.7]), np.diag([2.0, 2.5]))
+
+    @pytest.mark.parametrize("w", FAST_RATES, ids=lambda w: f"{w:.1f}")
+    def test_fast_rotation_family(self, w):
+        s = np.diag([w, 1.1 * w])
+        plain = ExpPath(s_matrix=s)
+        k = random_symplectic(1, seed=3, scale=0.3, max_cond=10)
+        summed = DirectSumPath(parts=(plain,) + tuple(
+            ExpPath(s_matrix=b) for b in self.EXTRA))
+        ref = cz_dim2_closed_form(s, 1.0)
+        extra = sum((cz_dim2_closed_form(b, 1.0) for b in self.EXTRA),
+                    HalfInt(0))
+        # diag(2, 2.5) adds the rate sqrt(5), diag(0.5, -0.7) none
+        for path, value, speed in (
+                (plain, ref, w * np.sqrt(1.1)),
+                (ConjPath(phi=ConstPath(k), psi=plain), ref, w * np.sqrt(1.1)),
+                (summed, ref + extra, w * np.sqrt(1.1) + np.sqrt(5.0))):
+            res = conley_zehnder(path)
+            assert res.value == value
+            assert res.diagnostics["passages"] == 0
+            assert res.diagnostics["grid_cells"] == max(
+                64, int(np.ceil(2 * speed / np.pi)))
+
+    def test_fast_loop(self):
+        # exp(t 2 pi 400 J0) winds rho 400 times on 800 cells
+        path = ExpPath(s_matrix=2 * np.pi * 400 * np.eye(2))
+        assert maslov_loop(path) == 400
+
+    def test_duration_scales_the_grid(self):
+        s = np.diag([40.0, 48.0])
+        res = conley_zehnder(ExpPath(s_matrix=s, duration=3.7))
+        assert res.value == cz_dim2_closed_form(s, 3.7) == HalfInt.from_int(51)
+        assert res.diagnostics["grid_cells"] == int(
+            np.ceil(2 * 3.7 * np.sqrt(40.0 * 48.0) / np.pi))
 
 
 class TestMaslovLoop:
@@ -864,32 +921,47 @@ def _diagonal_sweep_path(seed):
     return path, value, rate
 
 
+def _shift_path_windings(monkeypatch, turns: int):
+    """Add ``turns`` to each of the three [0, 1] windings of
+    ``conley_zehnder`` (the ones given anchors), as if every circle map lost
+    or gained the same turns between two samples."""
+    def shifted(*args, **kwargs):
+        out = winding(*args, **kwargs)
+        if "anchor_ts" not in kwargs:
+            return out
+        return (out[0] + turns,) + out[1:]
+
+    monkeypatch.setattr(cz, "winding", shifted)
+
+
 class TestParityGuard:
-    """exp(t J0 diag(w, 1.1 w)) at n = 1 turns faster than the 64-cell
-    winding grid resolves from w of about 147: the circle maps lose one
-    turn together, which the parity rule (-1)^(n - CZ) = sign det(Id - A)
-    catches.  A loss of two turns keeps the parity (w = 161.7 returns 51
-    for 53) and stays open."""
+    """The parity rule (-1)^(n - CZ) = sign det(Id - A) catches a turn that
+    all three circle maps lose together along [0, 1].  An exponential path
+    winds on a grid sized from its generator and loses none, so a count off
+    by whole turns on the three [0, 1] windings stands in for the loss.  A
+    loss of two turns keeps the parity, and the rule cannot see it."""
 
     @pytest.mark.parametrize("w", [150.0, 170.0, 185.0])
-    def test_a_lost_turn_raises(self, w):
+    def test_a_lost_turn_raises(self, w, monkeypatch):
+        s = np.diag([w, 1.1 * w])
+        ref = cz_dim2_closed_form(s, 1.0)
+        assert conley_zehnder(ExpPath(s_matrix=s)).value == ref
+        _shift_path_windings(monkeypatch, -1)
         with pytest.raises(InternalConsistencyError, match="parity rule"):
-            conley_zehnder(ExpPath(s_matrix=np.diag([w, 1.1 * w])))
+            conley_zehnder(ExpPath(s_matrix=s))
+        _shift_path_windings(monkeypatch, -2)
+        assert (conley_zehnder(ExpPath(s_matrix=s)).value
+                == ref - HalfInt.from_int(2))
 
-    def test_no_value_of_the_wrong_parity(self):
-        # the sweep 10 + 3.7 k over the band where turns are lost
-        outcomes = Counter()
-        for w in np.arange(10.0, 400.0, 3.7)[35:52]:
-            s = np.diag([w, 1.1 * w])
-            ref = cz_dim2_closed_form(s, 1.0)
-            try:
-                got = conley_zehnder(ExpPath(s_matrix=s)).value
-            except InternalConsistencyError:
-                outcomes["typed"] += 1
-                continue
-            assert (int(got.as_float()) - int(ref.as_float())) % 2 == 0, w
-            outcomes["right" if got == ref else "off by two"] += 1
-        assert outcomes == {"typed": 12, "right": 4, "off by two": 1}
+    def test_no_value_of_the_wrong_parity(self, monkeypatch):
+        # the sweep 10 + 3.7 k over the band where the 64-cell grid once
+        # lost turns, each count off by one turn either way
+        for turns in (-1, 1):
+            _shift_path_windings(monkeypatch, turns)
+            for w in np.arange(10.0, 400.0, 3.7)[35:52]:
+                with pytest.raises(InternalConsistencyError,
+                                   match="parity rule"):
+                    conley_zehnder(ExpPath(s_matrix=np.diag([w, 1.1 * w])))
 
 
 class TestFailureSurface:

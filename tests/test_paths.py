@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from sympindex import (CatPath, ConjPath, ConstPath, DimensionError,
-                       DirectSumPath, ExpPath, LoopPath, ParameterError,
-                       ProdPath, ReversePath, SampledPath, SamplingError,
-                       ShearPath, direct_sum_many, evaluate, evaluate_array,
-                       evaluate_stack, generator, j_matrix,
+import sympindex
+from sympindex import (CatPath, ConjPath, ConstPath, ContractError,
+                       DimensionError, DirectSumPath, ExpPath, LoopPath,
+                       ParameterError, ProdPath, ReversePath, SampledPath,
+                       SamplingError, ShearPath, direct_sum_many, evaluate,
+                       evaluate_array, evaluate_stack, generator, j_matrix,
                        junction_parameters, make_loop, make_shear,
                        path_from_json, path_to_json, random_symplectic,
                        symplectic_residual)
@@ -187,6 +188,17 @@ def _every_node_type():
         "loop": make_loop(-2, 3),
         "extension": ext,
     }
+
+
+class TestOverflow:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("index", ["conley_zehnder", "rs_index",
+                                       "rs2_index"])
+    def test_overflowing_path_is_typed(self, index):
+        # exp(800) overflows inside expm: the stack is checked, not returned
+        path = ExpPath(s_matrix=np.diag([800.0, -800.0]))
+        with pytest.raises(ContractError, match="overflow"):
+            getattr(sympindex, index)(path)
 
 
 class TestStackedEvaluation:
