@@ -107,7 +107,6 @@ def _run_cz(path_spec, tol, seed, trace_file):
             "rho_fallbacks": result.diagnostics["rho_fallbacks"],
             "krein_nudges": result.diagnostics["krein_nudges"],
             "passages": result.diagnostics["passages"],
-            "anchored_passages": result.diagnostics["anchored_passages"],
         },
     }
 

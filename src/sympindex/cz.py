@@ -60,7 +60,7 @@ from .lagrangian import _doubled_counts, _souriau_angles
 from .normal_form import _rot, _separated, normal_form, semisimple_perturb
 from .paths import PathSpec, _exponential, evaluate_array, evaluate_stack
 from .rs import _diagonal, _graphs
-from .sampling import PHASE_STEP, bracketed_roots, winding
+from .sampling import bracketed_roots, winding
 from .spectral import rho
 from .tolerances import DEFAULT_TOL, ToleranceProfile
 
@@ -164,30 +164,17 @@ _ANCHOR_OFFSETS = [0.0] + [sign * 2.0 ** -k / PASSAGE_GRID
                            for sign in (1, -1) for k in range(30)]
 
 
-def _screened_anchors(path: PathSpec, t: np.ndarray,
-                      events: Counter) -> list[float]:
-    """Anchors of the passage candidates ``t`` where the spectrum moves.
-
-    The earliest candidate t* nearest each interior grid point i in
-    [1, PASSAGE_GRID - 1] is screened on its grid bracket [ts[i-1], ts[i+1]]
-    plus its anchors, from the eigenvalue angles of psi there.  Screened
-    candidates are counted in ``events["passages"]``, the ones that keep
-    anchors in ``events["anchored_passages"]``.
-    """
+def _passage_anchors(t: np.ndarray, events: Counter) -> list[float]:
+    """The anchors of the passage candidates ``t``: those of the earliest
+    candidate nearest each interior grid point in [1, PASSAGE_GRID - 1],
+    each counted in ``events["passages"]``."""
     t = np.sort(t)
-    cells, first = np.unique(
+    _, first = np.unique(
         np.clip(np.rint(PASSAGE_GRID * t), 1, PASSAGE_GRID - 1).astype(int),
         return_index=True)
-    out = []
-    for i, t_star in zip(cells.tolist(), t[first].tolist()):
-        events["passages"] += 1
-        anchors = [min(max(t_star + d, 0.0), 1.0) for d in _ANCHOR_OFFSETS]
-        times = np.sort([_PASSAGE_TS[i - 1], _PASSAGE_TS[i + 1]] + anchors)
-        angles = np.angle(np.linalg.eigvals(evaluate_stack(path, times)))
-        if _spectrum_moves(angles):
-            events["anchored_passages"] += 1
-            out.extend(anchors)
-    return out
+    events["passages"] += len(first)
+    return [min(max(t_star + d, 0.0), 1.0)
+            for t_star in t[first].tolist() for d in _ANCHOR_OFFSETS]
 
 
 def _unit_passage_times(path: PathSpec, events: Counter) -> list[float]:
@@ -204,9 +191,7 @@ def _unit_passage_times(path: PathSpec, events: Counter) -> list[float]:
     t* is the secant root of the angle nearest 0 or pi where that angle
     changes sign across the cell, else the cell's midpoint.  A crossing on
     t = 0 (psi_0 = Id) or on a loop's t = 1 is no passage.  The earliest
-    candidate per grid index keeps its anchors only when ``_spectrum_moves``
-    says, from the eigenvalues of psi at the screen times, that a turn could
-    hide between them.
+    candidate per grid index keeps its anchors (``_passage_anchors``).
     """
     d_inv = _diagonal(path.n)._darboux_inverse
 
@@ -234,21 +219,7 @@ def _unit_passage_times(path: PathSpec, events: Counter) -> list[float]:
                 ts[a][signed], ts[b][signed], g[a][signed], g[b][signed],
                 1e-10, 16)[0]
         found.append(t)
-    return _screened_anchors(path, np.concatenate(found), events)
-
-
-def _spectrum_moves(angles: np.ndarray) -> bool:
-    """Whether rho^2 can move by ``PHASE_STEP`` across the screen times.
-
-    ``angles`` holds one row of eigenvalue angles of psi per screen time,
-    the rows in time order.  arg rho is a signed sum of the angles of the
-    first-kind unit eigenvalues plus pi per negative real pair, and every
-    unit pair appears twice among the |arg| of the eigenvalues.  So the
-    total variation, along the sorted times, of the sorted |arg| profile
-    bounds how far rho^2 moves there.
-    """
-    profile = np.sort(np.abs(angles), axis=1)
-    return float(np.abs(np.diff(profile, axis=0)).sum()) >= PHASE_STEP
+    return _passage_anchors(np.concatenate(found), events)
 
 
 def _pair_block(t, lam, target):
@@ -596,7 +567,6 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
             "rho_fallbacks": events["rho_fallbacks"],
             "krein_nudges": events["krein_nudges"],
             "passages": events["passages"],
-            "anchored_passages": events["anchored_passages"],
         },
     )
 

@@ -332,7 +332,13 @@ class ConjPath(PathSpec):
 
     def _evaluate(self, ts: np.ndarray) -> np.ndarray:
         g = self.phi._evaluate(ts)
-        g_inv = np.linalg.inv(g) if self._phi_inv is None else self._phi_inv
+        if self._phi_inv is not None:
+            g_inv = self._phi_inv
+        elif np.isfinite(g).all():
+            g_inv = np.linalg.inv(g)
+        else:
+            # an overflowing conjugator may invert to NaN or be singular
+            raise ContractError("path values overflow the float range")
         return g @ self.psi._evaluate(ts) @ g_inv
 
 

@@ -16,8 +16,7 @@ from .errors import WindingResolutionError
 
 __all__ = ["PHASE_STEP", "winding", "bracketed_roots", "difference_quotient"]
 
-# the sampler refines every interval whose phase step is not below this; the
-# passage screen keeps a passage's anchors when the spectrum moves this much
+# the sampler refines every interval whose phase step is not below this
 PHASE_STEP = 0.5 * np.pi
 
 

@@ -46,7 +46,6 @@ class TestCommands:
         assert rep["diagnostics"]["krein_nudges"] == 0
         # an exponential runs no passage search and winds on 64 cells
         assert rep["diagnostics"]["passages"] == 0
-        assert rep["diagnostics"]["anchored_passages"] == 0
         assert rep["diagnostics"]["grid_cells"] == 64
 
     def test_rs_and_rs2(self, tmp_path, capsys):

@@ -566,7 +566,6 @@ class TestIndexProperties:
         # an exponential runs no passage search and winds on at least 64
         # cells
         assert res.diagnostics["passages"] == 0
-        assert res.diagnostics["anchored_passages"] == 0
         assert res.diagnostics["grid_cells"] == 64
 
     def test_tolerance_fallback_is_recorded(self):
@@ -652,8 +651,8 @@ class TestRhoMapFallback:
 
 
 class TestPassageScreen:
-    """A +-1 passage keeps its anchors only when the spectrum moves enough
-    across its bracket to hide a turn of rho^2 from the grid."""
+    """Every +-1 passage located on a path that is not one exponential
+    anchors the windings; one exponential winds on a sized grid instead."""
 
     LOOP_PRODUCT_S = [[-2.0475799163981367, -13.738604255225596],
                       [-13.738604255225596, 0.14910221974364662]]
@@ -675,9 +674,8 @@ class TestPassageScreen:
         # the -1 passage at t = 0.3685 has a cell of its own beside the +1
         # passage at 0.3705; the +-1 pairs near 0.6195 and 0.8695 share one
         assert res.diagnostics["passages"] == 6
-        assert res.diagnostics["anchored_passages"] == 4
-        # the three [0, 1] windings sample the same anchors
-        assert len(anchor_sets) == 3 and anchor_sets[0]
+        # the three [0, 1] windings sample the same anchors, 61 per passage
+        assert len(anchor_sets) == 3 and len(anchor_sets[0]) == 6 * 61
         assert anchor_sets[1] == anchor_sets[0] == anchor_sets[2]
         # without anchors the spectral winding misses turns
         monkeypatch.setattr("sympindex.cz._unit_passage_times",
@@ -710,7 +708,6 @@ class TestPassageScreen:
         res = conley_zehnder(ExpPath(s_matrix=np.diag([12.0, 12.0])))
         assert res.value == cz_dim2_closed_form(np.diag([12.0, 12.0]), 1.0)
         assert res.diagnostics["passages"] == 0
-        assert res.diagnostics["anchored_passages"] == 0
         # 2 * 12 / pi is below 64 cells
         assert res.diagnostics["grid_cells"] == 64
         assert evaluated and set(evaluated) <= sampled
@@ -739,7 +736,6 @@ class TestPassageScreen:
         res = conley_zehnder(ExpPath(s_matrix=s))
         assert res.value == cz_dim2_closed_form(s, 1.0) == HalfInt.from_int(95)
         assert res.diagnostics["passages"] == 0
-        assert res.diagnostics["anchored_passages"] == 0
         assert res.diagnostics["grid_cells"] == 191
 
     def test_rotation_faster_than_the_grid(self):
@@ -748,7 +744,7 @@ class TestPassageScreen:
         s = np.diag([700.0, 700.0])
         res = conley_zehnder(ExpPath(s_matrix=s))
         assert res.value == cz_dim2_closed_form(s, 1.0) == HalfInt.from_int(223)
-        assert res.diagnostics["anchored_passages"] == 0
+        assert res.diagnostics["passages"] == 0
         assert res.diagnostics["grid_cells"] == 446
         for turns in res.diagnostics["windings"].values():
             assert turns == pytest.approx(223.0, abs=1e-9)
@@ -767,8 +763,8 @@ class TestPassageScreen:
         # passes +-1 at t = k pi / w, which the sampled route finds; the
         # quadruple's eigenvalues never reach the unit circle and the shear
         # has mu = 0, so they have none
-        monkeypatch.setattr(cz, "_screened_anchors",
-                            lambda path, t, events: sorted(t))
+        monkeypatch.setattr(cz, "_passage_anchors",
+                            lambda t, events: sorted(t))
         path = ExpPath(s_matrix=s, duration=duration)
         mu = np.linalg.eigvals(duration * path._js)
         rates = mu.imag[(np.abs(mu.real) < 1e-9) & (mu.imag > 1e-9)]
@@ -803,7 +799,7 @@ class TestPassageScreen:
         # psi = loop_k * exp(t J S): the family where anchors decide the
         # spectral winding; S random symmetric of spectral radius 2-20
         rng = np.random.default_rng(0)
-        anchored = 0
+        passages = 0
         for _ in range(20):
             n = int(rng.integers(1, 3))
             radius = rng.uniform(2.0, 20.0)
@@ -815,8 +811,33 @@ class TestPassageScreen:
             res = conley_zehnder(
                 ProdPath(left=make_loop(k, n), right=ExpPath(s_matrix=s)))
             assert res.value == base + HalfInt.from_int(2 * k)
-            anchored += res.diagnostics["anchored_passages"]
-        assert anchored > 0
+            passages += res.diagnostics["passages"]
+        assert passages > 0
+
+    def test_loop_samples_every_anchor(self, monkeypatch):
+        # rho of make_loop(2, 1) passes -1 at t = 1/4 and 3/4 and +1 at
+        # t = 1/2; the spectrum turns slowly there, and each passage still
+        # anchors the loop's winding with all 61 of its anchors
+        events, calls, wind = [], [], cz.winding
+        passage_times = cz._unit_passage_times
+
+        def spy_passages(path, counter):
+            events.append(counter)
+            return passage_times(path, counter)
+
+        def spy_winding(*args, **kwargs):
+            out = wind(*args, **kwargs)
+            calls.append((kwargs["anchor_ts"], {t for t, _ in out[1]}))
+            return out
+
+        monkeypatch.setattr(cz, "_unit_passage_times", spy_passages)
+        monkeypatch.setattr(cz, "winding", spy_winding)
+        assert maslov_loop(make_loop(2, 1)) == 2
+        assert [e["passages"] for e in events] == [3]
+        (anchors, sampled), = calls
+        # the sampler rounds its parameters to 12 digits
+        anchors = {round(t, 12) for t in anchors}
+        assert len(anchors) == 3 * 61 and anchors <= sampled
 
 
 # the fast-rotation family: exp(t J0 diag(w, 1.1 w)) at rate w sqrt(1.1),

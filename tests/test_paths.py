@@ -200,6 +200,17 @@ class TestOverflow:
         with pytest.raises(ContractError, match="overflow"):
             getattr(sympindex, index)(path)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("index", ["conley_zehnder", "rs_index",
+                                       "rs2_index"])
+    def test_overflowing_conjugator_is_typed(self, index):
+        # the conjugator overflows before the stack is checked: inverting it
+        # would return NaN or fail on a singular matrix
+        path = ConjPath(phi=ExpPath(s_matrix=np.diag([800.0, -800.0])),
+                        psi=ExpPath(s_matrix=np.diag([1.0, 2.0])))
+        with pytest.raises(ContractError, match="overflow"):
+            getattr(sympindex, index)(path)
+
 
 class TestStackedEvaluation:
     def test_grid_holds_the_ends_and_junctions(self):
