@@ -60,7 +60,7 @@ def _load_input(path: str, command: str):
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if command in _MATRIX_COMMANDS:
-        if "matrix" not in obj:
+        if not isinstance(obj, dict) or "matrix" not in obj:
             raise ValueError(f"command {command!r} needs a 'matrix' entry")
         return np.array(obj["matrix"], dtype=float)
     return path_from_json(obj)

@@ -142,7 +142,7 @@ class SympMatrix:
     n: int
 
     def __init__(self, entries, tol: ToleranceProfile = DEFAULT_TOL):
-        a = np.array(entries, dtype=float)
+        a = np.array(as_array(entries))
         n = _check_even_square(a)
         if not is_symplectic(a, tol):
             raise ContractError(
@@ -161,10 +161,15 @@ class SympMatrix:
 
 
 def as_array(A) -> np.ndarray:
-    """Accept SympMatrix or ndarray-like; return a float ndarray."""
+    """Accept SympMatrix or ndarray-like; return a float ndarray.  Input
+    that is not an array of numbers raises ``ContractError``."""
     if isinstance(A, SympMatrix):
         return np.asarray(A.entries)
-    return np.asarray(A, dtype=float)
+    try:
+        return np.asarray(A, dtype=float)
+    except (TypeError, ValueError):
+        raise ContractError(
+            f"expected an array of numbers, got {type(A).__name__}") from None
 
 
 def polar_decompose(A, tol: ToleranceProfile = DEFAULT_TOL):
@@ -205,11 +210,13 @@ def complex_det(O, tol: ToleranceProfile = DEFAULT_TOL):
 
 
 def normalize_unit(z):
-    """Project a nonzero complex number, or each entry of an array of them,
-    onto the unit circle."""
-    m = abs(z)
-    if not (m.all() if isinstance(m, np.ndarray) else m):
-        raise ContractError("cannot normalize zero to the unit circle")
+    """Project a nonzero finite complex number, or each entry of an array
+    of them, onto the unit circle."""
+    m = np.abs(z)
+    # a NaN modulus fails both comparisons
+    if not (m.min() > 0.0 and m.max() < np.inf):
+        raise ContractError(
+            "cannot normalize zero or a non-finite value to the unit circle")
     return z / m
 
 

@@ -106,47 +106,54 @@ def _rho_robust(a: np.ndarray, tol: ToleranceProfile, events: Counter) -> comple
     raise last
 
 
-def _rho_map(stack_at, tol: ToleranceProfile, events: Counter, power: int,
-             eps=1e-9):
+# a sample on an isolated Krein degeneracy is stepped over by this much
+KREIN_NUDGE = 1e-9
+
+
+def _rho_map(stack_at, tol: ToleranceProfile, events: Counter, power: int):
     """ts -> rho(psi_t) ** power for the stack ``stack_at(ts)``, in one
-    ``rho`` call per stack.
+    ``rho`` call per stack (``_rho_values``)."""
+    return lambda ts: np.array(
+        _rho_values(ts, stack_at(ts), stack_at, tol, events, power),
+        dtype=complex)
+
+
+def _rho_values(ts, stack, stack_at, tol: ToleranceProfile, events: Counter,
+                power: int) -> list:
+    """rho ** power of each matrix of ``stack``, the path ``stack_at`` at
+    ``ts``, in one ``rho`` call unless it fails.
 
     When a stack fails on an ambiguous cluster or a Krein degeneracy, only
     its failing sample (the error's ``row``) is taken on its own: it runs
     the tolerance cascade, and a sample on an isolated Krein degeneracy is
-    stepped over, its value taken at t + eps (t - eps for t >= 1/2) and the
-    step counted in ``events["krein_nudges"]``.  The samples before it
-    passed and make one stack again; the samples after it make the next
-    stack, which may fail in turn.  Only the failing samples count
-    fallbacks, so the counts do not depend on how the samples are stacked.
+    stepped over, its value taken at t + KREIN_NUDGE (t - KREIN_NUDGE for
+    t >= 1/2) and the step counted in ``events["krein_nudges"]``.  The
+    samples before it passed the checks up to the failed one and make one
+    stack again, split the same way if it fails a later check (so the
+    recursion is no deeper than the checks are many); the samples after it
+    make the next stack, which may fail in turn.  Only the failing samples
+    count fallbacks, so the counts do not depend on how the samples are
+    stacked.
     """
-    def value(a):
-        return _rho_robust(a, tol, events) ** power
-
-    def stacked(stack):
-        return [z ** power for z in rho(stack, tol).tolist()]
-
-    def f(ts):
-        stack = stack_at(ts)
-        out = []
-        while len(out) < len(ts):
-            start = len(out)
-            try:
-                out += stacked(stack[start:])
-                break
-            except (IllConditionedSpectrumError, KreinDegenerateError) as exc:
-                r = start + exc.row
-            out += stacked(stack[start:r])
-            try:
-                out.append(value(stack[r]))
-            except KreinDegenerateError:
-                events["krein_nudges"] += 1
-                t = float(ts[r])
-                s = t + eps if t < 0.5 else t - eps
-                out.append(value(stack_at(np.array([s]))[0]))
-        return np.array(out, dtype=complex)
-
-    return f
+    out = []
+    while len(out) < len(ts):
+        start = len(out)
+        try:
+            out += [z ** power for z in rho(stack[start:], tol).tolist()]
+            break
+        except (IllConditionedSpectrumError, KreinDegenerateError) as exc:
+            r = start + exc.row
+        out += _rho_values(ts[start:r], stack[start:r], stack_at, tol, events,
+                           power)
+        try:
+            out.append(_rho_robust(stack[r], tol, events) ** power)
+        except KreinDegenerateError:
+            events["krein_nudges"] += 1
+            t = float(ts[r])
+            s = t + KREIN_NUDGE if t < 0.5 else t - KREIN_NUDGE
+            nudged = stack_at(np.array([s]))[0]
+            out.append(_rho_robust(nudged, tol, events) ** power)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import direct_sum_many, omega_matrix
+from .core import as_array, direct_sum_many, is_symplectic, omega_matrix
 from .errors import (ConditioningError, ContractError, DimensionError,
                      InternalConsistencyError, IrregularCrossingError,
                      NoCrossingError, UnsupportedStructureError)
@@ -123,7 +123,7 @@ def _signature(gamma: np.ndarray, tol_form: float):
 def _as_frame(value) -> np.ndarray:
     if isinstance(value, LagrangianFrame):
         return value.frame
-    return np.asarray(value, dtype=float)
+    return as_array(value)
 
 
 def _kernel(m: np.ndarray, tol_kernel: float, k=None) -> np.ndarray:
@@ -145,12 +145,22 @@ def lagrangian_crossing_form(frames, t0: float, v: LagrangianFrame,
     derivative of that graph map, computed by a Richardson-extrapolated
     finite difference and restricted to the intersection with V.
     """
-    return _crossing_form(_stacked(frames), t0, v, tol, w_frame)[1]
+    return _crossing_form(_stacked(frames, v.m), t0, v, tol, w_frame)[1]
 
 
-def _stacked(frames):
-    """The map from an array of parameters to the stack of ``frames``."""
-    return lambda ts: np.array([_as_frame(frames(t)) for t in ts.tolist()])
+def _stacked(frames, m: int):
+    """The map from an array of parameters to the stack of ``frames``,
+    checked to be finite 2m x m frames."""
+    def stack(ts: np.ndarray) -> np.ndarray:
+        out = [_as_frame(frames(t)) for t in ts.tolist()]
+        if any(f.shape != (2 * m, m) for f in out):
+            raise DimensionError(f"expected {2 * m} x {m} frames")
+        out = np.array(out)
+        if not np.isfinite(out).all():
+            raise ContractError("frames must have finite entries")
+        return out
+
+    return stack
 
 
 def _crossing_form(frame_stack, t0: float, v: LagrangianFrame,
@@ -255,7 +265,10 @@ def _souriau_index(frame_stack, v: LagrangianFrame, tol: ToleranceProfile,
     ``winding`` of det W, sampled also at the ``junctions`` (kinks).  An
     interval that the crossings found so far do not explain is split at a
     secant root of the angle of the eigenvalue nearest 1 where that angle
-    changes sign, else at its midpoint.  ``form_at(t, k, side)`` is a basis
+    changes sign, else at its midpoint; so are the cells beside a crossing
+    off a kink whose form is irregular, until it is regular or they are no
+    wider than 1e-12, as V may hold on into them (a plateau that ends
+    between samples).  ``form_at(t, k, side)`` is a basis
     of k columns of the intersection and the crossing form on it, one-sided
     toward t + side h for a side of +-1.
     Returns (HalfInt, crossing reports, trace (t, unwrapped arg det W)).
@@ -263,7 +276,9 @@ def _souriau_index(frame_stack, v: LagrangianFrame, tol: ToleranceProfile,
     d_inv = v._darboux_inverse
     near = 2.0 * np.sqrt(tol.tol_kernel)
     angles, scored = {}, {}
-    kinks = {round(float(j), 12) for j in junctions}  # as winding rounds them
+    # the ends of [0, 1] and the junctions, as winding rounds them: a
+    # crossing on one is scored per side
+    kinks = {0.0, 1.0} | {round(float(j), 12) for j in junctions}
 
     def sample(ts: np.ndarray) -> np.ndarray:
         """The eigenvalue angles of W at ``ts``, a row per t, kept."""
@@ -278,13 +293,13 @@ def _souriau_index(frame_stack, v: LagrangianFrame, tol: ToleranceProfile,
         if (t, side) not in scored:
             kernel, gamma = form_at(t, k, side)
             sig, regular = _signature(gamma, tol.tol_form)
-            if not regular:
-                raise IrregularCrossingError(
-                    f"irregular crossing at t={t:.8g} (kernel dimension {k})")
             scored[t, side] = CrossingReport(
                 t=float(t), kernel_dim=k, kernel_basis=kernel, gamma=gamma,
                 signature=sig, regular=regular,
                 weight=1.0 if side is None else 0.5)
+        if not scored[t, side].regular:
+            raise IrregularCrossingError(
+                f"irregular crossing at t={t:.8g} (kernel dimension {k})")
         return scored[t, side]
 
     # det W is the product of the eigenvalues
@@ -308,18 +323,33 @@ def _souriau_index(frame_stack, v: LagrangianFrame, tol: ToleranceProfile,
                 f"crossing plateau near t={ts[np.argmax(varying)]:.4g} "
                 "with varying kernel dimension")
         # a run of samples on V joined by count 0 is a plateau, scored at
-        # its ends; a crossing on a junction is scored per side
+        # its ends; a crossing on a kink is scored per side
         joined = np.concatenate([[True], both & (counts == 0), [True]])
         share = np.zeros((2, len(ts)), dtype=int)   # doubled, per side
+        split = np.zeros(len(ts) - 1, dtype=bool)
         reports = []
         for i in np.flatnonzero(ks).tolist():
-            whole = not (joined[i] or joined[i + 1] or ts[i] in kinks)
+            kink = ts[i] in kinks
+            whole = not (joined[i] or joined[i + 1] or kink)
             for j, side in [(slice(None), None)] if whole else \
                     [(0, -1.0), (1, 1.0)]:
-                if whole or not joined[i + j]:
+                if not whole and joined[i + j]:
+                    continue
+                try:
                     reports.append(score(ts[i], int(ks[i]), side))
-                    share[j, i] = reports[-1].signature
-        left = np.flatnonzero((counts != share[1, :-1] + share[0, 1:])
+                except IrregularCrossingError:
+                    # off a kink, V may hold on into the cells on this side
+                    # (i - 1, i, or both), where the form is 0: those wider
+                    # than 1e-12 are split
+                    if kink:
+                        raise
+                    wide = np.diff(ts[i - 1:i + 2]) > 1e-12
+                    if not wide[j].any():
+                        raise
+                    split[i - 1:i + 1][j] |= wide[j]
+                    continue
+                share[j, i] = reports[-1].signature
+        left = np.flatnonzero(((counts != share[1, :-1] + share[0, 1:]) | split)
                               & (np.diff(ts) > 1e-12))
         if not len(left):
             break
@@ -354,7 +384,7 @@ def lagrangian_rs_index(frames, v: LagrangianFrame,
     (HalfInt, crossing reports, trace) where the trace rows are (t,
     unwrapped arg det W in radians), the samples of its winding.
     """
-    frame_stack = _stacked(frames)
+    frame_stack = _stacked(frames, v.m)
     return _souriau_index(
         frame_stack, v, tol, lambda t, k, side: _crossing_form(
             frame_stack, t, v, tol, side=side, k=k))
@@ -362,8 +392,6 @@ def lagrangian_rs_index(frames, v: LagrangianFrame,
 
 def graph_lagrangian(a) -> LagrangianFrame:
     """Graph {(x, Ax)} of a symplectic map, Lagrangian for (-Omega0)(+)Omega0."""
-    from .core import as_array, is_symplectic
-
     arr = as_array(a)
     if not is_symplectic(arr):
         raise ContractError("graph_lagrangian requires a symplectic matrix")

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_array, direct_sum_many, omega_matrix, symplectic_residual
+from .core import (as_array, direct_sum_many, finite_matrix, omega_matrix,
+                   symplectic_residual)
 from .errors import NormalFormError, ParameterError, PerturbationFailureError
 from .spectral import _nullspace, eigen_quadruples, generalized_eigenspace
 from .tolerances import DEFAULT_TOL, ToleranceProfile
@@ -428,7 +429,7 @@ def normal_form(A, tol: ToleranceProfile = DEFAULT_TOL) -> NormalFormReport:
     reliable for matrices built from known forms with well-conditioned
     conjugators, not for adversarial inputs.
     """
-    a = as_array(A)
+    a = finite_matrix(A)
     om = omega_matrix(a.shape[0] // 2)
     parts = []
     for q in eigen_quadruples(a, tol):

@@ -16,12 +16,14 @@ run, so a path without them never loads it.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
 
-from .core import (SympMatrix, as_array, direct_sum_many, j_matrix,
+from .core import (SympMatrix, direct_sum_many, j_matrix,
                    symplectic_residual)
 from .errors import (ContractError, DimensionError, ParameterError,
                      SamplingError)
@@ -82,11 +84,22 @@ class PathSpec:
 
 
 def _frozen_array(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
+    try:
+        out = np.array(a, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError("path data is not an array of numbers") from None
     if not np.isfinite(out).all():
         raise ParameterError("path data has non-finite entries")
     out.setflags(write=False)
     return out
+
+
+def _integer(value, name: str) -> int:
+    """``value``, a finite number with no fractional part, as an int."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) \
+            and math.isfinite(value) and int(value) == value:
+        return int(value)
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_ts(ts) -> list[float]:
@@ -146,7 +159,7 @@ class ConstPath(PathSpec):
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = _frozen_array(as_array(self.matrix))
+        a = _frozen_array(self.matrix)
         res = symplectic_residual(a)
         if res > DEFAULT_TOL.tol_symp:
             raise ParameterError(
@@ -175,7 +188,11 @@ class ExpPath(PathSpec):
         if np.linalg.norm(s - s.T) > 1e-10 * (1.0 + np.linalg.norm(s)):
             raise ParameterError("exponential generator must be symmetric")
         s = _frozen_array(0.5 * (s + s.T))
+        if not (isinstance(self.duration, numbers.Real)
+                and math.isfinite(self.duration)):
+            raise ParameterError("duration must be a finite number")
         object.__setattr__(self, "s_matrix", s)
+        object.__setattr__(self, "duration", float(self.duration))
         object.__setattr__(self, "_js", _frozen_array(j_matrix(s.shape[0] // 2) @ s))
 
     @property
@@ -199,9 +216,11 @@ class SampledPath(PathSpec):
         import scipy.linalg as sla
 
         times = _frozen_array(self.times)
-        mats = tuple(_frozen_array(as_array(m)) for m in self.matrices)
-        if times.ndim != 1 or len(times) != len(mats) or len(mats) < 2:
+        mats = _frozen_array(self.matrices)
+        if times.ndim != 1 or mats.ndim != 3 or len(times) != len(mats) \
+                or len(mats) < 2:
             raise ParameterError("need matching times and at least two matrices")
+        mats = tuple(mats)
         if abs(times[0]) > 1e-12 or abs(times[-1] - 1.0) > 1e-12 or \
                 np.any(np.diff(times) <= 0):
             raise ParameterError("times must increase from 0 to 1")
@@ -439,10 +458,11 @@ class LoopPath(PathSpec):
     dim_n: int
 
     def __post_init__(self):
-        if self.dim_n < 1:
+        dim_n = _integer(self.dim_n, "loop dimension")
+        if dim_n < 1:
             raise DimensionError("loop dimension must be >= 1")
-        if int(self.wind) != self.wind:
-            raise ParameterError("winding must be an integer")
+        object.__setattr__(self, "dim_n", dim_n)
+        object.__setattr__(self, "wind", _integer(self.wind, "winding"))
 
     @property
     def n(self) -> int:
@@ -472,7 +492,7 @@ class LoopPath(PathSpec):
 
 def make_loop(n_wind: int, n: int) -> PathSpec:
     """Loop at the identity with rho-degree n_wind in dimension n."""
-    return LoopPath(wind=int(n_wind), dim_n=int(n))
+    return LoopPath(wind=n_wind, dim_n=n)
 
 
 def make_shear(b_path) -> PathSpec:
@@ -591,42 +611,54 @@ def path_to_json(path: PathSpec) -> dict:
 
 
 def _node_from_json(node: dict, n: int) -> PathSpec:
+    if not isinstance(node, dict):
+        raise ParameterError(
+            f"a path node must be a JSON object, got {type(node).__name__}")
     kind = node.get("type")
+
+    def entry(key: str):
+        if key not in node:
+            raise ParameterError(f"path node {kind!r} needs {key!r}")
+        return node[key]
+
+    def child(key: str) -> PathSpec:
+        return _node_from_json(entry(key), n)
+
+    def children(key: str) -> tuple:
+        parts = entry(key)
+        if not isinstance(parts, list):
+            raise ParameterError(f"{key!r} of path node {kind!r} must be a list")
+        return tuple(_node_from_json(p, n) for p in parts)
+
     if kind == "const":
-        return ConstPath(matrix=np.array(node["A"], dtype=float))
+        return ConstPath(matrix=entry("A"))
     if kind == "exp":
-        return ExpPath(s_matrix=np.array(node["S"], dtype=float),
-                       duration=float(node.get("T", 1.0)))
+        return ExpPath(s_matrix=entry("S"), duration=node.get("T", 1.0))
     if kind == "sampled":
-        return SampledPath(times=np.array(node["times"], dtype=float),
-                           matrices=tuple(np.array(m, dtype=float)
-                                          for m in node["matrices"]))
+        return SampledPath(times=entry("times"), matrices=entry("matrices"))
     if kind == "cat":
-        return CatPath(parts=tuple(_node_from_json(p, n) for p in node["parts"]))
+        return CatPath(parts=children("parts"))
     if kind == "prod":
-        return ProdPath(left=_node_from_json(node["left"], n),
-                        right=_node_from_json(node["right"], n))
+        return ProdPath(left=child("left"), right=child("right"))
     if kind == "conj":
-        return ConjPath(phi=_node_from_json(node["phi"], n),
-                        psi=_node_from_json(node["psi"], n))
+        return ConjPath(phi=child("phi"), psi=child("psi"))
     if kind == "dsum":
-        return DirectSumPath(parts=tuple(_node_from_json(p, n)
-                                         for p in node["parts"]))
+        return DirectSumPath(parts=children("parts"))
     if kind == "reverse":
-        return ReversePath(inner=_node_from_json(node["inner"], n))
+        return ReversePath(inner=child("inner"))
     if kind == "shear":
-        return ShearPath(b0=np.array(node["B0"], dtype=float),
-                         b1=np.array(node["B1"], dtype=float))
+        return ShearPath(b0=entry("B0"), b1=entry("B1"))
     if kind == "loop":
         # hand-written inputs may leave out n: the enclosing n applies
-        return LoopPath(wind=int(node["wind"]), dim_n=int(node.get("n", n)))
+        return LoopPath(wind=entry("wind"), dim_n=node.get("n", n))
     raise ParameterError(f"unknown path node type {kind!r}")
 
 
 def path_from_json(obj: dict) -> PathSpec:
-    if "path" not in obj or "n" not in obj:
+    if not isinstance(obj, dict) or "path" not in obj or "n" not in obj:
         raise ParameterError("path JSON must contain 'n' and 'path'")
-    path = _node_from_json(obj["path"], int(obj["n"]))
-    if path.n != int(obj["n"]):
+    n = _integer(obj["n"], "'n'")
+    path = _node_from_json(obj["path"], n)
+    if path.n != n:
         raise DimensionError("declared n does not match the path nodes")
     return path

@@ -15,7 +15,9 @@ Both routes are read off one spectral summary and required to agree.
 One ``eig``, one symplectic check and one clustering pass serve the whole
 stack, and both routes run in array arithmetic; only a cluster of
 multiplicity >= 2 (its Krein form) or of defective clouds (its merge) is
-handled matrix by matrix.  A stack fails as its first failing matrix fails.
+handled matrix by matrix.  A stack raises the first check that any of its
+matrices fails, and the error's ``row`` is the first matrix that fails it;
+that matrix raises the same error on its own.
 """
 
 from __future__ import annotations
@@ -121,22 +123,6 @@ def _check(bad: np.ndarray, error) -> None:
         raise _fail(error(row), row)
 
 
-def _stackwise(run, k: int):
-    """``run(k)`` on the first k matrices of a stack, failing as the first
-    failing matrix fails.
-
-    Every check raises for the first matrix it rejects.  The matrices before
-    that one passed the checks so far but may fail a later one, so on an
-    error they run again on their own first.
-    """
-    try:
-        return run(k)
-    except SympindexError as exc:
-        if getattr(exc, "row", 0):
-            _stackwise(run, exc.row)
-        raise
-
-
 def _pairwise(values: np.ndarray) -> np.ndarray:
     """The distances |values[..., i] - values[..., j]| within each row."""
     return np.abs(values[..., :, None] - values[..., None, :])
@@ -222,17 +208,14 @@ def eigen_quadruples(A, tol: ToleranceProfile = DEFAULT_TOL, *,
     quadruples come as two (k, 2n) arrays, the representatives and the
     multiplicities: each column of nonzero multiplicity holds a quadruple,
     in the order of the list for one matrix.  The stack is checked and
-    clustered at once and fails as its first failing matrix fails.
+    clustered at once and fails as ``rho`` does.
     """
     a = as_array(A)
     _check_even_square(a, stacked=True)
     stack = a if a.ndim == 3 else a[None]
     given = (None if eigenvalues is None
              else np.reshape(eigenvalues, stack.shape[:2]))
-    reps, mults = _stackwise(
-        lambda k: _quadruples(stack[:k], None if given is None else given[:k],
-                              tol),
-        len(stack))
+    reps, mults = _quadruples(stack, given, tol)
     if a.ndim == 3:
         return reps, mults
     return [EigenQuadruple(representative=rep, multiplicity=mult)
@@ -241,8 +224,8 @@ def eigen_quadruples(A, tol: ToleranceProfile = DEFAULT_TOL, *,
 
 def _quadruples(stack: np.ndarray, evals: np.ndarray | None,
                 tol: ToleranceProfile):
-    """``eigen_quadruples`` of a stack, raising for its first failing matrix
-    at the first check that fails."""
+    """``eigen_quadruples`` of a stack, raising the first check that a
+    matrix fails, for the first matrix that fails it."""
     n = stack.shape[-1] // 2
     tol_eig = tol.tol_eig
     _check(~(_symplectic_residuals(stack) <= tol.tol_symp),
@@ -316,12 +299,14 @@ def generalized_eigenspace(A, lam: complex, tol: ToleranceProfile = DEFAULT_TOL,
                            multiplicity: int | None = None) -> np.ndarray:
     """Orthonormal basis of E_lam = union_j Ker(A - lam)^j, real for a real lam.
 
-    Kernels of increasing powers are computed by SVD until the dimension
-    stabilizes.  If the algebraic multiplicity is supplied and the staircase
-    stalls below it (heavily defective case), the basis is taken instead as
-    the singular subspace of (A - lam)^multiplicity belonging to its
-    smallest singular values.
+    Without ``multiplicity``, kernels of increasing powers are computed by
+    SVD until the dimension stabilizes.  With the algebraic multiplicity
+    supplied, the basis is taken directly as the singular subspace of
+    (A - lam)^multiplicity belonging to its ``multiplicity`` smallest
+    singular values, which must be invariant under A.
     """
+    if not np.isfinite(lam):
+        raise ContractError(f"eigenvalue {lam} is not finite")
     a = finite_matrix(A).astype(np.result_type(lam, float))
     dim = a.shape[0]
     M = a - lam * np.eye(dim)
@@ -549,12 +534,14 @@ def rho(A, tol: ToleranceProfile = DEFAULT_TOL):
     """The canonical rotation map, computed by two routes that must agree.
 
     Of a stack (k, 2n, 2n), the array of the values of its matrices, from
-    one spectral summary of the whole stack.  A stack fails as its first
-    failing matrix fails, with that matrix's error; the error's ``row`` is
-    the index of the matrix.
+    one spectral summary of the whole stack.  A stack raises the first
+    check that any of its matrices fails; the error's ``row`` is the index
+    of the first matrix that fails that check, and that matrix raises the
+    same error on its own.  The matrices before it passed the checks up to
+    that one, and may fail a later one.
     """
     a = as_array(A)
     _check_even_square(a, stacked=True)
     stack = a if a.ndim == 3 else a[None]
-    values = _stackwise(lambda k: _rho_routes(stack[:k], tol), len(stack))
+    values = _rho_routes(stack, tol)
     return values if a.ndim == 3 else complex(values[0])

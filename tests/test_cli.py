@@ -183,6 +183,17 @@ class TestErrorsAndDeterminism:
         rep = json.loads(out)
         assert rep["error"] and rep["message"]
 
+    @pytest.mark.parametrize("obj", [
+        {"n": 1, "path": 3},
+        {"n": 1, "path": {"type": "exp"}},
+        {"n": 1, "path": {"type": "loop", "wind": 1.5}},
+    ])
+    def test_malformed_path_exit_2(self, tmp_path, capsys, obj):
+        inp = write_json(tmp_path, "path.json", obj)
+        code, out, err = run_cli(capsys, "--input", inp, "--command", "maslov")
+        assert (code, err) == (2, "")
+        assert json.loads(out)["error"] == "parameter"
+
     def test_parse_errors_exit_1(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
@@ -194,6 +205,11 @@ class TestErrorsAndDeterminism:
         inp = write_json(tmp_path, "nomat.json", {"foo": 1})
         code, _, err = run_cli(capsys, "--input", inp, "--command", "rho")
         assert code == 1 and err
+
+    def test_matrix_input_not_an_object_exit_1(self, tmp_path, capsys):
+        inp = write_json(tmp_path, "number.json", 3)
+        code, out, err = run_cli(capsys, "--input", inp, "--command", "rho")
+        assert (code, out) == (1, "") and "'matrix'" in err
 
     def test_bad_flags_exit_1(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "--command", "cz")

@@ -20,6 +20,7 @@ from sympindex import (AdmissibilityError, CatPath, ConjPath, ConstPath,
                        maslov_loop,
                        path_from_json, random_symplectic, winding)
 import sympindex.cz as cz
+import sympindex.spectral as spectral
 from sympindex.core import symplectic_residual
 from sympindex.spectral import first_kind_eigenvalues
 from sympindex.cz import (PASSAGE_GRID, _Extension, _rho_map,
@@ -602,24 +603,26 @@ class TestRhoMapFallback:
                              np.diag([2.0, 0.5])])
     TS = np.linspace(0.0, 1.0, 9)
 
-    @staticmethod
-    def stack_at(bad, rows):
+    @classmethod
+    def stack_at(cls, bad):
+        """Stacks of the matrix ``bad[t]`` at each t of ``bad``, of two
+        rotations elsewhere."""
         def stack(ts):
-            return np.array([bad if t in rows else
+            return np.array([bad[t] if t in bad else
                              direct_sum_many([rotation(0.3 + t),
                                               rotation(1.1 - 2 * t)])
                              for t in ts.tolist()])
         return stack
 
     @staticmethod
-    def sample_by_sample(stack_at, ts, power, eps=1e-9):
+    def sample_by_sample(stack_at, ts, power):
         events, out = Counter(), []
         for t, a in zip(ts.tolist(), stack_at(ts)):
             try:
                 out.append(cz._rho_robust(a, DEFAULT_TOL, events) ** power)
             except KreinDegenerateError:
                 events["krein_nudges"] += 1
-                s = t + eps if t < 0.5 else t - eps
+                s = t + cz.KREIN_NUDGE if t < 0.5 else t - cz.KREIN_NUDGE
                 out.append(cz._rho_robust(stack_at(np.array([s]))[0],
                                           DEFAULT_TOL, events) ** power)
         return np.array(out), events
@@ -628,7 +631,7 @@ class TestRhoMapFallback:
     @pytest.mark.parametrize("rows", [(4,), (0, 8), (3, 4)])
     def test_only_failing_samples_run_alone(self, kind, rows, monkeypatch):
         bad = getattr(self, kind)
-        stack_at = self.stack_at(bad, {float(self.TS[r]) for r in rows})
+        stack_at = self.stack_at({float(self.TS[r]): bad for r in rows})
         want, want_events = self.sample_by_sample(stack_at, self.TS, 2)
         alone, robust = [], cz._rho_robust
 
@@ -648,6 +651,42 @@ class TestRhoMapFallback:
         per_row = 1 if kind == "GAP" else 2
         assert len(alone) == per_row * len(rows)
         assert all(a.tobytes() == bad.tobytes() for a in alone[::per_row])
+
+    def spy_routes(self, monkeypatch) -> list:
+        """The stacks ``rho`` passes to ``spectral._rho_routes``."""
+        stacks, routes = [], spectral._rho_routes
+        monkeypatch.setattr(spectral, "_rho_routes", lambda stack, tol:
+                            stacks.append(stack) or routes(stack, tol))
+        return stacks
+
+    def test_a_krein_degeneracy_before_a_band_gap(self, monkeypatch):
+        # the stack fails the band check at the gap, an earlier check than
+        # the Krein form's; the samples before the gap fail the Krein check
+        bad = {float(self.TS[2]): self.KREIN, float(self.TS[6]): self.GAP}
+        stack_at = self.stack_at(bad)
+        want, want_events = self.sample_by_sample(stack_at, self.TS, 2)
+        stacks = self.spy_routes(monkeypatch)
+        events = Counter()
+        got = _rho_map(stack_at, DEFAULT_TOL, events, 2)(self.TS)
+        assert got.tobytes() == want.tobytes()
+        assert events == want_events
+        assert events["krein_nudges"] == 1 and events["rho_fallbacks"] >= 1
+        # the whole stack, the six samples before the gap, the two before
+        # the degeneracy, the degenerate sample and its nudged neighbour,
+        # the three between the two, then the gap's cascade and the last two
+        assert [len(s) for s in stacks[:6]] == [9, 6, 2, 1, 1, 3]
+        assert [len(s) for s in stacks[6:]] == \
+            [1] * (events["rho_fallbacks"] + 1) + [2]
+
+    @pytest.mark.parametrize("kind", ["GAP", "KREIN"])
+    def test_samples_before_a_failing_row_run_in_two_stacks(self, kind,
+                                                            monkeypatch):
+        stack_at = self.stack_at({float(self.TS[4]): getattr(self, kind)})
+        stacks = self.spy_routes(monkeypatch)
+        _rho_map(stack_at, DEFAULT_TOL, Counter(), 2)(self.TS)
+        runs = Counter(a.tobytes() for stack in stacks for a in stack)
+        # the whole stack, then the stack of the four samples before row 4
+        assert [runs[a.tobytes()] for a in stack_at(self.TS[:4])] == [2] * 4
 
 
 class TestPassageScreen:

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sympindex import (ConstPath, ExpPath, SympindexError, complex_det,
-                       cz_dim2_closed_form, extension_winding, make_shear,
-                       normal_form, rho, rs2_index, rs_index)
+from sympindex import (ConstPath, ExpPath, LoopPath, SympindexError,
+                       SympMatrix, complex_det, cz_dim2_closed_form,
+                       extension_winding, lagrangian_rs_index, make_shear,
+                       normal_form, rho, rs2_index, rs_index, vertical_frame)
 from sympindex.lagrangian import LagrangianFrame
 from sympindex.spectral import (eigen_quadruples, first_kind_eigenvalues,
                                 generalized_eigenspace, krein_form)
@@ -39,6 +40,21 @@ REPRODUCERS = {
     "extension-2x3": lambda: extension_winding(WIDE),
     "complex-det-nan": lambda: complex_det(NAN_2),
     "closed-form-inf": lambda: cz_dim2_closed_form([[np.inf, 0.0], [0.0, 1.0]], 1.0),
+    "rho-text": lambda: rho("abc"),
+    "rho-ragged": lambda: rho([[1.0, 2.0], [3.0]]),
+    "const-text": lambda: ConstPath(matrix="abc"),
+    "exp-ragged": lambda: ExpPath(s_matrix=[[1.0, 2.0], [3.0]]),
+    "normal-form-object": lambda: normal_form(object()),
+    "normal-form-scalar": lambda: normal_form(3.0),
+    "symp-matrix-text": lambda: SympMatrix("abc"),
+    "lagrangian-frame-3x1": lambda: lagrangian_rs_index(
+        lambda t: np.ones((3, 1)), vertical_frame(1)),
+    "lagrangian-frame-2x2": lambda: lagrangian_rs_index(
+        lambda t: np.ones((2, 2)), vertical_frame(1)),
+    "lagrangian-frame-nan": lambda: lagrangian_rs_index(
+        lambda t: np.array([[np.nan], [1.0]]), vertical_frame(1)),
+    "eigenspace-lam-nan": lambda: generalized_eigenspace(np.eye(2), np.nan),
+    "loop-wind-nan": lambda: LoopPath(wind=np.nan, dim_n=1),
 }
 
 

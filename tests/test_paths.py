@@ -489,6 +489,35 @@ class TestJson:
                 assert np.allclose(evaluate_array(q, t), evaluate_array(p, t),
                                    atol=1e-9), type(p).__name__
 
+    @pytest.mark.parametrize("obj", [
+        {"n": 1, "path": 3},
+        {"n": 1, "path": {"type": "exp"}},
+        {"n": 1, "path": {"type": "cat", "parts": 5}},
+        {"n": 1, "path": {"type": "exp", "S": [[1.0, 2.0], [3.0]]}},
+        {"n": 1, "path": {"type": "exp", "S": [[1.0, 0.0], [0.0, 1.0]],
+                          "T": "x"}},
+        {"n": 1, "path": {"type": "loop", "wind": "a"}},
+        {"n": "x", "path": {"type": "loop", "wind": 1}},
+        {"n": 1, "path": {"type": "loop", "wind": 1.5}},
+        {"n": 1.7, "path": {"type": "loop", "wind": 1}},
+        {"n": 1, "path": {"type": "sampled", "times": [0.0, 1.0],
+                          "matrices": 5}},
+        [1, 2],
+    ])
+    def test_malformed_json_is_a_parameter_error(self, obj):
+        with pytest.raises(ParameterError):
+            path_from_json(obj)
+
+    def test_integral_loop_numbers_only(self):
+        with pytest.raises(ParameterError, match="winding"):
+            make_loop(1.5, 1)
+        with pytest.raises(ParameterError, match="loop dimension"):
+            LoopPath(wind=1, dim_n=1.7)
+        loop = path_from_json({"n": 2.0, "path": {"type": "loop", "wind": -2.0}})
+        assert loop == make_loop(-2, 2)
+        assert path_to_json(loop) == {"n": 2, "path": {"type": "loop",
+                                                       "wind": -2, "n": 2}}
+
     def test_callable_shear_not_serializable(self):
         p = make_shear(lambda t: np.array([[t]]))
         with pytest.raises(ParameterError):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from sympindex import (CatPath, ConjPath, ConstPath, DEFAULT_TOL,
                        DirectSumPath, ExpPath, HalfInt,
@@ -11,7 +12,7 @@ from sympindex import (CatPath, ConjPath, ConstPath, DEFAULT_TOL,
                        NoCrossingError, ProdPath, ReversePath, SampledPath,
                        ShearPath, UnsupportedStructureError, conley_zehnder,
                        cz_dim2_closed_form, direct_sum_many, evaluate_array,
-                       graph_lagrangian, horizontal_frame,
+                       graph_lagrangian, horizontal_frame, j_matrix,
                        lagrangian_crossing_form, lagrangian_rs_index,
                        make_loop, make_shear, omega_matrix, path_from_json,
                        random_symplectic, rs2_index, rs_index, vertical_frame)
@@ -190,6 +191,28 @@ class TestScanPlateaus:
         assert len(inside) > 10 and np.ptp(inside) < 1e-4
         # the trace is counted once, and no interval is searched
         assert counted == [len(res.trace)]
+
+    @pytest.mark.parametrize("times,mats", [
+        # V from 0 to 1 - 4e-6, off the last grid sample 63/64
+        ((0.0, 1.0 - 4e-6, 1.0),
+         (np.eye(2), np.eye(2), sla.expm(0.01 * j_matrix(1)))),
+        # V on [0.945124, 0.966764] around the one grid sample 61/64
+        ((0.0, 0.945124, 0.966764, 1.0),
+         (sla.expm(0.1 * j_matrix(1)), np.eye(2), np.eye(2),
+          sla.expm(-0.1 * j_matrix(1)))),
+    ])
+    def test_plateau_ending_inside_a_cell(self, times, mats):
+        # a callable hides the junctions, so the plateau's ends are found
+        # by splitting the cells where its one-sided forms are 0
+        p = SampledPath(times=times, matrices=mats)
+        v = vertical_frame(1)
+        value, reports, _ = lagrangian_rs_index(
+            lambda t: evaluate_array(p, t) @ v.frame, v)
+        assert value == rs2_index(p)
+        if len(times) == 3:
+            assert value == HalfInt(1)
+        # each end is scored near where V is left or reached
+        assert np.allclose([r.t for r in reports], times[1:-1], atol=1e-4)
 
     def test_interior_plateau_with_varying_kernel_raises(self):
         # the second summand returns to Id at t = 1/2, inside the plateau

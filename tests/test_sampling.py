@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from sympindex import WindingResolutionError
+from sympindex import ContractError, WindingResolutionError
 from sympindex.core import j_matrix, normalize_unit
 from sympindex.sampling import (PHASE_STEP, bracketed_roots,
                                 difference_quotient, winding)
@@ -102,6 +102,17 @@ class TestLockstepSearches:
             winding(vectorised(f), max_refine=1, coarse=4)
         assert str(got.value) == str(ref.value)
         assert "[0,0.125]" in str(got.value)
+
+    def test_non_finite_map_fails_at_once(self):
+        calls = []
+
+        def f(ts):
+            calls.append(len(ts))
+            return np.where(ts < 0.5, 1.0 + 0j, np.nan)
+
+        with pytest.raises(ContractError, match="non-finite"):
+            winding(f, max_refine=4)
+        assert calls == [65]
 
     @staticmethod
     def chirp(t):
