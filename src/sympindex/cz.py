@@ -10,7 +10,7 @@ The winding over [0, 1] is sampled adaptively, for all three circle maps on
 one grid.  A path that is one exponential exp(t M) winds on a grid sized from
 the eigenvalues of M, so that no turn of rho^2 fits between two samples;
 every other path winds on 64 cells plus anchors at the +-1 passages of its
-spectrum.
+spectrum, found by the Souriau sampler of ``lagrangian`` on its graph.
 
 The extension runs from A through a nearby semisimple matrix A' with
 distinct eigenvalues.  A' is A itself when A's normal form has only order-1
@@ -51,16 +51,18 @@ from functools import partial
 
 import numpy as np
 
-from .core import direct_sum_many, finite_matrix, rho_hat, rho_polar
-from .errors import (AdmissibilityError, ContractError,
+from .core import (direct_sum_many, finite_matrix, omega_matrix, rho_hat,
+                   rho_polar)
+from .errors import (AdmissibilityError, ConditioningError, ContractError,
                      IllConditionedSpectrumError, InternalConsistencyError,
                      KreinDegenerateError, ParameterError)
 from .halfint import HalfInt
-from .lagrangian import _doubled_counts, _souriau_angles
+from .lagrangian import _doubled_counts, _souriau_winding, _split
 from .normal_form import _rot, _separated, normal_form, semisimple_perturb
 from .paths import PathSpec, _exponential, evaluate_array, evaluate_stack
-from .rs import _diagonal, _graphs
-from .sampling import bracketed_roots, winding
+from .rs import (_check_parity, _det_gap, _diagonal, _graphs,
+                 _starts_at_identity)
+from .sampling import winding
 from .spectral import rho
 from .tolerances import DEFAULT_TOL, ToleranceProfile
 
@@ -160,10 +162,8 @@ def _rho_values(ts, stack, stack_at, tol: ToleranceProfile, events: Counter,
 # canonical extension of an endpoint to W+/-
 
 
-# the sampled passage search takes the Souriau angles of the graph of psi
-# at these PASSAGE_GRID + 1 points
+# the passage search winds the Souriau map of the graph on this many cells
 PASSAGE_GRID = 256
-_PASSAGE_TS = np.linspace(0.0, 1.0, PASSAGE_GRID + 1)
 # a passage refines to a window boundary where the map is back at +-1;
 # geometric offsets on both sides guarantee a sample inside the window
 # (mid-sweep) whatever its width, down to ~1e-9
@@ -190,42 +190,33 @@ def _unit_passage_times(path: PathSpec, events: Counter) -> list[float]:
     For every path but one exponential (see ``_winding_grid``).  The
     spectral rotation map is locally constant on hyperbolic stretches, so a
     full circle sweep between two passages is invisible to a uniform grid;
-    the refined passage parameters anchor the winding sampler there.  In the
-    Darboux basis of ``rs._diagonal`` a Souriau angle of the graph
-    [Id; psi_t] passes 0 where psi_t has eigenvalue 1, and pi where it has
-    eigenvalue -1.  A candidate is a grid cell whose Souriau count of the
-    angles, or of the angles less pi, is not 0 (a constant path has none);
-    t* is the secant root of the angle nearest 0 or pi where that angle
-    changes sign across the cell, else the cell's midpoint.  A crossing on
-    t = 0 (psi_0 = Id) or on a loop's t = 1 is no passage.  The earliest
-    candidate per grid index keeps its anchors (``_passage_anchors``).
+    the refined passage parameters anchor the winding sampler there.  A
+    Souriau angle of the graph of psi_t against the diagonal passes 0 where
+    psi_t has eigenvalue 1, and pi where it has eigenvalue -1.  A candidate
+    is a cell between the samples of ``_souriau_winding`` on PASSAGE_GRID
+    cells whose Souriau count of the angles, or of the angles less pi, is
+    not 0 (a constant path has none), ``_split`` at t* on the angle nearest
+    0 or pi.  A crossing on t = 0 (psi_0 = Id) or on a loop's t = 1 is no
+    passage.  The earliest candidate per grid index keeps its anchors.
     """
-    d_inv = _diagonal(path.n)._darboux_inverse
+    def shifted(lam, shift):  # the angles less shift, in (-pi, pi]
+        return np.angle(np.exp(1j * (lam - shift)))
 
-    def graph_angles(ts):
-        return _souriau_angles(d_inv @ _graphs(path, ts))
-
-    def shifted(lam, shift):
-        """The angles less ``shift`` in (-pi, pi], and the one nearest 0."""
-        lam = np.angle(np.exp(1j * (lam - shift)))
-        return lam, lam[np.arange(len(lam)), np.argmin(np.abs(lam), axis=1)]
-
-    ts, lam = _PASSAGE_TS, graph_angles(_PASSAGE_TS)
-    off, found = np.zeros(lam.shape, dtype=bool), []
+    sample, angles, trace = _souriau_winding(
+        partial(_graphs, path), _diagonal(path.n), DEFAULT_TOL.max_refine,
+        PASSAGE_GRID)
+    ts = np.array([t for t, _ in trace])
+    lam, found = np.array([angles[t] for t in ts.tolist()]), []
     for shift in (0.0, np.pi):
-        rows, g = shifted(lam, shift)
-        cells = np.flatnonzero(_doubled_counts(rows, off))
-        on_end = np.abs(g[[0, -1]]) < np.sqrt(DEFAULT_TOL.tol_kernel)
+        rows = shifted(lam, shift)
+        cells = np.flatnonzero(_doubled_counts(rows, np.zeros_like(rows, bool)))
+        on_end = np.abs(rows[[0, -1]]).min(axis=1) < np.sqrt(
+            DEFAULT_TOL.tol_kernel)
         cells = cells[~(on_end[0] & (cells == 0)
-                        | on_end[1] & (cells == PASSAGE_GRID - 1))]
-        a, b = cells, cells + 1
-        t, signed = 0.5 * (ts[a] + ts[b]), g[a] * g[b] < 0
-        if signed.any():
-            t[signed] = bracketed_roots(
-                lambda u, shift=shift: shifted(graph_angles(u), shift)[1],
-                ts[a][signed], ts[b][signed], g[a][signed], g[b][signed],
-                1e-10, 16)[0]
-        found.append(t)
+                        | on_end[1] & (cells == len(ts) - 2))]
+        found.append(_split(
+            lambda u, shift=shift: shifted(sample(u), shift), ts[cells],
+            ts[cells + 1], rows[cells], rows[cells + 1], True, 1e-10)[0])
     return _passage_anchors(np.concatenate(found), events)
 
 
@@ -278,8 +269,7 @@ class _Extension(PathSpec):
     def __init__(self, a_end: np.ndarray, tol: ToleranceProfile, seed: int):
         a_end = finite_matrix(a_end)
         dim = a_end.shape[0]
-        with np.errstate(over="ignore"):
-            det_gap = float(np.linalg.det(a_end - np.eye(dim)))
+        det_gap = _det_gap(a_end)
         if not np.isfinite(det_gap):
             raise ContractError("det(A - Id) overflows the float range")
         if abs(det_gap) <= tol.tol_kernel:
@@ -312,9 +302,14 @@ class _Extension(PathSpec):
             aprime = semisimple_perturb(a_end, eps=eps, seed=seed, tol=tol,
                                         report=report)
             report = normal_form(aprime, nf_tol)
-            # Cayley bridge A (I - uC)^-1 (I + uC) to the perturbed endpoint
-            b = np.linalg.solve(a_end, aprime)
-            self._cayley = np.linalg.solve(b + eye, b - eye)
+            # Cayley bridge A (I - uC)^-1 (I + uC) to the perturbed endpoint,
+            # B = A^-1 A' with A^-1 = Omega^T A^T Omega
+            om = omega_matrix(dim // 2)
+            b = om.T @ a_end.T @ om @ aprime
+            try:
+                self._cayley = np.linalg.solve(b + eye, b - eye)
+            except np.linalg.LinAlgError as exc:
+                raise ConditioningError(f"Cayley bridge: {exc}") from exc
 
         # classify the (all order-1) blocks of the bridge's far end
         unit, pos, neg, quad = [], [], [], []
@@ -509,12 +504,6 @@ def _rounded(name: str, turns: float) -> int:
     return r
 
 
-def _check_starts_at_identity(path: PathSpec, tol: ToleranceProfile):
-    p0 = evaluate_array(path, 0.0)
-    if np.linalg.norm(p0 - np.eye(p0.shape[0])) > 1e3 * tol.tol_symp:
-        raise AdmissibilityError("path does not start at the identity")
-
-
 def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
                    seed: int = 0) -> IndexResult:
     """Winding number of the squared rotation map along the extended path.
@@ -522,10 +511,10 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
     Computed with the spectral rotation map, the polar-factor map and the
     C-linear-part map; the three integers must agree.  The last two are
     equal on Sp(2n), so this checks two routes: spectral and determinant.
-    The index must also satisfy the parity rule
-    (-1)^(n - CZ) = sign det(Id - A) at the endpoint A.
+    The index must also satisfy the parity rule (``rs._check_parity``).
     """
-    _check_starts_at_identity(path, tol)
+    if not _starts_at_identity(path, tol):
+        raise AdmissibilityError("path does not start at the identity")
     a_end = evaluate_array(path, 1.0)
     ext = _Extension(a_end, tol, seed)
 
@@ -549,19 +538,12 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
         raise InternalConsistencyError(
             f"circle maps disagree on the index: {rounded}")
 
-    value = rounded["spectral"]
-    # the parity rule (-1)^(n - CZ) = sign det(Id - A), where
-    # det(Id - A) = det(A - Id) in even dimension: a turn that every circle
-    # map lost between two samples breaks it when it is a single one
-    if (path.n - value) % 2 != (ext.det_gap < 0):
-        raise InternalConsistencyError(
-            f"index {value} breaks the parity rule (-1)^(n - CZ) = "
-            f"sign det(Id - A) at n = {path.n}, det(A - Id) = "
-            f"{ext.det_gap:.3e}")
+    value = HalfInt.from_int(rounded["spectral"])
+    _check_parity(path.n, value, ext.det_gap, "CZ")
     smin_end = float(np.linalg.svd(a_end - np.eye(a_end.shape[0]),
                                    compute_uv=False)[-1])
     return IndexResult(
-        value=HalfInt.from_int(value),
+        value=value,
         winding_trace=tuple(trace),
         extension_winding=float(e_rho),
         endpoint=ext.endpoint,

@@ -12,7 +12,9 @@ eigenvalue 1 has multiplicity dim(Lambda & V) (Robbin-Salamon, Topology
 forms at the crossings the count locates must sum to it.  Where V is
 R^m x 0, the eigenvalue angles of W are 2 arctan of the eigenvalues of the
 symmetric S = Y X^-1 of any frame [X; Y]; rows with an angle near pi,
-where X is near singular, take the complex eig of U U^T instead.
+where X is near singular, take the complex eig of U U^T instead.  The
+count's sampler and split step also find the +-1 passages of ``cz`` on
+the graph frames, which share one layout (``_graph_frames``).
 """
 
 from __future__ import annotations
@@ -120,12 +122,6 @@ def _signature(gamma: np.ndarray, tol_form: float):
     return sig, regular
 
 
-def _as_frame(value) -> np.ndarray:
-    if isinstance(value, LagrangianFrame):
-        return value.frame
-    return as_array(value)
-
-
 def _kernel(m: np.ndarray, tol_kernel: float, k=None) -> np.ndarray:
     """Right singular vectors (columns) of m below sqrt(tol_kernel), or the
     k of least singular value."""
@@ -152,7 +148,8 @@ def _stacked(frames, m: int):
     """The map from an array of parameters to the stack of ``frames``,
     checked to be finite 2m x m frames."""
     def stack(ts: np.ndarray) -> np.ndarray:
-        out = [_as_frame(frames(t)) for t in ts.tolist()]
+        out = [f.frame if isinstance(f, LagrangianFrame) else as_array(f)
+               for f in map(frames, ts.tolist())]
         if any(f.shape != (2 * m, m) for f in out):
             raise DimensionError(f"expected {2 * m} x {m} frames")
         out = np.array(out)
@@ -255,6 +252,43 @@ def _doubled_counts(lam: np.ndarray, on: np.ndarray) -> np.ndarray:
                        ).astype(int) + np.diff(np.sum(np.sign(lam) * ~on, 1))
 
 
+def _split(angles_at, a, b, lam_a, lam_b, signed, tol: float):
+    """Where to split the cells [a, b] with angle rows lam_a, lam_b: the
+    secant root, within ``tol``, of the angle nearest 0 (``angles_at`` maps
+    an array of t to rows) where ``signed`` and it changes sign, else the
+    midpoint.  Returns (the points, which are roots)."""
+    def nearest(lam):
+        return lam[np.arange(len(lam)), np.argmin(np.abs(lam), axis=1)]
+
+    ga, gb = nearest(lam_a), nearest(lam_b)
+    new, signed = 0.5 * (a + b), signed & (ga * gb < 0)
+    if signed.any():
+        new[signed] = bracketed_roots(
+            lambda t: nearest(angles_at(t)), a[signed], b[signed],
+            ga[signed], gb[signed], tol, 16)[0]
+    return new, signed
+
+
+def _souriau_winding(frame_stack, v: LagrangianFrame, max_refine: int,
+                     coarse: int = 64, anchor_ts=None):
+    """One ``winding`` of det W along the path ``frame_stack(ts)`` against
+    V on ``coarse`` cells and ``anchor_ts``: its samples step arg det W by
+    less than pi/2, as ``_doubled_counts`` asks, unless a coarse cell steps
+    it by 3 pi/2 or more.  Returns (sample, angles, trace): ``sample(ts)``
+    is ``_souriau_angles`` at ``ts``, kept by t in the dict ``angles``."""
+    d_inv, angles = v._darboux_inverse, {}
+
+    def sample(ts: np.ndarray) -> np.ndarray:
+        lam = _souriau_angles(d_inv @ frame_stack(ts))
+        angles.update(zip(ts.tolist(), lam))
+        return lam
+
+    # det W is the product of the eigenvalues
+    _, trace, _ = winding(lambda ts: np.exp(1j * sample(ts).sum(axis=1)),
+                          max_refine, coarse, anchor_ts)
+    return sample, angles, trace
+
+
 def _souriau_index(frame_stack, v: LagrangianFrame, tol: ToleranceProfile,
                    form_at, junctions=()):
     """Index of the path of Lagrangians ``frame_stack(ts)`` against V.
@@ -262,32 +296,21 @@ def _souriau_index(frame_stack, v: LagrangianFrame, tol: ToleranceProfile,
     In a Darboux basis where V is R^m x 0, W ~ U U^T, whose eigenvalue
     angles are 2 arctan of those of Y X^-1 (``_souriau_angles``, with the
     complex eig of U U^T near an eigenvalue -1).  The count is one
-    ``winding`` of det W, sampled also at the ``junctions`` (kinks).  An
-    interval that the crossings found so far do not explain is split at a
-    secant root of the angle of the eigenvalue nearest 1 where that angle
-    changes sign, else at its midpoint; so are the cells beside a crossing
-    off a kink whose form is irregular, until it is regular or they are no
-    wider than 1e-12, as V may hold on into them (a plateau that ends
-    between samples).  ``form_at(t, k, side)`` is a basis
-    of k columns of the intersection and the crossing form on it, one-sided
-    toward t + side h for a side of +-1.
+    ``_souriau_winding``, sampled also at the ``junctions`` (kinks).  An
+    interval that the crossings found so far do not explain is ``_split``
+    on the angle of the eigenvalue nearest 1; so are the cells beside a
+    crossing off a kink whose form is irregular, until it is regular or they
+    are no wider than 1e-12, as V may hold on into them (a plateau that ends
+    between samples).  ``form_at(t, k, side)`` is a basis of k columns of
+    the intersection and the crossing form on it, one-sided toward t + side
+    h for a side of +-1.
     Returns (HalfInt, crossing reports, trace (t, unwrapped arg det W)).
     """
-    d_inv = v._darboux_inverse
     near = 2.0 * np.sqrt(tol.tol_kernel)
-    angles, scored = {}, {}
+    scored = {}
     # the ends of [0, 1] and the junctions, as winding rounds them: a
     # crossing on one is scored per side
     kinks = {0.0, 1.0} | {round(float(j), 12) for j in junctions}
-
-    def sample(ts: np.ndarray) -> np.ndarray:
-        """The eigenvalue angles of W at ``ts``, a row per t, kept."""
-        lam = _souriau_angles(d_inv @ frame_stack(ts))
-        angles.update(zip(ts.tolist(), lam))
-        return lam
-
-    def nearest(lam: np.ndarray) -> np.ndarray:
-        return lam[np.arange(len(lam)), np.argmin(np.abs(lam), axis=1)]
 
     def score(t: float, k: int, side) -> CrossingReport:
         if (t, side) not in scored:
@@ -302,9 +325,8 @@ def _souriau_index(frame_stack, v: LagrangianFrame, tol: ToleranceProfile,
                 f"irregular crossing at t={t:.8g} (kernel dimension {k})")
         return scored[t, side]
 
-    # det W is the product of the eigenvalues
-    _, trace, _ = winding(lambda ts: np.exp(1j * sample(ts).sum(axis=1)),
-                          tol.max_refine, anchor_ts=junctions)
+    sample, angles, trace = _souriau_winding(frame_stack, v, tol.max_refine,
+                                             anchor_ts=junctions)
     ts, total = np.array([t for t, _ in trace]), None
     for _ in range(tol.max_refine + 1):
         lam = np.array([angles[t] for t in ts.tolist()])
@@ -353,14 +375,9 @@ def _souriau_index(frame_stack, v: LagrangianFrame, tol: ToleranceProfile,
                               & (np.diff(ts) > 1e-12))
         if not len(left):
             break
-        g, right = nearest(lam), left + 1
-        signed = (g[left] * g[right] < 0) & (ks[left] == 0) & (ks[right] == 0)
-        new = 0.5 * (ts[left] + ts[right])
-        if signed.any():
-            new[signed] = bracketed_roots(
-                lambda t: nearest(sample(t)), ts[left][signed],
-                ts[right][signed], g[left][signed], g[right][signed],
-                1e-6 * near, 16)[0]
+        new, signed = _split(sample, ts[left], ts[left + 1], lam[left],
+                             lam[left + 1],
+                             (ks[left] == 0) & (ks[left + 1] == 0), 1e-6 * near)
         if not signed.all():
             sample(new[~signed])
         ts = np.union1d(ts, new)
@@ -390,18 +407,22 @@ def lagrangian_rs_index(frames, v: LagrangianFrame,
             frame_stack, t, v, tol, side=side, k=k))
 
 
+def _graph_frames(stack: np.ndarray) -> np.ndarray:
+    """The graph frames [x; A x] of a stack of matrices A in the layout of
+    ``doubled_omega``: rows by (e/f half, summand, index)."""
+    n, eye = stack.shape[-1] // 2, np.broadcast_to(np.eye(stack.shape[-1]),
+                                                   stack.shape)
+    return np.concatenate([eye[:, :n], stack[:, :n], eye[:, n:],
+                           stack[:, n:]], axis=1)
+
+
 def graph_lagrangian(a) -> LagrangianFrame:
     """Graph {(x, Ax)} of a symplectic map, Lagrangian for (-Omega0)(+)Omega0."""
     arr = as_array(a)
     if not is_symplectic(arr):
         raise ContractError("graph_lagrangian requires a symplectic matrix")
-    n = arr.shape[0] // 2
-    frame = np.zeros((4 * n, 2 * n))
-    # rows by (e/f half, summand, index): x fills summand 0, A x summand 1
-    rows = frame.reshape(2, 2, n, 2 * n)
-    rows[:, 0] = np.eye(2 * n).reshape(2, n, 2 * n)
-    rows[:, 1] = arr.reshape(2, n, 2 * n)
-    return LagrangianFrame(frame=frame, omega=doubled_omega(n))
+    return LagrangianFrame(frame=_graph_frames(arr[None])[0],
+                           omega=doubled_omega(arr.shape[0] // 2))
 
 
 def vertical_frame(n: int) -> LagrangianFrame:

@@ -478,10 +478,12 @@ def _stretch_block(block: NormalFormBlock, eps_draws) -> np.ndarray:
 
 
 def _separated(evals: np.ndarray, eps: float) -> bool:
-    """Whether the eigenvalues are pairwise at least 0.05 eps apart: the
-    separation ``semisimple_perturb`` asks of its output at that eps."""
+    """Whether the eigenvalues on or outside the unit circle are pairwise at
+    least 0.05 eps apart: the separation ``semisimple_perturb`` asks of its
+    output at that eps (the partners inside follow)."""
+    evals = evals[np.abs(evals) >= 1.0 - 10.0 * eps]
     gaps = np.abs(evals[:, None] - evals[None, :]) + np.eye(len(evals))
-    return bool(np.min(gaps) >= 0.05 * eps)
+    return bool(np.min(gaps, initial=np.inf) >= 0.05 * eps)
 
 
 def semisimple_perturb(A, eps: float = 1e-6, seed: int = 0,

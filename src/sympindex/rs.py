@@ -17,11 +17,10 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import omega_matrix
 from .errors import InternalConsistencyError
 from .halfint import HalfInt
-from .lagrangian import (CrossingReport, LagrangianFrame, _kernel,
-                         _souriau_index, vertical_frame)
+from .lagrangian import (CrossingReport, _graph_frames, _kernel, _signature,
+                         _souriau_index, graph_lagrangian, vertical_frame)
 # not called here, but bench/tracing.py wraps sympindex.rs.lagrangian_rs_index
 from .lagrangian import lagrangian_rs_index  # noqa: F401
 from .paths import (ExpPath, PathSpec, ShearPath, evaluate_array,
@@ -40,30 +39,23 @@ class RSResult:
     trace: tuple
 
 
-def _sign_count(w: np.ndarray, tol_form: float) -> int:
-    return int(np.sum(w > tol_form) - np.sum(w < -tol_form))
-
-
 def _closed_form_exp(path: ExpPath, tol: ToleranceProfile):
     """1/2 Sign S when the only crossing of exp(t J0 S) is at t = 0."""
     radius = np.max(np.abs(np.linalg.eigvals(path._js))) * abs(path.duration)
     if radius >= 2.0 * np.pi - 1e-9:
         return None
-    w = np.linalg.eigvalsh(path.s_matrix * path.duration)
-    sig = _sign_count(w, tol.tol_form)
-    kernel = np.eye(2 * path.n)
+    gamma = path.s_matrix * path.duration
+    sig, regular = _signature(gamma, tol.tol_form)
     report = CrossingReport(
-        t=0.0, kernel_dim=2 * path.n, kernel_basis=kernel,
-        gamma=path.s_matrix * path.duration, signature=sig,
-        regular=bool(np.min(np.abs(w)) > tol.tol_form), weight=0.5)
+        t=0.0, kernel_dim=2 * path.n, kernel_basis=np.eye(2 * path.n),
+        gamma=gamma, signature=sig, regular=regular, weight=0.5)
     return RSResult(value=HalfInt(sig), crossings=(report,), trace=())
 
 
 def _closed_form_shear(path: ShearPath, tol: ToleranceProfile):
     """1/2 Sign B(0) - 1/2 Sign B(1) for the shear [[Id, B(t)], [0, Id]]."""
-    w0 = np.linalg.eigvalsh(path.b_at(0.0))
-    w1 = np.linalg.eigvalsh(path.b_at(1.0))
-    doubled = _sign_count(w0, tol.tol_form) - _sign_count(w1, tol.tol_form)
+    doubled = (_signature(path.b_at(0.0), tol.tol_form)[0]
+               - _signature(path.b_at(1.0), tol.tol_form)[0])
     return RSResult(value=HalfInt(doubled), crossings=(), trace=())
 
 
@@ -76,48 +68,50 @@ def _generator_form(path: PathSpec, t: float, side, kernel: np.ndarray):
     return 0.5 * (gamma + gamma.T)
 
 
-@lru_cache(maxsize=None)
-def _diagonal(n: int) -> LagrangianFrame:
-    """The diagonal [Id; Id] of R^{2n} x R^{2n}, Lagrangian for
-    (-Omega0) (+) Omega0 in this block layout: one frame per n."""
-    eye = np.eye(2 * n)
-    return LagrangianFrame(np.vstack([eye, eye]),
-                           np.kron(np.diag([-1.0, 1.0]), omega_matrix(n)))
-
-
-# the vertical {0} x R^n: one frame per n, as for the diagonal
+# the diagonal, the graph of Id, and the vertical {0} x R^n: one frame per n
+_diagonal = lru_cache(maxsize=None)(lambda n: graph_lagrangian(np.eye(2 * n)))
 _vertical = lru_cache(maxsize=None)(vertical_frame)
 
 
 def _graphs(path: PathSpec, ts: np.ndarray) -> np.ndarray:
-    """The stack of graph frames [Id; psi_t] at ``ts``."""
-    stack = evaluate_stack(path, ts)
-    return np.concatenate(
-        [np.broadcast_to(np.eye(2 * path.n), stack.shape), stack], axis=1)
+    """The stack of the frames ``graph_lagrangian`` of psi_t at ``ts``."""
+    return _graph_frames(evaluate_stack(path, ts))
+
+
+def _starts_at_identity(path: PathSpec, tol: ToleranceProfile) -> bool:
+    return bool(np.linalg.norm(evaluate_array(path, 0.0) - np.eye(2 * path.n))
+                <= 1e3 * tol.tol_symp)
+
+
+def _det_gap(a_end: np.ndarray) -> float:
+    """det(A - Id), +-inf where it overflows the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.det(a_end - np.eye(a_end.shape[0])))
+
+
+def _check_parity(n: int, value: HalfInt, det_gap: float, name: str):
+    """(-1)^(n - index) = sign det(Id - psi_1) = sign ``det_gap`` on a path
+    from Id to a nondegenerate end; one lost or extra crossing breaks it."""
+    if (2 * n - value.doubled) % 4 != 2 * (det_gap < 0):
+        raise InternalConsistencyError(
+            f"index {value} breaks the parity rule (-1)^(n - {name}) = sign "
+            f"det(Id - psi_1) at n = {n}, det(psi_1 - Id) = {det_gap:.3e}")
 
 
 def _generic_rs(path: PathSpec, tol: ToleranceProfile) -> RSResult:
-    """The graphs [Id; psi_t] of the path against the diagonal, Lagrangian
-    for (-Omega0) (+) Omega0; ker(psi_t - Id) is their intersection."""
-    eye = np.eye(2 * path.n)
-
+    """The graphs of psi_t against the diagonal, Lagrangian for
+    (-Omega0) (+) Omega0; ker(psi_t - Id) is their intersection."""
     def form_at(t: float, k: int, side):
-        kernel = _kernel(evaluate_array(path, t) - eye, tol.tol_kernel, k)
+        kernel = _kernel(evaluate_array(path, t) - np.eye(2 * path.n),
+                         tol.tol_kernel, k)
         return kernel, _generator_form(path, t, side, kernel)
 
     value, reports, trace = _souriau_index(
         partial(_graphs, path), _diagonal(path.n), tol, form_at,
         junction_parameters(path))
-    # a path from the identity to a nondegenerate end has the parity rule
-    # (-1)^(n - value) = sign det(Id - psi_1), which one crossing lost or
-    # gained alone breaks
-    det_gap = np.linalg.det(evaluate_array(path, 1.0) - eye)
-    if (abs(det_gap) > tol.tol_kernel and np.linalg.norm(
-            evaluate_array(path, 0.0) - eye) <= 1e3 * tol.tol_symp
-            and (2 * path.n - value.doubled) % 4 != 2 * (det_gap < 0)):
-        raise InternalConsistencyError(
-            f"index {value} breaks the parity rule (-1)^(n - RS) = sign "
-            f"det(Id - psi_1) at n = {path.n}, det = {det_gap:.3e}")
+    det_gap = _det_gap(evaluate_array(path, 1.0))
+    if abs(det_gap) > tol.tol_kernel and _starts_at_identity(path, tol):
+        _check_parity(path.n, value, det_gap, "RS")
     return RSResult(value=value, crossings=tuple(reports), trace=tuple(trace))
 
 

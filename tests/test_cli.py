@@ -22,6 +22,11 @@ def write_json(tmp_path, name, obj):
     return str(p)
 
 
+# exp(J0 S) has cond 5e17
+ESCAPE_S = [[11, 17, -15, -7], [17, 11, 7, 20], [-15, 7, -3, 1],
+            [-7, 20, 1, -25]]
+
+
 def rotation_job(rate=np.pi):
     return {"n": 1, "path": {"type": "exp",
                              "S": (rate * np.eye(2)).tolist(), "T": 1.0}}
@@ -172,6 +177,17 @@ class TestErrorsAndDeterminism:
         code, out, _ = run_cli(capsys, "--input", inp, "--command", "cz")
         assert code == 2
         assert json.loads(out)["error"]
+
+    def test_singular_endpoint_solve_is_no_input_error(self, tmp_path,
+                                                       capsys):
+        # the endpoint has cond 5e17; its inverse once came from a solve
+        # that raised numpy's LinAlgError, reported as an input error
+        job = {"n": 2, "path": {"type": "exp", "S": ESCAPE_S}}
+        inp = write_json(tmp_path, "escape.json", job)
+        code, out, _ = run_cli(capsys, "--input", inp, "--command", "cz")
+        assert code in (0, 2)
+        if code == 0:
+            assert json.loads(out)["value"] == "0"
 
     def test_eigenvalue_rounding_to_zero_exit_2(self, tmp_path, capsys):
         job = {"n": 1, "path": {"type": "exp",

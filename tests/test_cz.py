@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from sympindex import (AdmissibilityError, CatPath, ConjPath, ConstPath,
-                       ContractError, DirectSumPath, ExpPath,
+from sympindex import (AdmissibilityError, CatPath, ConditioningError,
+                       ConjPath, ConstPath, ContractError, DirectSumPath,
+                       ExpPath,
                        HalfInt, InternalConsistencyError,
                        KreinDegenerateError, ParameterError,
                        ProdPath, ReversePath,
@@ -18,13 +19,13 @@ from sympindex import (AdmissibilityError, CatPath, ConjPath, ConstPath,
                        evaluate_array, evaluate_stack, extension_winding,
                        make_loop,
                        maslov_loop,
-                       path_from_json, random_symplectic, winding)
+                       path_from_json, random_symplectic, rs_index,
+                       winding)
 import sympindex.cz as cz
 import sympindex.spectral as spectral
 from sympindex.core import symplectic_residual
 from sympindex.spectral import first_kind_eigenvalues
-from sympindex.cz import (PASSAGE_GRID, _Extension, _rho_map,
-                          _unit_passage_times)
+from sympindex.cz import _Extension, _rho_map, _unit_passage_times
 from sympindex.tolerances import DEFAULT_TOL
 from conftest import krein_degenerate_rotation, rotation
 
@@ -428,6 +429,40 @@ class TestExtensionRoutes:
         w = conley_zehnder(path).diagnostics["windings"]
         assert w["polar"] == pytest.approx(w["clinear"], abs=1e-12)
 
+    def test_singular_cayley_denominator_is_typed(self, monkeypatch):
+        # the repeated eigenvalue 2 takes the perturbed route, where A' = -A
+        # makes B = A^-1 A' = -Id exactly, and B + Id singular
+        monkeypatch.setattr(cz, "semisimple_perturb", lambda a, **kw: -a)
+        with pytest.raises(ConditioningError, match="Cayley bridge"):
+            _Extension(np.diag([2.0, 2.0, 0.5, 0.5]), DEFAULT_TOL, seed=0)
+
+    @pytest.mark.parametrize("separated", [None, False])
+    def test_ill_conditioned_endpoint_has_a_value(self, separated,
+                                                  monkeypatch):
+        # cond(psi_1) = 5e17; forced onto the perturbed route, its bridge
+        # once took A^-1 from a solve that raised numpy's LinAlgError, and
+        # now takes Omega^T A^T Omega
+        if separated is not None:
+            monkeypatch.setattr(cz, "_separated", lambda evals, eps: False)
+        path = ExpPath(s_matrix=[[11, 17, -15, -7], [17, 11, 7, 20],
+                                 [-15, 7, -3, 1], [-7, 20, 1, -25]])
+        assert conley_zehnder(path).value == rs_index(path).value
+        assert rs_index(path).value == HalfInt(0)
+
+    def test_fast_hyperbolic_rates_need_no_perturbation(self, monkeypatch):
+        # the partners e^-20 and e^-18 inside the circle lie 1.5e-8 apart,
+        # closer than any perturbation of size eps = 1e-6 can part them;
+        # only the eigenvalues on or outside the circle are compared
+        calls = self.spy_calls(monkeypatch)
+        a, zero = np.diag([20.0, 18.0]), np.zeros((2, 2))
+        path = ExpPath(s_matrix=np.block([[zero, -a], [-a, zero]]))
+        evals = np.exp([20.0, 18.0, -20.0, -18.0]) + 0j
+        assert abs(evals[3] - evals[2]) < 0.05 * 1e-6
+        assert nf._separated(evals, 1e-6)
+        assert conley_zehnder(path).value == rs_index(path).value
+        assert rs_index(path).value == HalfInt(0)
+        assert calls == {"normal_form": 1}
+
     @pytest.mark.parametrize("gap", [1e-8, 2e-8, 3e-8, 3e-7, 3e-6])
     def test_endpoint_normal_form_retries_at_the_extension_tolerance(self,
                                                                      gap):
@@ -829,7 +864,7 @@ class TestPassageScreen:
             value = value + cz_dim2_closed_form(d, 1.0)
         p = random_symplectic(n, seed, scale=0.3, max_cond=10.0)
         exact = ExpPath(s_matrix=p.T @ direct_sum_many(blocks) @ p)
-        ts = np.linspace(0.0, 1.0, PASSAGE_GRID + 1)
+        ts = np.linspace(0.0, 1.0, 257)
         sampled = SampledPath(times=ts,
                               matrices=tuple(evaluate_stack(exact, ts)))
         assert conley_zehnder(sampled).value == value
@@ -946,6 +981,29 @@ class TestMaslovLoop:
         # than the Souriau count of a cell can resolve
         for k in (-100, -91, -62, 62, 91, 100):
             assert maslov_loop(make_loop(k, n)) == k
+
+    @pytest.mark.parametrize("k", [62, 91, 100])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_counted_cells_step_below_a_quarter_turn(self, k, n,
+                                                     monkeypatch):
+        # every cell the passage search counts steps sum(lambda) by less
+        # than pi/2 as the Souriau sampler sees it, wrapped; at k = 62 and
+        # 91 the coarse cells step it by 3.0 and 4.5 and are halved, so the
+        # true step stays below pi as well.  At k = 100 the true step of a
+        # coarse cell, 4.9, wraps to -1.4 and is not refined.
+        cells, split = [], cz._split
+
+        def spy(angles_at, a, b, lam_a, lam_b, *args):
+            cells.append((b - a, lam_b.sum(axis=1) - lam_a.sum(axis=1)))
+            return split(angles_at, a, b, lam_a, lam_b, *args)
+
+        monkeypatch.setattr(cz, "_split", spy)
+        assert maslov_loop(make_loop(k, n)) == k
+        widths = np.concatenate([w for w, _ in cells])
+        steps = np.angle(np.exp(1j * np.concatenate([s for _, s in cells])))
+        assert len(steps) and np.abs(steps).max() < np.pi / 2
+        if k < 97:
+            assert (4 * np.pi * k * widths).max() < np.pi
 
     def test_product_of_loops_adds(self):
         p = ProdPath(left=make_loop(2, 2), right=make_loop(-1, 2))

@@ -1,4 +1,5 @@
 import json
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from sympindex import (CatPath, ConjPath, ConstPath, DEFAULT_TOL,
                        NoCrossingError, ProdPath, ReversePath, SampledPath,
                        ShearPath, UnsupportedStructureError, conley_zehnder,
                        cz_dim2_closed_form, direct_sum_many, evaluate_array,
+                       evaluate_stack,
                        graph_lagrangian, horizontal_frame, j_matrix,
                        lagrangian_crossing_form, lagrangian_rs_index,
                        make_loop, make_shear, omega_matrix, path_from_json,
@@ -153,6 +155,28 @@ class TestReferenceFrames:
                 frames, (rs_module._diagonal(2), rs_module._vertical(2)),
                 d_invs):
             assert again is v and again._darboux_inverse is d_inv
+
+
+    def test_graph_stack_rows_are_graph_lagrangian_frames(self):
+        # one layout: the stacked graphs the Souriau count reads and the
+        # frames of graph_lagrangian, the diagonal among them
+        path, ts = self._path(5), np.linspace(0.0, 1.0, 7)
+        for psi, frame in zip(evaluate_stack(path, ts),
+                              rs_module._graphs(path, ts)):
+            assert frame.tobytes() == graph_lagrangian(psi).frame.tobytes()
+        diagonal = rs_module._diagonal(2)
+        assert diagonal.frame.tobytes() == rs_module._graphs(
+            ConstPath(np.eye(4)), np.zeros(1))[0].tobytes()
+        assert diagonal.omega.tobytes() == doubled_omega(2).tobytes()
+
+    def test_end_determinant_beyond_the_float_range(self):
+        # det(psi_1 - Id) is about -e^822: the parity rule reads its sign
+        # with no overflow warning
+        a, zero = np.diag([300.0, 300.0 / 1.1, 300.0 / 1.2]), np.zeros((3, 3))
+        path = ExpPath(s_matrix=np.block([[zero, -a], [-a, zero]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rs_index(path).value == HalfInt(0)
 
 
 def _turn_hold_return():
