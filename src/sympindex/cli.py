@@ -107,6 +107,7 @@ def _run_cz(path_spec, tol, seed, trace_file):
             "rho_fallbacks": result.diagnostics["rho_fallbacks"],
             "krein_nudges": result.diagnostics["krein_nudges"],
             "passages": result.diagnostics["passages"],
+            "rho_samples": result.diagnostics["rho_samples"],
         },
     }
 
@@ -131,10 +132,13 @@ def _run_crossing_index(index, path_spec, tol, trace_file):
 
 
 def _run_maslov(path_spec, tol, trace_file):
-    value, trace = _loop_winding(path_spec, tol)
+    value, trace, cells, events = _loop_winding(path_spec, tol)
     if trace_file:
         _write_winding_csv(trace_file, "phase_rho", path_spec, trace)
-    return {"value": value, "diagnostics": {}}
+    diagnostics = {"grid_cells": cells}
+    for key in ("rho_fallbacks", "krein_nudges", "passages", "rho_samples"):
+        diagnostics[key] = events[key]
+    return {"value": value, "diagnostics": diagnostics}
 
 
 def _run_rho(matrix, tol):

@@ -10,7 +10,11 @@ The winding over [0, 1] is sampled adaptively, for all three circle maps on
 one grid.  A path that is one exponential exp(t M) winds on a grid sized from
 the eigenvalues of M, so that no turn of rho^2 fits between two samples;
 every other path winds on 64 cells plus anchors at the +-1 passages of its
-spectrum, found by the Souriau sampler of ``lagrangian`` on its graph.
+spectrum, found by the Souriau sampler of ``lagrangian`` on its graph.  Along
+one exponential rho is a character, rho(exp(tM)) = e^{ict}: rho runs on one
+sample, where it reads c, and the spectral winding samples e^{2ict} on the
+grid, while the determinant maps still sample psi_t there and check it
+(``_spectral_map``).
 
 The extension runs from A through a nearby semisimple matrix A' with
 distinct eigenvalues.  A' is A itself when A's normal form has only order-1
@@ -187,7 +191,7 @@ def _passage_anchors(t: np.ndarray, events: Counter) -> list[float]:
 def _unit_passage_times(path: PathSpec, events: Counter) -> list[float]:
     """Parameters where an eigenvalue of the path passes +-1.
 
-    For every path but one exponential (see ``_winding_grid``).  The
+    For every path but one exponential (see ``_spectral_map``).  The
     spectral rotation map is locally constant on hyperbolic stretches, so a
     full circle sweep between two passages is invisible to a uniform grid;
     the refined passage parameters anchor the winding sampler there.  A
@@ -416,9 +420,10 @@ class _Extension(PathSpec):
         The winding over the bridge to the nearby semisimple matrix, sampled
         on the extension's first third, plus the analytic unit-spectrum sum.
         A constant bridge (an unperturbed endpoint) is sampled at its ends.
+        The bridge samples are counted in ``events["rho_samples"]``.
         """
-        bridge = _rho_map(lambda ts: evaluate_stack(self, ts / 3.0), self.tol,
-                          events, 2)
+        bridge = _counted(_rho_map(lambda ts: evaluate_stack(self, ts / 3.0),
+                                   self.tol, events, 2), events)
         turns, _, _ = winding(bridge, self.tol.max_refine,
                               coarse=16 if self.perturbed else 1)
         return turns + self.unit_turns
@@ -471,28 +476,65 @@ def extension_winding(A, tol: ToleranceProfile = DEFAULT_TOL, seed: int = 0):
 # the index
 
 
-def _winding_grid(path: PathSpec, power: int,
-                  events: Counter) -> tuple[int, list[float]]:
-    """(coarse cells, anchors) of the [0, 1] windings of a circle map to
-    ``power``, shared by every circle map.
+def _counted(rho_map, events: Counter):
+    """``rho_map`` with every sample it runs on counted in
+    ``events["rho_samples"]``."""
+    def counted(ts):
+        events["rho_samples"] += len(ts)
+        return rho_map(ts)
+    return counted
+
+
+def _spectral_map(path: PathSpec, tol: ToleranceProfile, events: Counter,
+                  power: int):
+    """(ts -> rho(psi_t) ** power, coarse cells, anchors): the spectral map
+    of the [0, 1] windings of ``path``, with the grid that every circle map
+    shares.
 
     On one exponential psi_t = exp(t M) (see ``paths._exponential``) the
-    spectrum is e^{t mu}, so arg rho moves by at most the sum of Im mu over
-    the eigenvalues mu of M with Im mu > 0 per unit t, and a grid of
-    power * that sum / pi cells moves the map by at most pi per cell.  A
-    step must exceed 3 pi / 2 before it aliases below ``PHASE_STEP``, and
+    spectrum is e^{t mu}, so arg rho moves by at most ``speed``, the sum of
+    Im mu over the eigenvalues mu of M with Im mu > 0, per unit t, and a
+    grid of power * speed / pi cells moves the map by at most pi per cell.
+    A step must exceed 3 pi / 2 before it aliases below ``PHASE_STEP``, and
     halving a cell keeps the bound, so no turn hides between two samples and
     no anchor is needed.  The determinant maps share the grid with no bound
     of their own: a turn one of them loses disagrees with the spectral
-    winding, which raises.  Every other path winds on 64 cells plus the
-    anchors of its +-1 passages.
+    winding, which raises.
+
+    There rho is also a character.  psi_t keeps the generalized eigenspaces
+    of M and their Krein signatures, so away from the t where two
+    eigenvalues e^{t mu} meet, and for every t as rho is continuous,
+    rho(psi_t) = e^{ict} with c = sum kappa_j omega_j over the eigenvalues
+    i omega_j of M, omega_j > 0, of Krein sign kappa_j.  |c| is at most
+    ``speed``, so at t0 = power / (2 cells), where speed * t0 <= pi / 2,
+    arg rho(psi_t0) is c t0 itself; c is read there, at the parameter rho
+    ran on (t0 + KREIN_NUDGE after a nudge), and the map is
+    e^{i power c t}.  Only that sample runs rho.
+
+    Every other path runs rho on every sample, and winds on 64 cells plus
+    the anchors of its +-1 passages.  The samples rho runs on are counted in
+    ``events["rho_samples"]``.
     """
     exact = _exponential(path)
     if exact is None:
-        return 64, _unit_passage_times(path, events)
+        return (_counted(_rho_map(partial(evaluate_stack, path), tol, events,
+                                  power), events),
+                64, _unit_passage_times(path, events))
     mu = np.linalg.eigvals(exact.duration * exact._js)
     speed = float(mu.imag[mu.imag > 0].sum())
-    return max(64, int(np.ceil(power * speed / np.pi))), []
+    cells = max(64, int(np.ceil(power * speed / np.pi)))
+    # the last parameter evaluated is the one rho ran on, t0 or its nudge
+    evaluated = []
+
+    def stack_at(ts):
+        evaluated.append(float(ts[-1]))
+        return evaluate_stack(path, ts)
+
+    t0 = power / (2.0 * cells)
+    z = _rho_map(stack_at, tol, events, 1)(np.array([t0]))[0]
+    events["rho_samples"] += 1
+    rate = power * float(np.angle(z)) / evaluated[-1]
+    return (lambda ts: np.exp(1j * rate * ts)), cells, []
 
 
 def _rounded(name: str, turns: float) -> int:
@@ -521,10 +563,9 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
     # each circle map winds along the path, on the same grid and anchors,
     # and along the extension
     events = Counter()
-    cells, anchors = _winding_grid(path, 2, events)
-    w_rho, trace, depth = winding(
-        _rho_map(partial(evaluate_stack, path), tol, events, 2),
-        tol.max_refine, coarse=cells, anchor_ts=anchors)
+    spectral, cells, anchors = _spectral_map(path, tol, events, 2)
+    w_rho, trace, depth = winding(spectral, tol.max_refine, coarse=cells,
+                                  anchor_ts=anchors)
     e_rho = ext.rho_winding(events)
     totals = {"spectral": w_rho + e_rho}
     for name, circle_map in (("polar", rho_polar), ("clinear", rho_hat)):
@@ -556,6 +597,7 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
             "rho_fallbacks": events["rho_fallbacks"],
             "krein_nudges": events["krein_nudges"],
             "passages": events["passages"],
+            "rho_samples": events["rho_samples"],
         },
     )
 
@@ -582,17 +624,18 @@ def cz_dim2_closed_form(S, T: float) -> HalfInt:
 
 
 def _loop_winding(path: PathSpec, tol: ToleranceProfile):
-    """Integer winding of the rotation map along a loop, with its trace."""
+    """Integer winding of the rotation map along a loop, with its trace,
+    its coarse cells and the events of its spectral map (``_spectral_map``).
+    """
     p0 = evaluate_array(path, 0.0)
     p1 = evaluate_array(path, 1.0)
     if np.linalg.norm(p0 - p1) > 1e3 * tol.tol_symp * (1.0 + np.linalg.norm(p0)):
         raise ContractError("maslov_loop requires a loop")
     events = Counter()
-    cells, anchors = _winding_grid(path, 1, events)
-    turns, trace, _ = winding(
-        _rho_map(partial(evaluate_stack, path), tol, events, 1),
-        tol.max_refine, coarse=cells, anchor_ts=anchors)
-    return _rounded("loop", turns), trace
+    spectral, cells, anchors = _spectral_map(path, tol, events, 1)
+    turns, trace, _ = winding(spectral, tol.max_refine, coarse=cells,
+                              anchor_ts=anchors)
+    return _rounded("loop", turns), trace, cells, events
 
 
 def maslov_loop(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL) -> int:

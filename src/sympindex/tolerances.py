@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ParameterError
@@ -27,11 +28,13 @@ class ToleranceProfile:
     max_refine: int = 40
 
     def __post_init__(self):
-        for name in ("tol_symp", "tol_eig", "tol_kernel", "tol_form", "tol_nf"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be strictly positive")
-        if self.max_refine <= 0:
-            raise ParameterError("max_refine must be strictly positive")
+        # NaN fails every comparison, so test for the good case
+        for name in ("tol_symp", "tol_eig", "tol_kernel", "tol_form",
+                     "tol_nf", "max_refine"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ParameterError(
+                    f"{name} must be finite and strictly positive, got {value}")
 
     def with_overrides(self, **kwargs) -> "ToleranceProfile":
         kwargs = {k: v for k, v in kwargs.items() if v is not None}

@@ -52,6 +52,9 @@ class TestCommands:
         # an exponential runs no passage search and winds on 64 cells
         assert rep["diagnostics"]["passages"] == 0
         assert rep["diagnostics"]["grid_cells"] == 64
+        # rho runs on one path sample and the 17 samples of the bridge of
+        # the perturbed endpoint -Id
+        assert rep["diagnostics"]["rho_samples"] == 1 + 17
 
     def test_rs_and_rs2(self, tmp_path, capsys):
         inp = write_json(tmp_path, "s.json", shear_job())
@@ -79,7 +82,29 @@ class TestCommands:
         inp = write_json(tmp_path, "l.json", job)
         code, out, _ = run_cli(capsys, "--input", inp, "--command", "maslov")
         assert code == 0
-        assert json.loads(out)["value"] == -2
+        rep = json.loads(out)
+        assert rep["value"] == -2
+        # the cz report's counters, for the winding of rho
+        events = Counter()
+        _unit_passage_times(make_loop(-2, 2), events)
+        diagnostics = rep["diagnostics"]
+        assert diagnostics["passages"] == events["passages"] > 0
+        assert diagnostics["grid_cells"] == 64
+        assert diagnostics["rho_fallbacks"] == diagnostics["krein_nudges"] == 0
+        assert diagnostics["rho_samples"] > 64
+
+    def test_maslov_of_an_exponential_loop(self, tmp_path, capsys):
+        # rho is a character on exp(t 6 pi J0): one sample, no passages
+        job = {"n": 1, "path": {"type": "exp",
+                                "S": (6 * np.pi * np.eye(2)).tolist()}}
+        inp = write_json(tmp_path, "e.json", job)
+        code, out, _ = run_cli(capsys, "--input", inp, "--command", "maslov")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["value"] == 3
+        assert rep["diagnostics"] == {
+            "grid_cells": 64, "krein_nudges": 0, "passages": 0,
+            "rho_fallbacks": 0, "rho_samples": 1}
 
     def test_rho(self, tmp_path, capsys):
         phi = 0.8
@@ -207,6 +232,16 @@ class TestErrorsAndDeterminism:
     def test_malformed_path_exit_2(self, tmp_path, capsys, obj):
         inp = write_json(tmp_path, "path.json", obj)
         code, out, err = run_cli(capsys, "--input", inp, "--command", "maslov")
+        assert (code, err) == (2, "")
+        assert json.loads(out)["error"] == "parameter"
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tol-eig", "nan"), ("--tol-form", "inf"), ("--tol-kernel", "nan")])
+    def test_non_finite_tolerance_exit_2(self, tmp_path, capsys, flag,
+                                         value):
+        inp = write_json(tmp_path, "p.json", rotation_job())
+        code, out, err = run_cli(capsys, "--input", inp, "--command", "cz",
+                                 flag, value)
         assert (code, err) == (2, "")
         assert json.loads(out)["error"] == "parameter"
 

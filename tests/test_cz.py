@@ -603,16 +603,21 @@ class TestIndexProperties:
         # cells
         assert res.diagnostics["passages"] == 0
         assert res.diagnostics["grid_cells"] == 64
+        # rho runs on the character sample and the 17 samples of the
+        # bridge of the perturbed endpoint -Id
+        assert res.diagnostics["rho_samples"] == 1 + 17
 
     def test_tolerance_fallback_is_recorded(self):
-        # n = 8, spectral radius 12: one sample of the main winding has a
-        # cluster gap inside the ambiguity band at the default tol_eig
+        # n = 8, spectral radius 12: the one exponential's character sample
+        # t = 1/64 has a cluster gap inside the ambiguity band at the
+        # default tol_eig
         path = path_from_json(json.loads(
             (DATA / "rho_fallback_path.json").read_text()))
         res = conley_zehnder(path)
         assert res.value == HalfInt.from_int(2)
         assert res.diagnostics["rho_fallbacks"] == 1
         assert res.diagnostics["krein_nudges"] == 0
+        assert res.diagnostics["rho_samples"] == 3
 
     def test_krein_nudge_is_recorded(self):
         # a path that meets a degenerate Krein form at one parameter only
@@ -950,9 +955,12 @@ class TestSizedGrid:
                 64, int(np.ceil(2 * speed / np.pi)))
 
     def test_fast_loop(self):
-        # exp(t 2 pi 400 J0) winds rho 400 times on 800 cells
-        path = ExpPath(s_matrix=2 * np.pi * 400 * np.eye(2))
-        assert maslov_loop(path) == 400
+        # exp(t 2 pi 400 J0) winds rho 400 times on 800 cells, its inverse
+        # -400 times; rho is read half a cell in, where it has turned by
+        # pi / 2: a whole cell turns it by pi, and -pi reads as pi
+        for k in (400, -400):
+            path = ExpPath(s_matrix=2 * np.pi * k * np.eye(2))
+            assert maslov_loop(path) == k
 
     def test_duration_scales_the_grid(self):
         s = np.diag([40.0, 48.0])
@@ -960,6 +968,130 @@ class TestSizedGrid:
         assert res.value == cz_dim2_closed_form(s, 3.7) == HalfInt.from_int(51)
         assert res.diagnostics["grid_cells"] == int(
             np.ceil(2 * 3.7 * np.sqrt(40.0 * 48.0) / np.pi))
+
+
+# a Jordan block of exp(t J0 S) at e^{+-3it}, Krein form indefinite: the
+# flow of 3 (q1 p2 - q2 p1) + (q1^2 + q2^2) / 2
+_JORDAN = np.zeros((4, 4))
+_JORDAN[0, 3] = _JORDAN[3, 0] = 3.0
+_JORDAN[1, 2] = _JORDAN[2, 1] = -3.0
+_JORDAN[0, 0] = _JORDAN[1, 1] = 1.0
+
+# (S, duration) of exponentials exp(t duration J0 S), each conjugated by a
+# seeded constant symplectic matrix in TestCharacter
+CHARACTER_CASES = {
+    "elliptic+hyperbolic": (np.diag([7.0, 2.0, 7.0, -0.5]), 1.0),
+    "loxodromic": ([[0.0, 0.0, 0.3, 9.0], [0.0, 0.0, -9.0, 0.3],
+                    [0.3, -9.0, 0.0, 0.0], [9.0, 0.3, 0.0, 0.0]], 1.0),
+    # e^{6it} twice, of Krein signs +1 and -1
+    "repeated-opposite": (np.diag([6.0, -6.0, 6.0, -6.0]), 1.0),
+    # e^{3it} (Krein sign +1) meets e^{i(3 + 4 pi)t} (-1) at t = 1/2
+    "colliding-opposite": (np.diag([3.0, -3.0 - 4 * np.pi,
+                                    3.0, -3.0 - 4 * np.pi]), 1.0),
+    "nilpotent": (direct_sum_many([_JORDAN, 2.0 * np.eye(2)]), 1.0),
+    "shear+rotation": (np.diag([1.0, 5.0, 0.0, 5.0]), 1.0),
+    "duration": (np.diag([6.0, 11.0, -4.0, 3.0]), 2.5),
+}
+
+
+class TestCharacter:
+    """On one exponential rho(exp(tM)) is the character e^{ict}: the
+    spectral map runs rho on one sample and reads c there; the windings
+    keep their grid and the determinant maps still check it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", sorted(CHARACTER_CASES))
+    def test_sampled_rho_is_the_character(self, case, seed):
+        s, duration = CHARACTER_CASES[case]
+        s = np.asarray(s)
+        k = random_symplectic(s.shape[0] // 2, seed, scale=0.3, max_cond=10.0)
+        path = ConjPath(phi=ConstPath(k),
+                        psi=ExpPath(s_matrix=s, duration=duration))
+        for power in (1, 2):
+            events = Counter()
+            character, cells, anchors = cz._spectral_map(
+                path, DEFAULT_TOL, events, power)
+            assert anchors == [] and events == {"rho_samples": 1}
+            ts = np.arange(cells + 1) / cells
+            sampled = _rho_map(partial(evaluate_stack, path), DEFAULT_TOL,
+                               Counter(), power)(ts)
+            assert np.abs(character(ts) - sampled).max() < 1e-9
+
+    def test_an_exponential_runs_rho_on_one_path_sample(self, monkeypatch):
+        rows, spectral_rho = [], cz.rho
+
+        def spy(a, tol):
+            rows.append(np.asarray(a))
+            return spectral_rho(a, tol)
+
+        monkeypatch.setattr(cz, "rho", spy)
+        s = np.diag([7.0, 2.0, 7.0, -0.5])
+        k = random_symplectic(2, seed=3, scale=0.3, max_cond=10.0)
+        path = ConjPath(phi=ConstPath(k), psi=ExpPath(s_matrix=s))
+        res = conley_zehnder(path)
+        # psi at the first grid point, then the two ends of the constant
+        # bridge
+        assert [len(r) for r in rows] == [1, 2]
+        assert np.array_equal(rows[0][0], evaluate_array(path, 1 / 64))
+        assert res.diagnostics["rho_samples"] == 3
+        # a product is sampled at every parameter of its winding, plus the
+        # bridge ends
+        rows.clear()
+        res = conley_zehnder(ProdPath(left=make_loop(1, 2),
+                                      right=ExpPath(s_matrix=s)))
+        assert sum(len(r) for r in rows) == res.diagnostics["rho_samples"]
+        assert res.diagnostics["rho_samples"] == len(res.winding_trace) + 2
+
+    def test_a_conjugated_character_sample_raises(self, monkeypatch):
+        # rho(psi_t0) conjugated turns the character backwards; the
+        # spectral winding is then no index, and no value is returned
+        k = random_symplectic(1, seed=3, scale=0.3, max_cond=10.0)
+        path = ConjPath(phi=ConstPath(k),
+                        psi=ExpPath(s_matrix=np.diag([12.0, 12.0])))
+        assert conley_zehnder(path).value == HalfInt.from_int(3)
+        calls, spectral_rho = [], cz.rho
+
+        def conjugated_first(a, tol):
+            calls.append(a)
+            z = spectral_rho(a, tol)
+            return np.conj(z) if len(calls) == 1 else z
+
+        monkeypatch.setattr(cz, "rho", conjugated_first)
+        with pytest.raises(InternalConsistencyError):
+            conley_zehnder(path)
+
+    def test_a_nudged_character_sample_is_read_at_its_parameter(
+            self, monkeypatch):
+        # c is arg rho / (t0 + KREIN_NUDGE) when the sample t0 = 1/64 is
+        # stepped over; dividing by t0 would be off by 2 * 7 * 64e-9 at t = 1
+        path = ExpPath(s_matrix=np.diag([7.0, 7.0]))
+        ts = np.arange(65) / 64
+        want = _rho_map(partial(evaluate_stack, path), DEFAULT_TOL,
+                        Counter(), 2)(ts)
+        at_t0, spectral_rho = evaluate_array(path, 1 / 64), cz.rho
+
+        def degenerate_at_t0(a, tol):
+            if np.array_equal(np.asarray(a).reshape(-1, 2, 2)[0], at_t0):
+                exc = KreinDegenerateError("degenerate Krein form")
+                exc.row = 0
+                raise exc
+            return spectral_rho(a, tol)
+
+        monkeypatch.setattr(cz, "rho", degenerate_at_t0)
+        events = Counter()
+        character, cells, _ = cz._spectral_map(path, DEFAULT_TOL, events, 2)
+        assert cells == 64
+        assert events == {"krein_nudges": 1, "rho_samples": 1}
+        assert np.abs(character(ts) - want).max() < 1e-9
+
+    def test_loop_character_sample_is_half_a_cell(self):
+        # rho winds at c = 2 pi 3 on a loop of 64 cells; the sample is
+        # t = 1/128, where the map has moved by 3 pi / 64 < pi / 2
+        path = ExpPath(s_matrix=2 * np.pi * 3 * np.eye(2))
+        value, trace, cells, events = cz._loop_winding(path, DEFAULT_TOL)
+        assert (value, cells) == (3, 64)
+        assert events == {"rho_samples": 1}
+        assert trace[-1][1] == pytest.approx(6 * np.pi, abs=1e-9)
 
 
 class TestMaslovLoop:

@@ -10,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sympindex import (ConstPath, ExpPath, LoopPath, SympindexError,
+from sympindex import (ConstPath, ExpPath, LoopPath, ParameterError,
+                       SympindexError,
                        SympMatrix, complex_det, cz_dim2_closed_form,
                        extension_winding, lagrangian_rs_index, make_shear,
                        normal_form, rho, rs2_index, rs_index, vertical_frame)
 from sympindex.lagrangian import LagrangianFrame
 from sympindex.spectral import (eigen_quadruples, first_kind_eigenvalues,
                                 generalized_eigenspace, krein_form)
+from sympindex.tolerances import DEFAULT_TOL, ToleranceProfile
 
 NAN_2 = [[np.nan, 0.0], [0.0, 1.0]]
 WIDE = np.ones((2, 3))
@@ -56,6 +58,17 @@ REPRODUCERS = {
     "eigenspace-lam-nan": lambda: generalized_eigenspace(np.eye(2), np.nan),
     "loop-wind-nan": lambda: LoopPath(wind=np.nan, dim_n=1),
 }
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["tol_symp", "tol_eig", "tol_kernel",
+                                  "tol_form", "tol_nf", "max_refine"])
+def test_non_finite_tolerance_is_a_parameter_error(name, value):
+    # NaN compares False with 0, and was once taken for a tolerance
+    with pytest.raises(ParameterError, match=name):
+        ToleranceProfile(**{name: value})
+    with pytest.raises(ParameterError, match=name):
+        DEFAULT_TOL.with_overrides(**{name: value})
 
 
 @pytest.mark.parametrize("name", sorted(REPRODUCERS))
