@@ -20,8 +20,8 @@ The extension runs from A through a nearby semisimple matrix A' with
 distinct eigenvalues.  A' is A itself when A's normal form has only order-1
 semisimple blocks whose eigenvalues are as far apart as
 ``semisimple_perturb`` separates its output; otherwise A' is that
-perturbation of A, normal-formed again.  The extension's contribution is
-computed three ways and cross-checked:
+perturbation of A, one small Cayley factor of A, normal-formed again.  The
+extension's contribution is computed three ways and cross-checked:
 
 * for the spectral rotation map, analytically from the spectrum of A' (each
   Krein-kappa unit eigenvalue pair at angle phi in (0, pi) contributes
@@ -188,7 +188,8 @@ def _passage_anchors(t: np.ndarray, events: Counter) -> list[float]:
             for t_star in t[first].tolist() for d in _ANCHOR_OFFSETS]
 
 
-def _unit_passage_times(path: PathSpec, events: Counter) -> list[float]:
+def _unit_passage_times(path: PathSpec, tol: ToleranceProfile,
+                        events: Counter) -> list[float]:
     """Parameters where an eigenvalue of the path passes +-1.
 
     For every path but one exponential (see ``_spectral_map``).  The
@@ -207,15 +208,13 @@ def _unit_passage_times(path: PathSpec, events: Counter) -> list[float]:
         return np.angle(np.exp(1j * (lam - shift)))
 
     sample, angles, trace = _souriau_winding(
-        partial(_graphs, path), _diagonal(path.n), DEFAULT_TOL.max_refine,
-        PASSAGE_GRID)
+        partial(_graphs, path), _diagonal(path.n), tol.max_refine, PASSAGE_GRID)
     ts = np.array([t for t, _ in trace])
     lam, found = np.array([angles[t] for t in ts.tolist()]), []
     for shift in (0.0, np.pi):
         rows = shifted(lam, shift)
         cells = np.flatnonzero(_doubled_counts(rows, np.zeros_like(rows, bool)))
-        on_end = np.abs(rows[[0, -1]]).min(axis=1) < np.sqrt(
-            DEFAULT_TOL.tol_kernel)
+        on_end = np.abs(rows[[0, -1]]).min(axis=1) < np.sqrt(tol.tol_kernel)
         cells = cells[~(on_end[0] & (cells == 0)
                         | on_end[1] & (cells == len(ts) - 2))]
         found.append(_split(
@@ -303,8 +302,7 @@ class _Extension(PathSpec):
         eye = np.eye(dim)
         self._cayley = np.zeros((dim, dim))
         if self.perturbed:
-            aprime = semisimple_perturb(a_end, eps=eps, seed=seed, tol=tol,
-                                        report=report)
+            aprime = semisimple_perturb(a_end, eps=eps, seed=seed)
             report = normal_form(aprime, nf_tol)
             # Cayley bridge A (I - uC)^-1 (I + uC) to the perturbed endpoint,
             # B = A^-1 A' with A^-1 = Omega^T A^T Omega
@@ -519,7 +517,7 @@ def _spectral_map(path: PathSpec, tol: ToleranceProfile, events: Counter,
     if exact is None:
         return (_counted(_rho_map(partial(evaluate_stack, path), tol, events,
                                   power), events),
-                64, _unit_passage_times(path, events))
+                64, _unit_passage_times(path, tol, events))
     mu = np.linalg.eigvals(exact.duration * exact._js)
     speed = float(mu.imag[mu.imag > 0].sum())
     cells = max(64, int(np.ceil(power * speed / np.pi)))

@@ -16,6 +16,8 @@ canonical blocks, one family per eigenvalue quadruple:
 The construction is a per-quadruple recursion: pick a vector maximizing the
 relevant pairing, build one block's symplectic basis from its Jordan chain,
 and recurse on the symplectic orthogonal complement.
+``semisimple_perturb`` builds none: one small Cayley factor of A parts its
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (as_array, direct_sum_many, finite_matrix, omega_matrix,
-                   symplectic_residual)
+from .core import (SympMatrix, direct_sum_many, finite_matrix, j_matrix,
+                   omega_matrix, symplectic_residual)
 from .errors import NormalFormError, ParameterError, PerturbationFailureError
 from .spectral import _nullspace, eigen_quadruples, generalized_eigenspace
 from .tolerances import DEFAULT_TOL, ToleranceProfile
@@ -461,22 +463,6 @@ def normal_form(A, tol: ToleranceProfile = DEFAULT_TOL) -> NormalFormReport:
 # density of semisimple elements
 
 
-def _stretch_block(block: NormalFormBlock, eps_draws) -> np.ndarray:
-    """Blockwise symplectic factor with eigenvalue-separating stretches."""
-    s = block.size // 2
-    if block.case == "OffCircleReal" or block.case == "PlusMinusOne":
-        d = 1.0 + np.array([next(eps_draws) for _ in range(s)])
-    else:
-        # conjugate pairs of columns stretch alike; the middle plane of a
-        # UnitNonRealOdd block is rotated instead
-        d = np.ones(s)
-        d[:s - s % 2] = 1.0 + np.repeat([next(eps_draws) for _ in range(s // 2)], 2)
-    S = np.diag(np.concatenate([d, 1.0 / d]))
-    if block.case == "UnitNonRealOdd":
-        S[np.ix_([s - 1, 2 * s - 1], [s - 1, 2 * s - 1])] = _rot(next(eps_draws))
-    return S
-
-
 def _separated(evals: np.ndarray, eps: float) -> bool:
     """Whether the eigenvalues on or outside the unit circle are pairwise at
     least 0.05 eps apart: the separation ``semisimple_perturb`` asks of its
@@ -486,33 +472,27 @@ def _separated(evals: np.ndarray, eps: float) -> bool:
     return bool(np.min(gaps, initial=np.inf) >= 0.05 * eps)
 
 
-def semisimple_perturb(A, eps: float = 1e-6, seed: int = 0,
-                       tol: ToleranceProfile = DEFAULT_TOL,
-                       report: NormalFormReport | None = None) -> np.ndarray:
-    """A nearby symplectic matrix with 2n distinct eigenvalues.
-
-    Multiplies A by a blockwise stretch built in its normal-form basis; the
-    stretch separates every Jordan chain into distinct eigenvalue quadruples
-    while moving A by O(eps).
+def semisimple_perturb(A, eps: float = 1e-6, seed: int = 0) -> np.ndarray:
+    """A nearby symplectic matrix with 2n distinct eigenvalues, which are
+    dense: A' = A (I - X/2)^-1 (I + X/2) for the Hamiltonian X = eps J0 H,
+    H the symmetric part of a seeded standard-normal matrix, which splits an
+    order-m Jordan chain by about eps^(1/m).  Of 8 draws, the first whose
+    eigenvalues are ``_separated`` and whose det(A' - Id) keeps its sign.
     """
-    a = as_array(A)
-    n2 = a.shape[0]
-    if report is None:
-        report = normal_form(a, tol)
-    K = report.basis
-    Kinv = np.linalg.inv(K)
+    a = SympMatrix(A).entries
+    eye = np.eye(a.shape[0])
+    jm = j_matrix(a.shape[0] // 2)
     rng = np.random.default_rng(seed)
-    det_sign = np.sign(np.linalg.det(a - np.eye(n2)))
+    det_sign = np.sign(np.linalg.det(a - eye))
 
     for _ in range(8):
-        draws = iter(eps * rng.uniform(0.5, 1.5, size=4 * n2)
-                     * np.linspace(1.0, 2.0, 4 * n2))
-        S = direct_sum_many([_stretch_block(b, draws) for b in report.blocks])
-        ap = a @ (K @ S @ Kinv)
+        g = rng.standard_normal(a.shape)
+        half = 0.25 * eps * (jm @ (g + g.T))  # X / 2
+        ap = a @ np.linalg.solve(eye - half, eye + half)
         if not _separated(np.linalg.eigvals(ap), eps):
             continue
         if abs(det_sign) > 0.5 and \
-                np.sign(np.linalg.det(ap - np.eye(n2))) != det_sign:
+                np.sign(np.linalg.det(ap - eye)) != det_sign:
             continue
         return ap
     raise PerturbationFailureError(

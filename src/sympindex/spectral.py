@@ -295,6 +295,16 @@ def _nullspace(M: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     return vh[-k:].conj().T
 
 
+def _finite_power(power, lam: complex) -> np.ndarray:
+    """``power()``, a power of A - lam, checked finite: LAPACK's SVD of a
+    matrix with infinite entries need not return."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = power()
+    if not np.isfinite(P).all():
+        raise IllConditionedSpectrumError(f"a power of A - {lam:.6g} overflows")
+    return P
+
+
 def generalized_eigenspace(A, lam: complex, tol: ToleranceProfile = DEFAULT_TOL,
                            multiplicity: int | None = None) -> np.ndarray:
     """Orthonormal basis of E_lam = union_j Ker(A - lam)^j, real for a real lam.
@@ -316,7 +326,7 @@ def generalized_eigenspace(A, lam: complex, tol: ToleranceProfile = DEFAULT_TOL,
         # The invariant subspace belonging to the smallest singular values of
         # (A - lam)^multiplicity; robust for defective clusters of any norm,
         # where rank decisions on low powers are blurred by roundoff.
-        P = np.linalg.matrix_power(M, multiplicity)
+        P = _finite_power(lambda: np.linalg.matrix_power(M, multiplicity), lam)
         _, _, vh = np.linalg.svd(P)
         basis = vh[-multiplicity:].conj().T
         coeff = basis.conj().T @ (M @ basis)
@@ -333,7 +343,7 @@ def generalized_eigenspace(A, lam: complex, tol: ToleranceProfile = DEFAULT_TOL,
     prev = basis.shape[1]
     P = M.copy()
     for _ in range(1, dim):
-        P = P @ M
+        P = _finite_power(lambda: P @ M, lam)
         nb = _nullspace(P, thresh)
         if nb.shape[1] <= prev:
             break

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sympindex import evaluate_array, make_loop, rho
+from sympindex import DEFAULT_TOL, evaluate_array, make_loop, rho
 from sympindex.cli import main
 from sympindex.cz import _unit_passage_times, winding
 
@@ -86,7 +86,7 @@ class TestCommands:
         assert rep["value"] == -2
         # the cz report's counters, for the winding of rho
         events = Counter()
-        _unit_passage_times(make_loop(-2, 2), events)
+        _unit_passage_times(make_loop(-2, 2), DEFAULT_TOL, events)
         diagnostics = rep["diagnostics"]
         assert diagnostics["passages"] == events["passages"] > 0
         assert diagnostics["grid_cells"] == 64
@@ -177,7 +177,7 @@ class TestTraces:
         path = make_loop(wind, n)
         turns, samples, _ = winding(
             lambda ts: np.array([rho(evaluate_array(path, t)) for t in ts]),
-            anchor_ts=_unit_passage_times(path, Counter()))
+            anchor_ts=_unit_passage_times(path, DEFAULT_TOL, Counter()))
         assert round(turns) == wind
         with open(trace) as fh:
             rows = list(csv.reader(fh))
@@ -223,6 +223,16 @@ class TestErrorsAndDeterminism:
         assert code == 2
         rep = json.loads(out)
         assert rep["error"] and rep["message"]
+
+    def test_overflowing_normal_form_exit_2(self, tmp_path, capsys):
+        # a power of A - 1e200 overflows; its SVD once did not return
+        inp = write_json(tmp_path, "huge.json",
+                         {"matrix": np.diag([1e200, 1e200, 1e-200,
+                                             1e-200]).tolist()})
+        code, out, err = run_cli(capsys, "--input", inp,
+                                 "--command", "normal-form")
+        assert (code, err) == (2, "")
+        assert json.loads(out)["error"] == "ill-conditioned-spectrum"
 
     @pytest.mark.parametrize("obj", [
         {"n": 1, "path": 3},

@@ -27,7 +27,7 @@ from sympindex.core import symplectic_residual
 from sympindex.spectral import first_kind_eigenvalues
 from sympindex.cz import _Extension, _rho_map, _unit_passage_times
 from sympindex.tolerances import DEFAULT_TOL
-from conftest import krein_degenerate_rotation, rotation
+from conftest import krein_degenerate_rotation, rotation, unit_jordan_real
 
 DATA = Path(__file__).parent / "data"
 # the package exports the function normal_form under the module's name
@@ -38,6 +38,23 @@ def exp_path(n=1, seed=0, scale=1.0, duration=1.0):
     rng = np.random.default_rng(seed)
     s = rng.normal(size=(2 * n, 2 * n)) * scale
     return ExpPath(s_matrix=0.5 * (s + s.T), duration=duration)
+
+
+def unitary_symplectic(n, seed):
+    """The orthogonal symplectic realification of a seeded random unitary."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return np.block([[q.real, -q.imag], [q.imag, q.real]])
+
+
+def jordan_generator(a):
+    """S with J0 S = [[H, 0], [0, -H^T]], H = [[a, 1], [0, a]], on the first
+    two degrees of freedom, and a rotation by 2 on the third: exp(J0 S) has
+    an order-2 Jordan chain at e^a, and its index is the rotation's, 1."""
+    h = np.array([[a, 1.0], [0.0, a]])
+    zero = np.zeros((2, 2))
+    return direct_sum_many([np.block([[zero, -h.T], [-h, zero]]),
+                            np.diag([2.0, 2.0])])
 
 
 def rotation_path(rate, duration=1.0):
@@ -480,19 +497,39 @@ class TestExtensionRoutes:
 
     @pytest.mark.parametrize("a", [0.3, 0.7, 1.5])
     def test_jordan_endpoint_is_perturbed(self, a, monkeypatch):
-        # J0 S = [[A, 0], [0, -A^T]], A = [[a, 1], [0, a]], on the first two
-        # degrees of freedom: an order-2 Jordan chain at e^a, with a rotation
-        # by 2 on the third; the chain's corner 1 deforms to 0 through
-        # admissible paths, so the index is that of the rotation
+        # the chain's corner 1 deforms to 0 through admissible paths, so the
+        # index is that of the rotation
         calls = self.spy_calls(monkeypatch)
-        h = np.array([[a, 1.0], [0.0, a]])
-        zero = np.zeros((2, 2))
-        s = direct_sum_many([np.block([[zero, -h.T], [-h, zero]]),
-                             np.diag([2.0, 2.0])])
-        result = conley_zehnder(ExpPath(s_matrix=s))
+        result = conley_zehnder(ExpPath(s_matrix=jordan_generator(a)))
         assert calls == {"normal_form": 2, "semisimple_perturb": 1}
         assert result.endpoint == "W+"
         assert result.value == HalfInt.from_int(1)
+
+    @pytest.mark.parametrize("conjugator", ["random", "unitary"])
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("a", [0.3, 0.7])
+    def test_conjugated_jordan_endpoint_is_perturbed(self, a, seed,
+                                                     conjugator):
+        # the perturbation splits the chain by about sqrt(eps), enough for
+        # the second normal form under any well-conditioned conjugation
+        k = (random_symplectic(3, seed, 0.3, max_cond=10)
+             if conjugator == "random" else unitary_symplectic(3, seed))
+        path = ConjPath(ConstPath(k), ExpPath(s_matrix=jordan_generator(a)))
+        assert conley_zehnder(path).value == HalfInt.from_int(1)
+
+    @pytest.mark.parametrize("seed", [None, *range(6)])
+    @pytest.mark.parametrize("phi", [0.9, 2.0, -2.5])
+    def test_unit_jordan_endpoint_is_perturbed(self, phi, seed):
+        # an order-2 unit Jordan chain at e^{i phi}; conjugated, it keeps
+        # its component and, up to the bridge, its winding
+        a = unit_jordan_real(phi, 2)
+        turns, endpoint = extension_winding(a)
+        if seed is not None:
+            k = random_symplectic(2, seed, 0.3, max_cond=10)
+            conj_turns, conj_endpoint = extension_winding(
+                k @ a @ np.linalg.inv(k))
+            assert conj_endpoint == endpoint
+            assert conj_turns == pytest.approx(turns, abs=1e-3)
 
     @pytest.mark.parametrize("rates,doubled", [
         # two equal hyperbolic pairs and a rotation by 2
@@ -501,21 +538,13 @@ class TestExtensionRoutes:
         ((1.5 * np.eye(2),) * 3, 6)])
     def test_perturbed_endpoint_rotates_its_unit_blocks(self, rates, doubled,
                                                         monkeypatch):
-        # the repeated eigenvalue forces the perturbation, which stretches
-        # each order-1 UnitNonRealOdd block by a rotation
+        # the repeated eigenvalue forces the perturbation, whose Cayley
+        # factor parts the unit eigenvalues; each order-1 unit block of the
+        # perturbed endpoint turns rho^2 on its way to -1
         calls = self.spy_calls(monkeypatch)
-        stretched = []
-        stretch = nf._stretch_block
-
-        def spy(block, draws):
-            stretched.append(block.case)
-            return stretch(block, draws)
-
-        monkeypatch.setattr(nf, "_stretch_block", spy)
         result = conley_zehnder(DirectSumPath(
             parts=tuple(ExpPath(s_matrix=s) for s in rates)))
         assert calls == {"normal_form": 2, "semisimple_perturb": 1}
-        assert "UnitNonRealOdd" in stretched
         assert result.endpoint == "W+"
         closed = [cz_dim2_closed_form(s, 1.0) for s in rates]
         assert result.value == sum(closed[1:], closed[0])
@@ -758,7 +787,7 @@ class TestPassageScreen:
         assert anchor_sets[1] == anchor_sets[0] == anchor_sets[2]
         # without anchors the spectral winding misses turns
         monkeypatch.setattr("sympindex.cz._unit_passage_times",
-                            lambda path, events: [])
+                            lambda path, tol, events: [])
         with pytest.raises(InternalConsistencyError,
                            match="circle maps disagree"):
             conley_zehnder(path)
@@ -851,8 +880,8 @@ class TestPassageScreen:
                         for k in range(1, int(np.ceil(w / np.pi))))
         # every unit rate passes -1 inside [0, 1]
         assert len(closed) >= len(rates)
-        assert _unit_passage_times(path, Counter()) == pytest.approx(
-            closed, rel=0, abs=1e-8)
+        times = _unit_passage_times(path, DEFAULT_TOL, Counter())
+        assert times == pytest.approx(closed, rel=0, abs=1e-8)
 
     @pytest.mark.parametrize("seed,n", [(0, 1), (1, 2), (2, 3), (3, 4)])
     def test_sampled_copies_of_conjugated_exponentials(self, seed, n):
@@ -900,9 +929,9 @@ class TestPassageScreen:
         events, calls, wind = [], [], cz.winding
         passage_times = cz._unit_passage_times
 
-        def spy_passages(path, counter):
+        def spy_passages(path, tol, counter):
             events.append(counter)
-            return passage_times(path, counter)
+            return passage_times(path, tol, counter)
 
         def spy_winding(*args, **kwargs):
             out = wind(*args, **kwargs)
@@ -917,6 +946,23 @@ class TestPassageScreen:
         # the sampler rounds its parameters to 12 digits
         anchors = {round(t, 12) for t in anchors}
         assert len(anchors) == 3 * 61 and anchors <= sampled
+
+    def test_passage_search_takes_the_callers_profile(self, monkeypatch):
+        # the passage search refines the Souriau sampler to the caller's
+        # max_refine, not the default profile's
+        depths, souriau = [], cz._souriau_winding
+
+        def spy(frames, v, max_refine, coarse):
+            depths.append(max_refine)
+            return souriau(frames, v, max_refine, coarse)
+
+        monkeypatch.setattr(cz, "_souriau_winding", spy)
+        path = ProdPath(left=make_loop(-2, 1),
+                        right=ExpPath(s_matrix=self.LOOP_PRODUCT_S))
+        shallow = DEFAULT_TOL.with_overrides(max_refine=25)
+        assert conley_zehnder(path, shallow).value == HalfInt.from_int(-4)
+        assert conley_zehnder(path).value == HalfInt.from_int(-4)
+        assert depths == [25, DEFAULT_TOL.max_refine]
 
 
 # the fast-rotation family: exp(t J0 diag(w, 1.1 w)) at rate w sqrt(1.1),
@@ -1104,7 +1150,8 @@ class TestMaslovLoop:
         # the Souriau angles of a constant graph do not move, so no grid
         # cell counts a crossing
         events = Counter()
-        assert _unit_passage_times(ConstPath(np.eye(4)), events) == []
+        assert _unit_passage_times(ConstPath(np.eye(4)), DEFAULT_TOL,
+                                   events) == []
         assert events["passages"] == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -1230,3 +1277,45 @@ class TestFailureSurface:
                 outcome = "untyped"
             counts[3 * int(rate // 3), outcome] += 1  # bands of width 3
         assert {outcome for _, outcome in counts} == {"ok"}, sorted(counts.items())
+
+    def test_repeated_endpoint_spectra(self, monkeypatch):
+        # conjugated direct sums of 2 x 2 exponentials whose endpoint
+        # spectra repeat, most of them taking the perturbed route; the
+        # one typed error is a rho_polar symplectic check on the unwinding
+        # of a perturbed endpoint's normal-form basis of cond 95
+        rng = np.random.default_rng(2028)
+        rates = [1.3, 4.1, 7.7, 11.9]
+        calls = TestExtensionRoutes.spy_calls(monkeypatch)
+        counts = Counter()
+        for i in range(240):
+            n = 2 + i % 3
+            kind = i % 4
+            if kind == 0:
+                blocks = [np.diag([2.3, 2.3])] * n
+            elif kind == 1:
+                blocks = ([np.diag([0.7, -0.7])] * (n - 1)
+                          + [np.diag([2.0, 2.0])])
+            elif kind == 2:
+                signs = rng.choice([-1, 1], size=n)
+                blocks = [sign * w * np.eye(2) for sign, w in
+                          zip(signs, rng.choice(rates, size=n))]
+            else:
+                blocks = [rng.choice([np.pi, 3 * np.pi]) * np.eye(2)
+                          if j % 2 == 0 else np.diag([0.4, -0.4])
+                          for j in range(n)]
+            k = random_symplectic(n, seed=i, scale=0.3, max_cond=10)
+            path = ConjPath(ConstPath(k), DirectSumPath(
+                parts=tuple(ExpPath(s_matrix=b) for b in blocks)))
+            closed = [cz_dim2_closed_form(b, 1.0) for b in blocks]
+            value = sum(closed[1:], closed[0])
+            try:
+                outcome = ("ok" if conley_zehnder(path).value == value
+                           else "wrong")
+            except SympindexError:
+                outcome = "typed"
+            except Exception:
+                outcome = "untyped"
+            counts[outcome] += 1
+        assert calls["semisimple_perturb"] == 198
+        assert counts["wrong"] == counts["untyped"] == 0
+        assert counts["typed"] <= 1, counts

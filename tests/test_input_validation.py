@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sympindex import (ConstPath, ExpPath, LoopPath, ParameterError,
-                       SympindexError,
+from sympindex import (ConstPath, ContractError, DimensionError, ExpPath,
+                       LoopPath, ParameterError, SympindexError,
                        SympMatrix, complex_det, cz_dim2_closed_form,
                        extension_winding, lagrangian_rs_index, make_shear,
-                       normal_form, rho, rs2_index, rs_index, vertical_frame)
+                       normal_form, rho, rs2_index, rs_index,
+                       semisimple_perturb, vertical_frame)
 from sympindex.lagrangian import LagrangianFrame
 from sympindex.spectral import (eigen_quadruples, first_kind_eigenvalues,
                                 generalized_eigenspace, krein_form)
@@ -75,6 +76,14 @@ def test_non_finite_tolerance_is_a_parameter_error(name, value):
 def test_malformed_input_raises_a_typed_error(name):
     with pytest.raises(SympindexError):
         REPRODUCERS[name]()
+
+
+@pytest.mark.parametrize("matrix,error", [
+    (NAN_2, ContractError), (WIDE, DimensionError),
+    (np.eye(3), DimensionError), (2.0 * np.eye(2), ContractError)])
+def test_semisimple_perturb_rejects_malformed_input(matrix, error):
+    with pytest.raises(error):
+        semisimple_perturb(matrix)
 
 
 FINITE = st.floats(-1e3, 1e3)

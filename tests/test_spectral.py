@@ -11,7 +11,7 @@ from sympindex import (DEFAULT_TOL, ContractError, ExpPath,
                        SympindexError, direct_sum_many, eigen_quadruples,
                        evaluate_array, first_kind_eigenvalues,
                        generalized_eigenspace, j_matrix, krein_form,
-                       omega_matrix, random_symplectic, rho,
+                       normal_form, omega_matrix, random_symplectic, rho,
                        symplectic_residual)
 from conftest import krein_degenerate_rotation, unit_jordan_real
 
@@ -200,6 +200,16 @@ class TestEigenspaces:
         a = self.defective_real_and_unit()
         with pytest.raises(IllConditionedSpectrumError, match="not invariant"):
             generalized_eigenspace(a, lam, multiplicity=1)
+
+    @pytest.mark.parametrize("multiplicity", [None, 2])
+    def test_overflowing_power_is_ill_conditioned(self, multiplicity):
+        # (A - 1e200)^2 has entries 1e400: LAPACK's SVD of the infinite
+        # matrix did not return
+        a = np.diag([1e200, 1e200, 1e-200, 1e-200])
+        with pytest.raises(IllConditionedSpectrumError, match="overflows"):
+            generalized_eigenspace(a, 1e200, multiplicity=multiplicity)
+        with pytest.raises(IllConditionedSpectrumError, match="overflows"):
+            normal_form(a)
 
 
 class TestKrein:
