@@ -108,6 +108,8 @@ def _run_cz(path_spec, tol, seed, trace_file):
             "krein_nudges": result.diagnostics["krein_nudges"],
             "passages": result.diagnostics["passages"],
             "rho_samples": result.diagnostics["rho_samples"],
+            "perturbed": result.diagnostics["perturbed"],
+            "nf_retry": result.diagnostics["nf_retry"],
         },
     }
 

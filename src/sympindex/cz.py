@@ -18,10 +18,14 @@ grid, while the determinant maps still sample psi_t there and check it
 
 The extension runs from A through a nearby semisimple matrix A' with
 distinct eigenvalues.  A' is A itself when A's normal form has only order-1
-semisimple blocks whose eigenvalues are as far apart as
-``semisimple_perturb`` separates its output; otherwise A' is that
-perturbation of A, one small Cayley factor of A, normal-formed again.  The
-extension's contribution is computed three ways and cross-checked:
+semisimple blocks whose eigenvalues, read from the block parameters, are as
+far apart as ``semisimple_perturb`` separates its output (a normal form
+that ``normal_form`` reads from eigenvectors when they are also isolated);
+otherwise A' is that perturbation of A, one small Cayley factor of A,
+normal-formed again, its split eigenvalues by the chain construction.  The
+result's ``diagnostics`` say which (``perturbed``) and whether the first
+normal form was retried at the extension's own tolerance (``nf_retry``).
+The extension's contribution is computed three ways and cross-checked:
 
 * for the spectral rotation map, analytically from the spectrum of A' (each
   Krein-kappa unit eigenvalue pair at angle phi in (0, pi) contributes
@@ -266,6 +270,20 @@ def _positive_pairs_block(t, lam1, lam2):
 _SEMISIMPLE = ("UnitNonRealOdd", "OffCircleReal", "OffCircleComplex")
 
 
+def _outer_spectrum(blocks) -> np.ndarray:
+    """The eigenvalues on or outside the unit circle of order-1 semisimple
+    blocks, from their parameters: e^{+-i phi}, lam, r e^{+-i phi}."""
+    out = []
+    for b in blocks:
+        if b.case == "OffCircleReal":
+            out.append(complex(b.lambda_param[0]))
+        else:
+            r, phi = ((1.0,) + b.lambda_param if b.case == "UnitNonRealOdd"
+                      else b.lambda_param)
+            out.extend(r * np.exp([1j * phi, -1j * phi]))
+    return np.array(out)
+
+
 class _Extension(PathSpec):
     """Materialized deformation of a semisimple endpoint to W+/-."""
 
@@ -287,9 +305,11 @@ class _Extension(PathSpec):
         # the caller's tol merges eigenvalues that rounding splits off a
         # Jordan block; a gap inside its ambiguity band is separated at
         # nf_tol, whose band (tol_eig <= 2.5e-9) lies below the default's
+        self.nf_retry = False
         try:
             report = normal_form(a_end, tol)
         except IllConditionedSpectrumError:
+            self.nf_retry = True
             report = normal_form(a_end, nf_tol)
         # an endpoint of order-1 semisimple blocks whose eigenvalues are as
         # separated as semisimple_perturb makes its output is its own nearby
@@ -298,7 +318,7 @@ class _Extension(PathSpec):
         self.perturbed = not (
             all(b.case in _SEMISIMPLE and b.jordan_order == 1
                 for b in report.blocks)
-            and _separated(np.linalg.eigvals(report.normal_matrix()), eps))
+            and _separated(_outer_spectrum(report.blocks), eps))
         eye = np.eye(dim)
         self._cayley = np.zeros((dim, dim))
         if self.perturbed:
@@ -596,6 +616,8 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
             "krein_nudges": events["krein_nudges"],
             "passages": events["passages"],
             "rho_samples": events["rho_samples"],
+            "perturbed": ext.perturbed,
+            "nf_retry": ext.nf_retry,
         },
     )
 

@@ -13,9 +13,15 @@ canonical blocks, one family per eigenvalue quadruple:
   kept as an opaque payload so the reconstruction residual is meaningful,
   while the invariants are (case, s, phi) only.
 
-The construction is a per-quadruple recursion: pick a vector maximizing the
-relevant pairing, build one block's symplectic basis from its Jordan chain,
-and recurse on the symplectic orthogonal complement.
+One eigendecomposition of A serves the clustering into quadruples and
+every simple quadruple whose eigenvalue is isolated (no other eigenvalue of
+A within ``ISOLATION_GAP``): its order-1 block reads its basis from
+eigenvectors, of A and, off the circle, of A^-1.  Every other quadruple
+(+-1, a repeated, defective or clustered eigenvalue) takes the chain
+construction, a per-quadruple recursion: pick a vector of
+``spectral.generalized_eigenspace`` maximizing the relevant pairing, build
+one block's symplectic basis from its Jordan chain, and recurse on the
+symplectic orthogonal complement.
 ``semisimple_perturb`` builds none: one small Cayley factor of A parts its
 eigenvalues.
 """
@@ -28,7 +34,8 @@ import numpy as np
 
 from .core import (SympMatrix, direct_sum_many, finite_matrix, j_matrix,
                    omega_matrix, symplectic_residual)
-from .errors import NormalFormError, ParameterError, PerturbationFailureError
+from .errors import (IllConditionedSpectrumError, NormalFormError,
+                     ParameterError, PerturbationFailureError)
 from .spectral import _nullspace, eigen_quadruples, generalized_eigenspace
 from .tolerances import DEFAULT_TOL, ToleranceProfile
 
@@ -421,6 +428,68 @@ def _case_unit(a, om, lam, mult, tol):
 
 
 # ---------------------------------------------------------------------------
+# simple isolated eigenvalues: blocks from eigenvectors
+
+# An eigenvalue is isolated when no other eigenvalue of A lies within this
+# gap of it, relative to max(1, |lam|).  An eigenvector's error grows as the
+# inverse of that gap, and the eigenvalues semisimple_perturb splits off a
+# repeated one (about eps^(1/m) apart, eps <= 1e-6) lie closer: their
+# blocks keep the chain construction on a joint eigenspace.
+ISOLATION_GAP = 1e-3
+
+
+def _isolated(evals: np.ndarray, lam: complex) -> bool:
+    gap = ISOLATION_GAP * max(1.0, abs(lam))
+    return np.count_nonzero(np.abs(evals - lam) <= gap) == 1
+
+
+def _eigenvector(a, evals, vecs, lam):
+    """The eigenvector of the eigenvalue of A nearest lam, checked as
+    ``generalized_eigenspace`` checks its basis."""
+    v = vecs[:, np.argmin(np.abs(evals - lam))]
+    res = np.linalg.norm(a @ v - lam * v)
+    if res > 1e-6 * (1.0 + np.linalg.norm(a - lam * np.eye(a.shape[0]))):
+        raise IllConditionedSpectrumError(
+            f"eigenvector of {lam:.6g} is not invariant (residual {res:.3e})")
+    return v
+
+
+def _simple_unit(om, lam, v, tol):
+    """(block, E, F) of a simple unit eigenvalue: v scaled so that
+    Omega(conj v, v) = -i, conjugated (with lam) where the Krein sign asks."""
+    c0 = _pair(om, v.conj(), v)                   # purely imaginary
+    if abs(c0) < tol.tol_form:
+        raise NormalFormError("degenerate Krein-type pairing on unit eigenspace")
+    v = v / np.sqrt(abs(c0))
+    if c0.imag > 0:
+        lam, v = np.conj(lam), v.conj()
+    s2 = np.sqrt(2.0)
+    return (NormalFormBlock(case="UnitNonRealOdd", size=2,
+                            lambda_param=(float(np.angle(lam)),), jordan_order=1),
+            s2 * v.real[:, None], -s2 * v.imag[:, None])
+
+
+def _simple_off_circle(om, lam, v, w, is_real, tol):
+    """(block, E, F) of a simple off-circle quadruple: v of A and w of A^-1
+    for lam, f = w / Omega(v, w)."""
+    if is_real:
+        lam, v, w = lam.real, v.real, w.real
+    m = _pair(om, v, w)
+    if abs(m) < tol.tol_form:
+        raise NormalFormError("degenerate off-circle pairing")
+    f = w / m
+    if is_real:
+        return (NormalFormBlock(case="OffCircleReal", size=2,
+                                lambda_param=(float(lam),), jordan_order=1),
+                v[:, None], f[:, None])
+    xs, ys = _realify_pairs([v], [f])
+    return (NormalFormBlock(case="OffCircleComplex", size=4,
+                            lambda_param=(float(abs(lam)), float(np.angle(lam))),
+                            jordan_order=1),
+            np.column_stack(xs), np.column_stack(ys))
+
+
+# ---------------------------------------------------------------------------
 # top level
 
 
@@ -433,16 +502,29 @@ def normal_form(A, tol: ToleranceProfile = DEFAULT_TOL) -> NormalFormReport:
     """
     a = finite_matrix(A)
     om = omega_matrix(a.shape[0] // 2)
+    evals, vecs = np.linalg.eig(a)
+    inverse = None   # A^-1 with its eigendecomposition, made once if needed
     parts = []
-    for q in eigen_quadruples(a, tol):
-        lam, mult = q.representative, q.multiplicity
-        if q.regime in ("RealPositive", "RealNegative", "OffCircleComplex"):
-            parts.extend(_case_off_circle(a, om, lam, mult,
-                                          q.regime != "OffCircleComplex", tol))
-        elif q.regime in ("PlusOne", "MinusOne"):
+    for q in eigen_quadruples(a, tol, eigenvalues=evals):
+        lam, mult, regime = q.representative, q.multiplicity, q.regime
+        if regime in ("PlusOne", "MinusOne"):
             parts.extend(_case_plus_minus_one(a, om, lam, mult, tol))
-        else:
+        elif mult == 1 and _isolated(evals, lam):
+            v = _eigenvector(a, evals, vecs, lam)
+            if regime == "UnitNonReal":
+                parts.append(_simple_unit(om, lam, v, tol))
+            else:
+                if inverse is None:
+                    a_inv = om.T @ a.T @ om
+                    inverse = (a_inv, *np.linalg.eig(a_inv))
+                parts.append(_simple_off_circle(
+                    om, lam, v, _eigenvector(*inverse, lam),
+                    regime != "OffCircleComplex", tol))
+        elif regime == "UnitNonReal":
             parts.extend(_case_unit(a, om, lam, mult, tol))
+        else:
+            parts.extend(_case_off_circle(a, om, lam, mult,
+                                          regime != "OffCircleComplex", tol))
     blocks = [b for b, _, _ in parts]
     K = np.column_stack([E for _, E, _ in parts] + [F for _, _, F in parts])
     N = direct_sum_many([b.matrix() for b in blocks])

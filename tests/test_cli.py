@@ -55,6 +55,8 @@ class TestCommands:
         # rho runs on one path sample and the 17 samples of the bridge of
         # the perturbed endpoint -Id
         assert rep["diagnostics"]["rho_samples"] == 1 + 17
+        assert rep["diagnostics"]["perturbed"] is True
+        assert rep["diagnostics"]["nf_retry"] is False
 
     def test_rs_and_rs2(self, tmp_path, capsys):
         inp = write_json(tmp_path, "s.json", shear_job())

@@ -494,6 +494,10 @@ class TestExtensionRoutes:
         result = conley_zehnder(ConjPath(ConstPath(k), ExpPath(s_matrix=s)))
         assert result.endpoint == "W+"
         assert result.value == HalfInt.from_int(1)
+        # only the gap in the default band needs the retry; the merged
+        # pairs are perturbed apart
+        assert result.diagnostics["nf_retry"] == (gap == 3e-7)
+        assert result.diagnostics["perturbed"] == (gap < 1e-7)
 
     @pytest.mark.parametrize("a", [0.3, 0.7, 1.5])
     def test_jordan_endpoint_is_perturbed(self, a, monkeypatch):
@@ -516,6 +520,20 @@ class TestExtensionRoutes:
              if conjugator == "random" else unitary_symplectic(3, seed))
         path = ConjPath(ConstPath(k), ExpPath(s_matrix=jordan_generator(a)))
         assert conley_zehnder(path).value == HalfInt.from_int(1)
+
+    def test_route_is_reported(self):
+        # a cz_exp-like path, exp(t J0 P^T S P) for diagonal elliptic and
+        # hyperbolic blocks, keeps its endpoint; a Jordan endpoint does not
+        k = random_symplectic(3, seed=4, scale=0.3, max_cond=10)
+        s = direct_sum_many([np.diag([2.0, 3.1]), np.diag([0.7, -0.7]),
+                             np.diag([-1.2, -4.0])])
+        simple = conley_zehnder(ExpPath(s_matrix=k.T @ s @ k))
+        assert simple.diagnostics["perturbed"] is False
+        assert simple.diagnostics["nf_retry"] is False
+        jordan = conley_zehnder(ConjPath(
+            ConstPath(k), ExpPath(s_matrix=jordan_generator(0.7))))
+        assert jordan.diagnostics["perturbed"] is True
+        assert jordan.diagnostics["nf_retry"] is False
 
     @pytest.mark.parametrize("seed", [None, *range(6)])
     @pytest.mark.parametrize("phi", [0.9, 2.0, -2.5])

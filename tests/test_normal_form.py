@@ -1,10 +1,15 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from sympindex import (DEFAULT_TOL, NormalFormBlock, ParameterError,
-                       PerturbationFailureError, assemble, invariants_of,
-                       normal_form, random_symplectic, symplectic_residual)
+from sympindex import (DEFAULT_TOL, NormalFormBlock, NormalFormReport,
+                       ParameterError, PerturbationFailureError, assemble,
+                       invariants_of, normal_form, random_symplectic,
+                       semisimple_perturb, symplectic_residual)
 from conftest import random_canonical_blocks, unit_jordan_real
+
+nf = importlib.import_module("sympindex.normal_form")
 
 
 def conjugate(a, n, seed):
@@ -160,3 +165,84 @@ class TestSemisimplePerturb:
         ev = np.linalg.eigvals(ap)
         gaps = [abs(x - y) for i, x in enumerate(ev) for y in ev[i + 1:]]
         assert min(gaps) > 0.05 * 1e-6
+
+
+class TestRoutes:
+    """Which construction builds which block: a simple isolated eigenvalue
+    reads its block from eigenvectors, everything else takes the chain
+    construction on ``generalized_eigenspace``."""
+
+    @staticmethod
+    def spy_eigenspaces(monkeypatch):
+        calls = []
+        inner = nf.generalized_eigenspace
+
+        def wrapped(*args, **kwargs):
+            calls.append(args[1])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(nf, "generalized_eigenspace", wrapped)
+        return calls
+
+    @staticmethod
+    def simple_blocks(rng, n):
+        """Order-1 blocks of the three semisimple cases, of total half-size
+        n, with eigenvalues far apart."""
+        angles = iter(rng.permutation([0.4, 0.9, 1.4, 1.9, 2.4, 2.9]))
+        radii = iter(rng.permutation([1.5, 2.0, 2.5, 3.0]))
+        blocks = []
+        while n > 0:
+            case = rng.choice(["UnitNonRealOdd", "OffCircleReal",
+                               "OffCircleComplex"][:3 if n > 1 else 2])
+            sign = rng.choice([-1.0, 1.0])
+            if case == "UnitNonRealOdd":
+                blocks.append(block(case, 2, (sign * next(angles),), 1))
+            elif case == "OffCircleReal":
+                blocks.append(block(case, 2, (sign * next(radii),), 1))
+            else:
+                blocks.append(block(case, 4, (next(radii), next(angles)), 1))
+            n -= blocks[-1].size // 2
+        return blocks
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_simple_spectrum_takes_eigenvectors(self, seed, monkeypatch):
+        calls = self.spy_eigenspaces(monkeypatch)
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 4
+        blocks = self.simple_blocks(rng, n)
+        k = random_symplectic(n, seed, 0.3, max_cond=10)
+        a = k @ assemble(blocks) @ np.linalg.inv(k)
+        rep = normal_form(a)
+        assert invariants_of(rep) == invariants_of(
+            NormalFormReport(blocks=tuple(blocks), basis=np.eye(2 * n),
+                             residual=0.0))
+        assert rep.residual <= DEFAULT_TOL.tol_nf * np.linalg.norm(a)
+        assert symplectic_residual(rep.basis) < 1e-7
+        assert calls == []
+
+    def test_every_case_is_drawn(self):
+        cases = {b.case for seed in range(12) for b in self.simple_blocks(
+            np.random.default_rng(seed), 1 + seed % 4)}
+        assert cases == {"UnitNonRealOdd", "OffCircleReal", "OffCircleComplex"}
+
+    def test_repeated_spectrum_takes_the_chain(self, monkeypatch):
+        calls = self.spy_eigenspaces(monkeypatch)
+        rot = block("UnitNonRealOdd", 2, (1.5,), 1)
+        hyp = block("OffCircleReal", 2, (2.0,), 1)
+        a = conjugate(assemble([rot, rot, hyp, hyp]), 4, seed=7)
+        rep = normal_form(a)
+        assert invariants_of(rep) == (
+            ("OffCircleReal", 2, 1, (2.0,), None),) * 2 + (
+            ("UnitNonRealOdd", 2, 1, (1.5,), None),) * 2
+        assert len(calls) > 0
+
+    def test_perturbed_matrix_takes_the_chain(self, monkeypatch):
+        # the perturbation parts the repeated eigenvalue 2 by far less than
+        # the isolation gap, so each part keeps the chain construction
+        calls = self.spy_eigenspaces(monkeypatch)
+        ap = semisimple_perturb(np.diag([2.0, 2.0, 0.5, 0.5]), eps=1e-6)
+        tol = DEFAULT_TOL.with_overrides(tol_eig=2.5e-9)
+        rep = normal_form(ap, tol)
+        assert [b.case for b in rep.blocks] == ["OffCircleReal"] * 2
+        assert rep.residual <= tol.tol_nf * np.linalg.norm(ap)
+        assert len(calls) > 0
