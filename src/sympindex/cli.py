@@ -28,7 +28,7 @@ from .normal_form import normal_form
 from .paths import evaluate_array  # noqa: F401
 from .paths import evaluate_stack, path_from_json
 from .rs import _rs2, rs_index
-from .spectral import first_kind_eigenvalues, rho
+from .spectral import rho
 from .tolerances import DEFAULT_TOL
 
 __all__ = ["main", "run"]
@@ -110,6 +110,7 @@ def _run_cz(path_spec, tol, seed, trace_file):
             "rho_samples": result.diagnostics["rho_samples"],
             "perturbed": result.diagnostics["perturbed"],
             "nf_retry": result.diagnostics["nf_retry"],
+            "unit_turns": _fmt_float(result.diagnostics["unit_turns"]),
         },
     }
 
@@ -144,8 +145,7 @@ def _run_maslov(path_spec, tol, trace_file):
 
 
 def _run_rho(matrix, tol):
-    value = rho(matrix, tol)
-    first = first_kind_eigenvalues(matrix, tol)
+    value, first = rho(matrix, tol, first_kind=True)
     return {
         "value_complex": [_fmt_float(value.real), _fmt_float(value.imag)],
         "diagnostics": {

@@ -33,10 +33,14 @@ The extension's contribution is computed three ways and cross-checked:
   from A to A' (two samples when A' is A, the bridge being constant);
 * for the polar and C-linear-part maps, whose values are not functions of the
   spectrum alone, by sampling an explicitly materialized extension: the
-  bridge, a blockwise eigenvalue deformation in the normal-form basis, and a
-  final unwinding of the conjugation.  A constant bridge is not sampled, so
-  on that route the two spectral bridge samples share only t = 1/3 with
-  their grid.
+  bridge, a blockwise eigenvalue deformation in the normal-form basis
+  K = U P, and an unwinding of its positive factor P, which ends at
+  U W+- U^T for the orthogonal symplectic U.  That end is as good as W+-:
+  each circle map restricts to det_C on U(n) = Sp(2n) & O(2n), so it takes
+  the same value on every U(n)-conjugate (Salamon-Zehnder, CPAM 45, 1992),
+  and a leg from U W+- U^T to W+- would be constant for all three.  A
+  constant bridge is not sampled either, so on that route the two spectral
+  bridge samples share only t = 1/3 with their grid.
 
 The polar and C-linear-part maps are one map on Sp(2n) (``core.rho_polar``
 takes det_C of the polar factor from det_C(C_A) = det_C(U) det_C(C_P)), so
@@ -285,7 +289,8 @@ def _outer_spectrum(blocks) -> np.ndarray:
 
 
 class _Extension(PathSpec):
-    """Materialized deformation of a semisimple endpoint to W+/-."""
+    """Materialized deformation of a semisimple endpoint to U W+/- U^T,
+    for the unitary factor U of its normal-form basis (``_build_unwind``)."""
 
     def __init__(self, a_end: np.ndarray, tol: ToleranceProfile, seed: int):
         a_end = finite_matrix(a_end)
@@ -387,7 +392,7 @@ class _Extension(PathSpec):
             deformers.append(partial(_unit_to_minus_one, phi=lam[i][0]))
         self._deformers = deformers
 
-        # final unwinding of the conjugation
+        # the unwinding of the conjugation down to its unitary factor
         self.a_end = a_end
         self._w_matrix = self._deform(np.ones(1))[0]
         self._unwind = self._build_unwind(self.k_perm)
@@ -397,38 +402,27 @@ class _Extension(PathSpec):
 
     @staticmethod
     def _build_unwind(k: np.ndarray):
-        """Path K(t) from K to Id through the symplectic polar coordinates,
-        with its inverse: K(t) = O^(1-t) P^(1-t) for K = O P with
-        P = (K^T K)^(1/2), and K(t)^-1 = P^-(1-t) O^(1-t)^T.
+        """Path K(t) = U P^(1-t) from K to U, with its inverse P^(t-1) U^T.
 
-        O and P come from the SVD K = X diag(s) V^T as X V^T and
-        V diag(s) V^T, so O is orthogonal to rounding whatever cond(K).  The
-        eigenbasis of its unitary block u is orthonormalised (u is normal):
-        eig returns a skewed basis for a cluster such as u = -Id, whose
-        angles may land on both branches +-pi, and only an orthonormal
-        basis keeps O^(1-t) orthogonal with O^(1-t)^T its inverse.
+        P^(1-t) = V diag(s^(1-t)) V^T comes from the SVD K = X diag(s) V^T.
+        U is [[Re w, -Im w], [Im w, Re w]] for the unitary polar factor w of
+        the complex block of O = X V^T, so it is orthogonal and symplectic
+        to rounding whatever cond(K), U^T is its inverse, and U P is K to
+        rounding.  The extension ends at U W U^T (see the module docstring).
 
         ``k_at`` broadcasts over the shape of t: an array of t gives stacks,
         a scalar t one matrix each."""
         n = k.shape[0] // 2
         x, s, vt = np.linalg.svd(k)
         o = x @ vt
-        u = o[:n, :n] + 1j * o[n:, :n]
-        wu, vu = np.linalg.eig(u)
-        theta = np.angle(wu)
-        vu, _ = np.linalg.qr(vu)
-        vu_inv = vu.conj().T
+        y, _, zh = np.linalg.svd(o[:n, :n] + 1j * o[n:, :n])
+        w = y @ zh
+        u = np.block([[w.real, -w.imag], [w.imag, w.real]])
 
         def k_at(t) -> tuple[np.ndarray, np.ndarray]:
             t = np.asarray(t, dtype=float)[..., None]
-            ut = (vu * np.exp(1j * (1 - t) * theta)[..., None, :]) @ vu_inv
-            ot = np.empty(ut.shape[:-2] + (2 * n, 2 * n))
-            ot[..., :n, :n] = ot[..., n:, n:] = ut.real
-            ot[..., :n, n:] = -ut.imag
-            ot[..., n:, :n] = ut.imag
-            return (ot @ ((vt.T * (s ** (1 - t))[..., None, :]) @ vt),
-                    (vt.T * (s ** (t - 1))[..., None, :]) @ vt
-                    @ np.swapaxes(ot, -1, -2))
+            return (u @ ((vt.T * (s ** (1 - t))[..., None, :]) @ vt),
+                    (vt.T * (s ** (t - 1))[..., None, :]) @ vt @ u.T)
 
         return k_at
 
@@ -618,6 +612,7 @@ def conley_zehnder(path: PathSpec, tol: ToleranceProfile = DEFAULT_TOL,
             "rho_samples": events["rho_samples"],
             "perturbed": ext.perturbed,
             "nf_retry": ext.nf_retry,
+            "unit_turns": ext.unit_turns,
         },
     )
 

@@ -22,7 +22,7 @@ that matrix raises the same error on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -73,15 +73,27 @@ class EigenQuadruple:
     ``representative`` lies on or outside the unit circle with Im >= 0;
     ``members`` are the distinct values of {lam, 1/lam, conj(lam),
     1/conj(lam)} derived from it, each of algebraic multiplicity
-    ``multiplicity``.
+    ``multiplicity``.  ``regime`` is classified from the representative
+    once, at construction.
     """
 
     representative: complex
     multiplicity: int
+    regime: str = field(init=False)
 
-    @property
-    def regime(self) -> str:
-        return _REGIMES[int(_regime_codes(np.array(self.representative)))]
+    def __post_init__(self):
+        object.__setattr__(self, "regime", _REGIMES[
+            int(_regime_codes(np.array(self.representative)))])
+
+    @classmethod
+    def _classified(cls, representative: complex, multiplicity: int,
+                    regime: str) -> EigenQuadruple:
+        """A quadruple whose regime ``_quadruples`` has already classified."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "representative", representative)
+        object.__setattr__(q, "multiplicity", multiplicity)
+        object.__setattr__(q, "regime", regime)
+        return q
 
     @property
     def members(self) -> tuple[complex, ...]:
@@ -205,27 +217,30 @@ def eigen_quadruples(A, tol: ToleranceProfile = DEFAULT_TOL, *,
     caller already made; otherwise they are computed here.
 
     Of a stack (k, 2n, 2n), with ``eigenvalues`` of shape (k, 2n), the
-    quadruples come as two (k, 2n) arrays, the representatives and the
-    multiplicities: each column of nonzero multiplicity holds a quadruple,
-    in the order of the list for one matrix.  The stack is checked and
-    clustered at once and fails as ``rho`` does.
+    quadruples come as three (k, 2n) arrays, the representatives, the
+    multiplicities and the regime codes: each column of nonzero
+    multiplicity holds a quadruple, in the order of the list for one
+    matrix.  The stack is checked and clustered at once and fails as
+    ``rho`` does.
     """
     a = as_array(A)
     _check_even_square(a, stacked=True)
     stack = a if a.ndim == 3 else a[None]
     given = (None if eigenvalues is None
              else np.reshape(eigenvalues, stack.shape[:2]))
-    reps, mults = _quadruples(stack, given, tol)
+    reps, mults, codes = _quadruples(stack, given, tol)
     if a.ndim == 3:
-        return reps, mults
-    return [EigenQuadruple(representative=rep, multiplicity=mult)
-            for rep, mult in zip(reps[0].tolist(), mults[0].tolist()) if mult]
+        return reps, mults, codes
+    return [EigenQuadruple._classified(rep, mult, _REGIMES[code])
+            for rep, mult, code
+            in zip(reps[0].tolist(), mults[0].tolist(), codes[0].tolist())
+            if mult]
 
 
 def _quadruples(stack: np.ndarray, evals: np.ndarray | None,
                 tol: ToleranceProfile):
-    """``eigen_quadruples`` of a stack, raising the first check that a
-    matrix fails, for the first matrix that fails it."""
+    """``eigen_quadruples`` of a stack with its regime codes, raising the
+    first check that a matrix fails, for the first matrix that fails it."""
     n = stack.shape[-1] // 2
     tol_eig = tol.tol_eig
     _check(~(_symplectic_residuals(stack) <= tol.tol_symp),
@@ -273,10 +288,11 @@ def _quadruples(stack: np.ndarray, evals: np.ndarray | None,
     mults[snapped.imag < 0.0] = 0
 
     # the inside half is not clustered: its count shows only here
-    total = (mults * _MEMBER_COUNT[_regime_codes(snapped)]).sum(axis=1)
+    codes = _regime_codes(snapped)
+    total = (mults * _MEMBER_COUNT[codes]).sum(axis=1)
     _check(total != 2 * n, lambda r: IllConditionedSpectrumError(
         f"quadruple multiplicities sum to {total[r]}, expected {2 * n}"))
-    return snapped, mults
+    return snapped, mults, codes
 
 
 def _nullspace(M: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
@@ -417,8 +433,7 @@ def _spectral_summary(stack: np.ndarray, tol: ToleranceProfile) -> _Summary:
     # real matrix costs about half of the complex one and still returns
     # conjugate eigenvector pairs
     evals, evecs = np.linalg.eig(stack)
-    reps, mults = eigen_quadruples(stack, tol, eigenvalues=evals)
-    codes = _regime_codes(reps)
+    reps, mults, codes = eigen_quadruples(stack, tol, eigenvalues=evals)
     plus, minus = np.zeros_like(mults), np.zeros_like(mults)
     forms = np.zeros(mults.shape)
     # the unit pairs in the order they meet their checks (Im lam > 0)
@@ -521,8 +536,9 @@ def _unit_product(s: _Summary, negative: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rho_routes(stack: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
-    """rho of each matrix of a stack by both routes, which must agree."""
+def _rho_routes(stack: np.ndarray, tol: ToleranceProfile):
+    """rho of each matrix of a stack by both routes, which must agree, with
+    the values and counts of the first-kind eigenvalues of route 2."""
     s = _spectral_summary(stack, tol)
     # Route 1: the closed formula over negative-real and unit eigenvalues.
     m_minus = (s.mults * np.select([s.codes == _REAL_NEGATIVE, s.codes == _MINUS_ONE],
@@ -537,10 +553,10 @@ def _rho_routes(stack: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
 
     _check(np.abs(value - prod) > 1e-9, lambda r: IllConditionedSpectrumError(
         f"rho routes disagree: {complex(value[r]):.12g} vs {complex(prod[r]):.12g}"))
-    return value
+    return value, values, counts
 
 
-def rho(A, tol: ToleranceProfile = DEFAULT_TOL):
+def rho(A, tol: ToleranceProfile = DEFAULT_TOL, *, first_kind: bool = False):
     """The canonical rotation map, computed by two routes that must agree.
 
     Of a stack (k, 2n, 2n), the array of the values of its matrices, from
@@ -549,9 +565,17 @@ def rho(A, tol: ToleranceProfile = DEFAULT_TOL):
     of the first matrix that fails that check, and that matrix raises the
     same error on its own.  The matrices before it passed the checks up to
     that one, and may fail a later one.
+
+    With ``first_kind``, a pair: the value and the first-kind eigenvalues
+    of route 2 with multiplicity, as ``first_kind_eigenvalues`` lists them
+    (of a stack, one list per matrix), from the same summary.
     """
     a = as_array(A)
     _check_even_square(a, stacked=True)
     stack = a if a.ndim == 3 else a[None]
-    values = _rho_routes(stack, tol)
-    return values if a.ndim == 3 else complex(values[0])
+    values, first, counts = _rho_routes(stack, tol)
+    if not first_kind:
+        return values if a.ndim == 3 else complex(values[0])
+    listed = [np.repeat(v.ravel(), c.ravel()).tolist()
+              for v, c in zip(first, counts)]
+    return (values, listed) if a.ndim == 3 else (complex(values[0]), listed[0])

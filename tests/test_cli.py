@@ -5,7 +5,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sympindex import DEFAULT_TOL, evaluate_array, make_loop, rho
+import sympindex.spectral as spectral
+from sympindex import (DEFAULT_TOL, direct_sum_many, evaluate_array,
+                       first_kind_eigenvalues, make_loop, rho)
 from sympindex.cli import main
 from sympindex.cz import _unit_passage_times, winding
 
@@ -118,6 +120,37 @@ class TestCommands:
         assert rep["value_complex"] == pytest.approx(
             [np.cos(phi), np.sin(phi)], abs=1e-9)
         assert len(rep["diagnostics"]["first_kind"]) == 1
+
+    def test_rho_builds_one_spectral_summary(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the value and the first-kind eigenvalues of a rotation (+) a
+        # hyperbolic pair come from one summary, and from the library's rho
+        a = direct_sum_many([np.array([[np.cos(2.1), -np.sin(2.1)],
+                                       [np.sin(2.1), np.cos(2.1)]]),
+                             np.diag([3.0, 1 / 3.0])])
+        inp = write_json(tmp_path, "m.json", {"matrix": a.tolist()})
+        calls, quadruples = [], spectral.eigen_quadruples
+        monkeypatch.setattr(spectral, "eigen_quadruples", lambda *args, **kw:
+                            calls.append(1) or quadruples(*args, **kw))
+        code, out, _ = run_cli(capsys, "--input", inp, "--command", "rho")
+        assert code == 0 and len(calls) == 1
+        value = rho(a)
+        assert json.loads(out)["value_complex"] == [
+            float(f"{value.real:.12g}"), float(f"{value.imag:.12g}")]
+        assert json.loads(out)["diagnostics"]["first_kind"] == [
+            [float(f"{z.real:.12g}"), float(f"{z.imag:.12g}")]
+            for z in first_kind_eigenvalues(a)]
+
+    def test_cz_reports_the_unit_turns(self, tmp_path, capsys):
+        # an unperturbed rotation by 2.5: the extension's whole turn is the
+        # unit-spectrum sum (pi - 2.5) / pi
+        inp = write_json(tmp_path, "p.json", rotation_job(2.5))
+        code, out, _ = run_cli(capsys, "--input", inp, "--command", "cz")
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert diagnostics["perturbed"] is False
+        assert diagnostics["unit_turns"] == pytest.approx((np.pi - 2.5) / np.pi)
+        assert diagnostics["unit_turns"] == diagnostics["extension_winding"]
 
     def test_normal_form(self, tmp_path, capsys):
         inp = write_json(tmp_path, "nf.json",

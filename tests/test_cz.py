@@ -23,8 +23,8 @@ from sympindex import (AdmissibilityError, CatPath, ConditioningError,
                        winding)
 import sympindex.cz as cz
 import sympindex.spectral as spectral
-from sympindex.core import symplectic_residual
-from sympindex.spectral import first_kind_eigenvalues
+from sympindex.core import rho_hat, rho_polar, symplectic_residual
+from sympindex.spectral import first_kind_eigenvalues, rho
 from sympindex.cz import _Extension, _rho_map, _unit_passage_times
 from sympindex.tolerances import DEFAULT_TOL
 from conftest import krein_degenerate_rotation, rotation, unit_jordan_real
@@ -160,10 +160,17 @@ class TestExtension:
             left = evaluate_array(ext, t)
             right = evaluate_array(ext, np.nextafter(t, 1.0))
             assert np.linalg.norm(left - right) <= 1e-10 * np.linalg.norm(left)
+        # it ends at U W+- U^T for the fixed unitary factor U of the
+        # unwinding, where every circle map takes its value at W+-
         end = evaluate_array(ext, 1.0)
         target = -np.eye(4) if ext.endpoint == "W+" else \
             np.diag([2.0, -1.0, 0.5, -1.0])
-        assert np.linalg.norm(end - target) <= 1e-10
+        u = ext._unwind(1.0)[0]
+        assert np.linalg.norm(u.T @ u - np.eye(4)) <= 1e-12
+        assert symplectic_residual(u) <= 1e-12
+        assert np.linalg.norm(end - u @ target @ u.T) <= 1e-10
+        for circle_map in (rho, rho_polar, rho_hat):
+            assert abs(circle_map(end) - circle_map(target)) <= 1e-12
         for t in np.linspace(0.0, 1.0, 31):
             assert symplectic_residual(evaluate_array(ext, t)) < 1e-10
 
@@ -206,9 +213,8 @@ class TestExtension:
         assert calls and sum(calls) == len(path._cache)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_unwind_runs_from_k_to_the_identity(self, seed):
-        # K = -P for a positive polar factor P has orthogonal factor -Id,
-        # whose eigenvalues eig splits across the branches +-pi
+    def test_unwind_runs_from_k_to_its_unitary_factor(self, seed):
+        # K = -P for a positive polar factor P has the orthogonal factor -Id
         ks = [random_symplectic(3, seed=seed, max_cond=50)]
         ks += [-sla.polar(random_symplectic(2, seed=s, max_cond=20))[1]
                for s in range(seed, 40, 3)]
@@ -216,15 +222,32 @@ class TestExtension:
             k_at = _Extension._build_unwind(k)
             eye = np.eye(k.shape[0])
             assert np.linalg.norm(k_at(0.0)[0] - k) <= 1e-12
-            assert np.linalg.norm(k_at(1.0)[0] - eye) <= 1e-12
+            u = k_at(1.0)[0]
+            assert np.linalg.norm(u.T @ u - eye) <= 1e-12
+            assert symplectic_residual(u) <= 1e-12
             for t in np.linspace(0.0, 1.0, 31):
                 kt, kt_inv = k_at(t)
                 assert symplectic_residual(kt) < 1e-10
                 assert np.linalg.norm(kt_inv @ kt - eye) <= 1e-12
 
+    @pytest.mark.parametrize("n, seed", [(3, 0), (3, 1), (4, 2), (4, 3)])
+    def test_circle_maps_are_unitary_conjugation_invariant(self, n, seed):
+        # the unwinding stops at its unitary factor U because every circle
+        # map restricts to det_C on U(n) = Sp(2n) & O(2n), so conjugation by
+        # U leaves it unchanged; X has unit pairs of both Krein signs, a
+        # negative hyperbolic pair and, at n = 4, a positive one
+        blocks = [_rot2(0.9), np.diag([-2.0, -0.5]), _rot2(-2.1),
+                  np.diag([1.5, 1 / 1.5])][:n]
+        k = random_symplectic(n, seed=seed, scale=0.3)
+        x = k @ direct_sum_many(blocks) @ np.linalg.inv(k)
+        u = unitary_symplectic(n, seed)
+        for circle_map in (rho, rho_polar, rho_hat):
+            assert abs(circle_map(u @ x @ u.T) - circle_map(x)) <= 1e-12
+
     def test_orthogonal_factor_at_minus_identity(self):
-        # the unwind's orthogonal factor has a double eigenvalue -1, which
-        # eig splits across the branches +-pi
+        # a sum of two rotations of index 3 each; its normal-form basis now
+        # has the orthogonal factor Id, not the double eigenvalue -1 that
+        # the name recalls, so this pins the value only
         path = DirectSumPath(parts=(
             ExpPath(s_matrix=np.diag([9.85616236, 14.61014894])),
             ExpPath(s_matrix=np.diag([9.54149537, 14.98637942]))))
@@ -294,21 +317,18 @@ SCALAR_DEFORMERS = {
 
 
 def scalar_k_at(k):
-    """The unwinding K(t) and its inverse at one t, in the per-sample
-    arithmetic before ``_Extension._build_unwind`` broadcast over t."""
+    """The unwinding K(t) = U P^(1-t) and its inverse at one t, one matrix
+    at a time: U is the realified unitary polar factor of the complex block
+    of K's orthogonal polar factor, both taken by ``scipy.linalg.polar``."""
     n = k.shape[0] // 2
-    x, s, vt = np.linalg.svd(k)
-    o = x @ vt
-    wu, vu = np.linalg.eig(o[:n, :n] + 1j * o[n:, :n])
-    theta = np.angle(wu)
-    vu, _ = np.linalg.qr(vu)
-    vu_inv = vu.conj().T
+    o, _ = sla.polar(k)
+    w, _ = sla.polar(o[:n, :n] + 1j * o[n:, :n])
+    u = np.block([[w.real, -w.imag], [w.imag, w.real]])
+    _, s, vt = np.linalg.svd(k)
 
     def k_at(t):
-        ut = (vu * np.exp(1j * (1 - t) * theta)) @ vu_inv
-        ot = np.block([[ut.real, -ut.imag], [ut.imag, ut.real]])
-        return (ot @ ((vt.T * s ** (1 - t)) @ vt),
-                (vt.T * s ** (t - 1)) @ vt @ ot.T)
+        return (u @ ((vt.T * s ** (1 - t)) @ vt),
+                (vt.T * s ** (t - 1)) @ vt @ u.T)
 
     return k_at
 
@@ -653,6 +673,20 @@ class TestIndexProperties:
         # rho runs on the character sample and the 17 samples of the
         # bridge of the perturbed endpoint -Id
         assert res.diagnostics["rho_samples"] == 1 + 17
+
+    def test_unit_turns_are_reported(self):
+        # the unperturbed rotation by 2.5 turns rho^2 by (pi - 2.5) / pi on
+        # its way to -1, and its constant bridge by nothing
+        res = conley_zehnder(rotation_path(2.5))
+        assert res.diagnostics["perturbed"] is False
+        assert res.diagnostics["unit_turns"] == pytest.approx(
+            (np.pi - 2.5) / np.pi, abs=1e-12)
+        assert res.extension_winding == res.diagnostics["unit_turns"]
+        # the perturbed -Id: the sum over the unit pairs split off -1
+        res = conley_zehnder(rotation_path(np.pi))
+        ext = _Extension(evaluate_array(rotation_path(np.pi), 1.0),
+                         DEFAULT_TOL, seed=0)
+        assert res.diagnostics["unit_turns"] == ext.unit_turns
 
     def test_tolerance_fallback_is_recorded(self):
         # n = 8, spectral radius 12: the one exponential's character sample

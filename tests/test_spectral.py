@@ -145,6 +145,28 @@ class TestQuadruples:
         assert quads[0].multiplicity == 4
         assert quads[0].regime == "UnitNonReal"
 
+    def test_regimes_are_classified_once(self, monkeypatch):
+        # one classification per stack, kept by the quadruples; a quadruple
+        # built from its representative alone classifies it itself
+        a = direct_sum_many([np.diag([3.0, 1 / 3.0]), rotation(0.8),
+                             np.diag([-2.0, -0.5]), -np.eye(2)])
+        calls, codes = [], spectral._regime_codes
+        monkeypatch.setattr(spectral, "_regime_codes",
+                            lambda reps: calls.append(1) or codes(reps))
+        quads = eigen_quadruples(a)
+        assert [q.members for q in quads] and sum(calls) == 1
+        rho(np.array([a, a]))
+        assert sum(calls) == 2
+        for q in quads:
+            assert spectral.EigenQuadruple(q.representative,
+                                           q.multiplicity) == q
+        assert sum(calls) == 2 + len(quads)
+        assert sorted(q.regime for q in quads) == [
+            "MinusOne", "RealNegative", "RealPositive", "UnitNonReal"]
+        # the regime is not the caller's to give
+        with pytest.raises(TypeError):
+            spectral.EigenQuadruple(2.0, 1, "PlusOne")
+
 
 class TestEigenspaces:
     def test_generalized_eigenspace_dimension(self):
@@ -555,12 +577,23 @@ class TestStackedRho:
         singles = [rho(a) for a in stack]
         assert values.shape == (len(stack),)
         assert values.tobytes() == np.array(singles).tobytes()
-        reps, mults = eigen_quadruples(stack)
+        reps, mults, codes = eigen_quadruples(stack)
         for row, a in enumerate(stack):
             quads = eigen_quadruples(a)
             keep = mults[row] > 0
             assert mults[row][keep].tolist() == [q.multiplicity for q in quads]
             assert reps[row][keep].tolist() == [q.representative for q in quads]
+            assert [spectral._REGIMES[c] for c in codes[row][keep]] == [
+                q.regime for q in quads]
+
+    def test_first_kind_comes_with_the_value(self):
+        stack = mixed_stack(3, 2)
+        values, first = rho(stack, first_kind=True)
+        assert values.tobytes() == rho(stack).tobytes()
+        assert first == [first_kind_eigenvalues(a) for a in stack]
+        value, first = rho(stack[0], first_kind=True)
+        assert value == values[0]
+        assert first == first_kind_eigenvalues(stack[0])
 
     def test_a_matrix_is_a_stack_of_one(self):
         a = direct_sum_many([rotation(0.7), np.diag([2.0, 0.5])])
