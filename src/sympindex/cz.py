@@ -324,14 +324,13 @@ class _Extension(PathSpec):
             all(b.case in _SEMISIMPLE and b.jordan_order == 1
                 for b in report.blocks)
             and _separated(_outer_spectrum(report.blocks), eps))
-        eye = np.eye(dim)
+        eye, om = np.eye(dim), omega_matrix(dim // 2)
         self._cayley = np.zeros((dim, dim))
         if self.perturbed:
             aprime = semisimple_perturb(a_end, eps=eps, seed=seed)
             report = normal_form(aprime, nf_tol)
             # Cayley bridge A (I - uC)^-1 (I + uC) to the perturbed endpoint,
             # B = A^-1 A' with A^-1 = Omega^T A^T Omega
-            om = omega_matrix(dim // 2)
             b = om.T @ a_end.T @ om @ aprime
             try:
                 self._cayley = np.linalg.solve(b + eye, b - eye)
@@ -371,8 +370,11 @@ class _Extension(PathSpec):
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         # basis columns by (e/f half, index): each block keeps both halves
         halves = report.basis.reshape(dim, 2, dim // 2)
-        self.k_perm = np.concatenate([halves[:, :, offsets[i]:offsets[i + 1]]
-                                      for i in order], axis=2).reshape(dim, dim)
+        k = np.concatenate([halves[:, :, offsets[i]:offsets[i + 1]]
+                            for i in order], axis=2).reshape(dim, dim)
+        # one Newton step K (I + Omega D / 2), D = K^T Omega K - Omega, takes
+        # the basis from symplectic to O(D) to symplectic to O(D^2)
+        self.k_perm = k @ (eye + 0.5 * om @ (k.T @ om @ k - om))
         self.k_perm_inv = np.linalg.inv(self.k_perm)
 
         # blockwise deformers, each a stack over an array of t in [0, 1], in

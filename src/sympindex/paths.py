@@ -7,11 +7,25 @@ reversal, affine shears and canonical rotation loops.  Every evaluated point
 is symplectic by construction.
 
 A node evaluates an array of parameters at once, to a stack of matrices:
-an exponential segment makes one ``expm`` call for the whole array, a direct
-sum of exponential segments is one exponential segment, and the other
-composite nodes combine their children's stacks with batched arithmetic.
-Only the exponential and sampled segments import scipy, when they first
-run, so a path without them never loads it.
+an exponential segment, and a direct sum of them, evaluates the whole array
+in one batched product from one eigendecomposition of its generator, and the
+other composite nodes combine their children's stacks with batched
+arithmetic.  Only the exponential and sampled segments import scipy, when
+they first run, so a path without them never loads it.
+
+The eigenvector route (Moler and Van Loan, SIAM Review 45, 2003, method 14)
+takes psi_t = exp(tM) as Re(V diag(e^{t mu}) V^-1) from one decomposition
+M = V diag(mu) V^-1, made on the node's first evaluation.  Its rounding
+error is about eps cond(V) e^{t max Re mu}, while the least singular value
+of the symplectic psi_t is 1 / ||psi_t^-1|| >= e^{-t max Re mu} / cond(V)
+(the spectrum of a Hamiltonian M is symmetric under mu -> -mu).  So on
+[0, 1] the error relative to psi_t's least singular direction is at most
+about eps EIG_BOUND where cond(V)^2 e^{2 max Re mu} <= EIG_BOUND.  A
+decomposition within that bound is used only if a second route agrees: the
+scipy ``expm`` of M, computed once per node, within EIG_CHECK relative in
+the Frobenius norm.  A node that fails either (a nilpotent or near-defective
+M, a fast hyperbolic rate, an endpoint overflowing the float range) keeps
+one scipy ``expm`` call per stack.
 """
 
 from __future__ import annotations
@@ -29,6 +43,10 @@ from .errors import (ContractError, DimensionError, ParameterError,
                      SamplingError)
 from .sampling import difference_quotient
 from .tolerances import DEFAULT_TOL
+
+# the eigenvector route of exponential nodes (see the module docstring)
+EIG_BOUND = 1e6
+EIG_CHECK = 1e-12
 
 __all__ = [
     "PathSpec",
@@ -174,9 +192,52 @@ class ConstPath(PathSpec):
         return np.broadcast_to(self.matrix, (len(ts),) + self.matrix.shape)
 
 
+def _interleaved(blocks: list[np.ndarray]) -> np.ndarray:
+    """``direct_sum_many`` of complex matrices."""
+    return (direct_sum_many([b.real for b in blocks])
+            + 1j * direct_sum_many([b.imag for b in blocks]))
+
+
+def _eig_route(blocks: list[np.ndarray]) -> tuple | None:
+    """The decomposition (V, mu, V^-1) of the generator M, the interleaved
+    direct sum of ``blocks``, built from one ``eig`` per block so that it
+    keeps M's zeros; None unless it meets EIG_BOUND and agrees with the
+    scipy ``expm`` of M to EIG_CHECK (see the module docstring)."""
+    import scipy.linalg as sla
+
+    if not all(np.isfinite(b).all() for b in blocks):
+        return None
+    try:
+        mus, vs = zip(*(np.linalg.eig(b) for b in blocks))
+    except np.linalg.LinAlgError:
+        return None
+    v = _interleaved(vs)
+    mu = np.diagonal(_interleaved([np.diag(m) for m in mus]))
+    if not 2.0 * (np.log(np.linalg.cond(v)) + mu.real.max()) \
+            <= np.log(EIG_BOUND):
+        return None
+    route = (v, mu, _interleaved([np.linalg.inv(b) for b in vs]))
+    end = sla.expm(direct_sum_many(blocks))
+    if not np.linalg.norm(_eig_stack(route, np.ones(1))[0] - end) \
+            <= EIG_CHECK * np.linalg.norm(end):
+        return None
+    return route
+
+
+def _eig_stack(route: tuple, ts: np.ndarray) -> np.ndarray:
+    """The stack Re(V diag(e^{t mu}) V^-1) over ``ts`` in one product."""
+    v, mu, v_inv = route
+    return np.ascontiguousarray(
+        ((v * np.exp(ts[:, None] * mu)[:, None, :]) @ v_inv).real)
+
+
 @dataclass(frozen=True)
 class ExpPath(PathSpec):
-    """t -> exp(t * duration * J0 S) for a symmetric generator S."""
+    """t -> exp(t * duration * J0 S) for a symmetric generator S.
+
+    A stack is Re(V diag(e^{t mu}) V^-1) from the decomposition of
+    M = duration J0 S that ``_eig_route`` certifies on first use, or one
+    scipy ``expm`` call where it does not (see the module docstring)."""
 
     s_matrix: np.ndarray
     duration: float = 1.0
@@ -199,10 +260,19 @@ class ExpPath(PathSpec):
     def n(self) -> int:
         return self.s_matrix.shape[0] // 2
 
-    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _route(self) -> tuple | None:
+        return _eig_route([self.duration * self._js])
+
+    def _expm(self, ts: np.ndarray) -> np.ndarray:
         import scipy.linalg as sla
 
         return sla.expm((ts * self.duration)[:, None, None] * self._js)
+
+    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
+        if self._route is None:
+            return self._expm(ts)
+        return _eig_stack(self._route, ts)
 
 
 @dataclass(frozen=True)
@@ -363,7 +433,13 @@ class ConjPath(PathSpec):
 
 @dataclass(frozen=True)
 class DirectSumPath(PathSpec):
-    """Interleaved symplectic direct sum of paths."""
+    """Interleaved symplectic direct sum of paths.
+
+    A sum of ``ExpPath`` parts evaluates as one exponential: from the direct
+    sum of its parts' decompositions, certified once as a whole (``_route``,
+    see the module docstring), or with one scipy ``expm`` call per stack of
+    its ``_joined`` generator where that fails.  Any other sum places its
+    parts' stacks."""
 
     parts: tuple
 
@@ -388,9 +464,21 @@ class DirectSumPath(PathSpec):
         return ExpPath(direct_sum_many([p.duration * p.s_matrix
                                         for p in self.parts]))
 
+    @cached_property
+    def _route(self) -> tuple | None:
+        """The joined generator's decomposition, the direct sum of its
+        parts' (so it is exactly 0 outside their blocks), certified once
+        as a whole by ``_eig_route``; None where there is no joined node,
+        or where the sum is not certified, even if some parts would be."""
+        if self._joined is None:
+            return None
+        return _eig_route([p.duration * p._js for p in self.parts])
+
     def _evaluate(self, ts: np.ndarray) -> np.ndarray:
+        if self._route is not None:
+            return _eig_stack(self._route, ts)
         if self._joined is not None:
-            return self._joined._evaluate(ts)
+            return self._joined._expm(ts)
         return direct_sum_many([p._evaluate(ts) for p in self.parts])
 
 

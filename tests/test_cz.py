@@ -17,7 +17,7 @@ from sympindex import (AdmissibilityError, CatPath, ConditioningError,
                        SampledPath, SympindexError, WindingResolutionError,
                        conley_zehnder, cz_dim2_closed_form, direct_sum_many,
                        evaluate_array, evaluate_stack, extension_winding,
-                       make_loop,
+                       j_matrix, make_loop,
                        maslov_loop,
                        path_from_json, random_symplectic, rs_index,
                        winding)
@@ -176,15 +176,16 @@ class TestExtension:
 
     def test_extension_calls_no_expm_or_logm(self, monkeypatch):
         # the bridge is a Cayley path, one solve per sample, and the
-        # unwinding holds its inverse, so the other two thirds solve nothing
-        # and every expm evaluates the path, once per memoised sample; a
-        # stacked call solves and exponentiates a whole stack at once, so
-        # samples are counted as the matrices of the stacks
+        # unwinding holds its inverse, so the other two thirds solve nothing;
+        # a stacked call solves a whole stack at once, so samples are
+        # counted as the matrices of the stacks.  The one expm is the
+        # certificate of the path's eigendecomposition, made before the
+        # extension is built
         expm, solve, build = sla.expm, np.linalg.solve, _Extension._evaluate
         calls, solves, samples = [], [], []
 
         def spy_expm(a):
-            calls.append(len(a) if a.ndim == 3 else 1)
+            calls.append(np.shape(a))
             return expm(a)
 
         def spy_solve(a, b):
@@ -195,12 +196,13 @@ class TestExtension:
             raise AssertionError("logm called")
 
         def spy_evaluate(self, ts):
-            before = len(solves)
+            before, exps = len(solves), len(calls)
             out = build(self, ts)
             samples.extend(ts.tolist())
             solved = sum(len(a) if a.ndim == 3 else 1
                          for a in solves[before:])
             assert solved == np.count_nonzero(ts <= 1.0 / 3.0), ts
+            assert len(calls) == exps
             return out
 
         monkeypatch.setattr(sla, "expm", spy_expm)
@@ -210,7 +212,8 @@ class TestExtension:
         path = exp_path(n=2, seed=3, scale=2.0)
         conley_zehnder(path)
         assert min(samples) <= 1.0 / 3.0 < max(samples)
-        assert calls and sum(calls) == len(path._cache)
+        assert path._route is not None and len(path._cache) > 1
+        assert calls == [(4, 4)]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_unwind_runs_from_k_to_its_unitary_factor(self, seed):
@@ -1333,8 +1336,9 @@ class TestFailureSurface:
     def test_repeated_endpoint_spectra(self, monkeypatch):
         # conjugated direct sums of 2 x 2 exponentials whose endpoint
         # spectra repeat, most of them taking the perturbed route; the
-        # one typed error is a rho_polar symplectic check on the unwinding
-        # of a perturbed endpoint's normal-form basis of cond 95
+        # extension's Newton step makes each normal-form basis symplectic
+        # to rounding, so the unwinding's rho_polar checks pass even where
+        # the basis has cond 95
         rng = np.random.default_rng(2028)
         rates = [1.3, 4.1, 7.7, 11.9]
         calls = TestExtensionRoutes.spy_calls(monkeypatch)
@@ -1370,4 +1374,30 @@ class TestFailureSurface:
             counts[outcome] += 1
         assert calls["semisimple_perturb"] == 198
         assert counts["wrong"] == counts["untyped"] == 0
-        assert counts["typed"] <= 1, counts
+        assert counts["typed"] == 0, counts
+
+    @pytest.mark.parametrize("index", [43, 83, 161])
+    def test_gaussian_sweep_past_cond_1e16(self, index):
+        # ROADMAP's sweep of exp(t J0 S), S the symmetric part of a Gaussian
+        # matrix scaled to a radius in (2, 40); on these paths the endpoint
+        # has cond above 1e16, and the unwinding's rho_polar check raised
+        # until the Newton step made the normal-form basis symplectic
+        rng = np.random.default_rng(2026)
+        for i in range(index + 1):
+            n = 1 + i % 3
+            g = rng.normal(size=(2 * n, 2 * n))
+            rate = rng.uniform(2.0, 40.0)
+        s = 0.5 * (g + g.T)
+        s *= rate / np.max(np.abs(np.linalg.eigvals(j_matrix(n) @ s)))
+        assert np.linalg.cond(sla.expm(j_matrix(n) @ s)) > 1e16
+        # the generator formula: over the eigenvalues i w, w > 0, of a
+        # semisimple M = J0 S, the Krein sign sign(v^H S v) times
+        # 2 floor(w / 2 pi) + 1; hyperbolic and loxodromic pairs add 0
+        mu, v = np.linalg.eig(j_matrix(n) @ s)
+        elliptic = np.abs(mu.real) < 1e-9 * np.abs(mu)
+        assert np.all(elliptic | (np.abs(mu.real) > 1e-3))
+        krein = np.sign(np.einsum("ij,ik,kj->j", v.conj(), s, v).real)
+        want = sum(int(k) * (2 * int(w // (2 * np.pi)) + 1)
+                   for k, w in zip(krein[elliptic], mu.imag[elliptic])
+                   if w > 0)
+        assert conley_zehnder(ExpPath(s)).value == HalfInt.from_int(want)

@@ -86,7 +86,10 @@ def test_exponentials_load_scipy(code, value):
 
 def test_an_exp_stack_is_one_expm_call(monkeypatch):
     # the benchmark tracer wraps scipy.linalg.expm, so every call must go
-    # through the module attribute
+    # through the module attribute: an exponential node certifies its
+    # eigendecomposition with one call however many stacks it evaluates, and
+    # a node that keeps scipy's route (a hyperbolic rate of 20) makes one
+    # call per stack
     calls, expm = [], sla.expm
 
     def counting(a):
@@ -94,8 +97,16 @@ def test_an_exp_stack_is_one_expm_call(monkeypatch):
         return expm(a)
 
     monkeypatch.setattr(sla, "expm", counting)
+    ts = np.array([0.0, 0.25, 0.5, 1.0])
     path = ExpPath(np.diag([1.0, 2.0, 3.0, 4.0]))
-    stack = evaluate_stack(path, [0.0, 0.25, 0.5, 1.0])
-    assert calls == [(4, 4, 4)]
-    assert stack.tobytes() == expm(
-        np.array([0.0, 0.25, 0.5, 1.0])[:, None, None] * path._js).tobytes()
+    evaluate_stack(path, ts)
+    evaluate_stack(path, [0.125, 0.75])
+    assert path._route is not None
+    assert calls == [(4, 4)]
+    calls.clear()
+    fast = ExpPath(np.diag([20.0, -20.0]))
+    stack = evaluate_stack(fast, ts)
+    evaluate_stack(fast, [0.125, 0.75])
+    assert fast._route is None
+    assert calls == [(4, 2, 2), (2, 2, 2)]
+    assert stack.tobytes() == expm(ts[:, None, None] * fast._js).tobytes()

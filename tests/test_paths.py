@@ -301,13 +301,31 @@ class TestJoinedDirectSum:
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_one_expm_call_per_stack(self, n, monkeypatch):
+        # a certified sum makes one eig per part and one expm, the
+        # certificate of the joined generator, however many stacks it
+        # evaluates; with a part of hyperbolic rate 20 the whole sum keeps
+        # scipy's route, one expm call per stack
         import scipy.linalg
 
-        shapes, expm = [], scipy.linalg.expm
+        shapes, eigs = [], []
+        expm, eig = scipy.linalg.expm, np.linalg.eig
         monkeypatch.setattr(scipy.linalg, "expm",
                             lambda a: shapes.append(np.shape(a)) or expm(a))
-        DirectSumPath(parts=_mixed_blocks(n))._evaluate(STACK_TS)
-        assert shapes == [(len(STACK_TS), 2 * n, 2 * n)]
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda a: eigs.append(np.shape(a)) or eig(a))
+        p = DirectSumPath(parts=_mixed_blocks(n))
+        p._evaluate(STACK_TS)
+        p._evaluate(STACK_TS[:5])
+        assert p._route is not None
+        assert eigs == [(2, 2)] * n
+        assert shapes == [(2 * n, 2 * n)]
+        shapes.clear()
+        fast = DirectSumPath(parts=_mixed_blocks(n)[1:] + (ExpPath(
+            np.diag([20.0, -20.0])),))
+        fast._evaluate(STACK_TS)
+        fast._evaluate(STACK_TS[:5])
+        assert fast._route is None
+        assert shapes == [(len(STACK_TS), 2 * n, 2 * n), (5, 2 * n, 2 * n)]
 
     @pytest.mark.parametrize("kind", ["const", "sampled"])
     def test_other_parts_keep_the_per_part_route(self, kind):
@@ -347,6 +365,76 @@ class TestJoinedDirectSum:
         assert not g.one_sided
         # nothing was evaluated: no difference quotient
         assert not p._cache
+
+
+class TestEigRoute:
+    """Exponential nodes evaluate from one certified eigendecomposition of
+    their generator, or keep scipy's expm (see the paths module)."""
+
+    @staticmethod
+    def conjugate(n, seed):
+        """ExpPath(K^-T S K^-1) for a sum S of elliptic and hyperbolic 2 x 2
+        generators, of rates below 3, and a K of condition at most 10."""
+        rng = np.random.default_rng(100 * n + seed)
+        blocks = []
+        for i in range(n):
+            a, b = rng.uniform(0.5, 3.0, size=2)
+            c = rng.uniform(-0.3, 0.3)
+            blocks.append(np.array([[a, c], [c, b if i % 2 == 0 else -b]]))
+        k_inv = np.linalg.inv(
+            random_symplectic(n, seed=seed, scale=0.3, max_cond=10.0))
+        return ExpPath(k_inv.T @ direct_sum_many(blocks) @ k_inv)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stack_matches_scipy(self, n, seed):
+        p = self.conjugate(n, seed)
+        ts = np.linspace(0.0, 1.0, 65)
+        got = p._evaluate(ts)
+        assert p._route is not None
+        want = p._expm(ts)
+        for a, b in zip(got, want):
+            assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
+            # both at rounding level; on hyperbolic conjugates the route's
+            # residual is a few times scipy's
+            assert max(symplectic_residual(a), symplectic_residual(b)) \
+                <= 1e-14
+
+    @pytest.mark.parametrize("s", [
+        np.diag([1.0, 0.0]),                  # nilpotent M
+        np.diag([20.0, -20.0]),               # hyperbolic rate 20
+        np.diag([1.0, 1e-14]),                # near-defective M
+    ])
+    def test_fallback_keeps_scipy_bytes(self, s):
+        import scipy.linalg
+
+        p = ExpPath(s)
+        got = p._evaluate(STACK_TS)
+        assert p._route is None
+        assert got.tobytes() == scipy.linalg.expm(
+            STACK_TS[:, None, None] * p._js).tobytes()
+
+    def test_sum_with_one_fallback_part_falls_back_whole(self):
+        # the other parts would be certified on their own
+        parts = _mixed_blocks(3) + (ExpPath(np.diag([1.0, 0.0])),)
+        assert DirectSumPath(parts=parts[:3])._route is not None
+        p = DirectSumPath(parts=parts)
+        got = p._evaluate(STACK_TS)
+        assert p._route is None
+        assert got.tobytes() == p._joined._expm(STACK_TS).tobytes()
+
+    def test_certificate_runs_once_per_node(self, monkeypatch):
+        import scipy.linalg
+
+        p = ConjPath(phi=ConstPath(random_symplectic(2, seed=1)),
+                     psi=self.conjugate(2, 0))
+        calls, expm = [], scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm",
+                            lambda a: calls.append(np.shape(a)) or expm(a))
+        for ts in (STACK_TS, [0.3], np.linspace(0.0, 1.0, 7)):
+            evaluate_stack(p, ts)
+        p._evaluate(STACK_TS)
+        assert calls == [(4, 4)]
 
 
 def _conjugated_sum(n=2):

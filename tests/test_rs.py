@@ -416,8 +416,10 @@ class TestSouriauAngles:
         assert np.max(np.abs(2 * np.arctan(s[:2]) - [-1e-9, 1e-9])) > 1e-9
 
     def test_singular_x_takes_the_complex_eig(self, monkeypatch):
+        # psi_t = J0 [[Id, B(t)], [0, Id]] with B affine from -Id to Id:
         # psi_{1/2} = J0 maps the vertical onto the horizontal at a sample
-        # of the grid, where X is exactly 0
+        # of the grid, where X is exactly 0; the evolved vertical
+        # [-Id; B(t)] never meets the vertical
         raised = []
         solve = np.linalg.solve
 
@@ -429,11 +431,11 @@ class TestSouriauAngles:
                 raise
 
         monkeypatch.setattr(np.linalg, "solve", spy)
-        res = _rs2(ExpPath(s_matrix=np.eye(2), duration=np.pi))
+        res = _rs2(ProdPath(ConstPath(j_matrix(2)),
+                            ShearPath(b0=-np.eye(2), b1=np.eye(2))))
         assert raised
-        assert res.value == HalfInt(2)
-        assert [(c.t, c.kernel_dim, c.signature, c.weight)
-                for c in res.crossings] == [(0.0, 1, 1, 0.5), (1.0, 1, 1, 0.5)]
+        assert res.value == HalfInt(0)
+        assert res.crossings == ()
         assert len(res.trace) == 65
 
 
