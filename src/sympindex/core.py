@@ -25,11 +25,13 @@ the whole stack at once and return one value per matrix.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, ParameterError
 from .tolerances import DEFAULT_TOL, ToleranceProfile
 
 __all__ = [
@@ -264,6 +266,8 @@ def direct_sum_many(mats: list[np.ndarray]) -> np.ndarray:
     """Symplectic direct sum with the interleaved {e',e'',f',f''} layout; of
     stacks (k, 2m, 2m) of equal length, matrix by matrix."""
     arrs = [as_array(m) for m in mats]
+    if not arrs:
+        raise DimensionError("direct sum of no matrices")
     sizes = [_check_even_square(a, stacked=True) for a in arrs]
     lead = arrs[0].shape[:-2]
     if any(a.shape[:-2] != lead for a in arrs):
@@ -294,6 +298,8 @@ def random_symplectic(n: int, seed: int, scale: float = 0.5,
 
     if n < 1:
         raise DimensionError("n must be >= 1")
+    if not (isinstance(scale, numbers.Real) and 0 <= scale < math.inf):
+        raise ParameterError(f"scale must be a finite number >= 0, got {scale!r}")
     rng = np.random.default_rng(seed)
     jm = j_matrix(n)
     for _ in range(64):

@@ -57,6 +57,8 @@ that build it.  No scipy routine is used.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -626,6 +628,8 @@ def cz_dim2_closed_form(S, T: float) -> HalfInt:
         raise ParameterError("closed form requires a finite 2x2 symmetric matrix")
     if np.linalg.norm(s - s.T) > 1e-10 * (1.0 + np.linalg.norm(s)):
         raise ParameterError("S must be symmetric")
+    if not (isinstance(T, numbers.Real) and math.isfinite(T)):
+        raise ParameterError(f"T must be a finite number, got {T!r}")
     w = np.linalg.eigvalsh(s)
     if np.min(np.abs(w)) < 1e-12:
         raise ParameterError("S must be nondegenerate")

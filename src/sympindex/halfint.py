@@ -76,7 +76,8 @@ class HalfInt:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("HalfInt", self.doubled))
+        # as the int, or the float (where doubled / 2 is exact), it equals
+        return hash(self.doubled // 2 if self.is_integer else self.doubled / 2)
 
     def __str__(self):
         if self.is_integer:

@@ -13,21 +13,25 @@ canonical blocks, one family per eigenvalue quadruple:
   kept as an opaque payload so the reconstruction residual is meaningful,
   while the invariants are (case, s, phi) only.
 
-One eigendecomposition of A serves the clustering into quadruples and
-every simple quadruple whose eigenvalue is isolated (no other eigenvalue of
-A within ``ISOLATION_GAP``): its order-1 block reads its basis from
-eigenvectors, of A and, off the circle, of A^-1.  Every other quadruple
-(+-1, a repeated, defective or clustered eigenvalue) takes the chain
-construction, a per-quadruple recursion: pick a vector of
-``spectral.generalized_eigenspace`` maximizing the relevant pairing, build
+Each case has one block builder, a per-quadruple recursion: pick the
+vector of a basis of the eigenspace maximizing the relevant pairing, build
 one block's symplectic basis from its Jordan chain, and recurse on the
-symplectic orthogonal complement.
+symplectic orthogonal complement until the blocks span the eigenspace.
+``normal_form`` decides each quadruple's basis in one place.  One
+eigendecomposition of A serves the clustering into quadruples and every
+simple quadruple whose eigenvalue is isolated (no other eigenvalue of A
+within ``ISOLATION_GAP``): its basis is one eigenvector, of A and, off the
+circle, of A^-1, a chain of one.  Every other quadruple (+-1, a repeated,
+defective or clustered eigenvalue) takes its basis from
+``spectral.generalized_eigenspace``.
 ``semisimple_perturb`` builds none: one small Cayley factor of A parts its
 eigenvalues.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,27 +177,31 @@ def _pair(om: np.ndarray, x: np.ndarray, y: np.ndarray):
     return x @ om @ y
 
 
-def _nilpotency(N: np.ndarray, Vb: np.ndarray, scale: float):
-    """Largest p with (A - lam)^p nonzero on span(Vb), and (A - lam)^p Vb."""
+def _nilpotency(a, lam, Vb: np.ndarray):
+    """Largest p with (A - lam)^p nonzero on span(Vb), and (A - lam)^p Vb;
+    p < dim span(Vb), as a chain cannot outgrow its eigenspace."""
     p, NpV = 0, Vb
-    for _ in range(Vb.shape[1]):
-        M = N @ NpV
-        if np.linalg.norm(M) <= 1e-6 * scale:
+    for _ in range(Vb.shape[1] - 1):
+        M = (a - lam * np.eye(a.shape[0])) @ NpV
+        if np.linalg.norm(M) <= 1e-6 * np.linalg.norm(Vb):
             break
         p, NpV = p + 1, M
     return p, NpV
 
 
-def _chain(N: np.ndarray, v: np.ndarray, p: int) -> list[np.ndarray]:
-    """[N^p v, N^{p-1} v, ..., v] (the e_1..e_{p+1} ordering)."""
+def _chain(a, lam, v: np.ndarray, p: int) -> list[np.ndarray]:
+    """[N^p v, N^{p-1} v, ..., v] for N = A - lam (the e_1..e_{p+1} ordering)."""
     out = [v]
     for _ in range(p):
-        out.append(N @ out[-1])
+        out.append((a - lam * np.eye(a.shape[0])) @ out[-1])
     return out[::-1]
 
 
 def _dual_basis(om, e_cols: list[np.ndarray], g_cols: list[np.ndarray]):
     """f_j = sum_m g_m * (G^-1)_{mj} with G_{im} = Omega(e_i, g_m)."""
+    # one division: a 1 x 1 G has cond 1 unless it is 0
+    if len(e_cols) == 1 and (G := _pair(om, e_cols[0], g_cols[0])) != 0:
+        return [g_cols[0] / G]
     G = np.array([[_pair(om, e, g) for g in g_cols] for e in e_cols])
     if np.linalg.cond(G) > 1e10:
         raise NormalFormError("degenerate chain pairing (cond(G) too large)")
@@ -226,38 +234,37 @@ def _complement(om, Vb, span, name):
 # case 1: eigenvalues off the unit circle (real or complex quadruples)
 
 
-def _case_off_circle(a, om, lam, mult, is_real, tol):
-    """(block, E, F) per block of an off-circle quadruple, with real E, F.
+def _case_off_circle(a, om, lam, Vb, Wb, is_real, tol):
+    """(block, E, F) per block of an off-circle quadruple, with real E, F,
+    from bases Vb of E_lam of A and Wb of E_{1/lam} of A.
 
     E_{1/lam} of A is E_lam of A^-1 = Omega^T A^T Omega, where lam lies
     outside the disk: that eigenspace is separated from the rest of the
     spectrum by about |lam|, against gaps of about 1/|lam| inside the disk.
     """
     if is_real:
-        lam = lam.real
-    Vb = generalized_eigenspace(a, lam, tol, multiplicity=mult)
-    Wb = generalized_eigenspace(om.T @ a.T @ om, lam, tol, multiplicity=mult)
-    N = a - lam * np.eye(a.shape[0])
-    Nw = a - (1.0 / lam) * np.eye(a.shape[0])
+        Vb, Wb = Vb.real, Wb.real
     while Vb.shape[1] > 0:
-        p, NpV = _nilpotency(N, Vb, np.linalg.norm(Vb))
+        p, NpV = _nilpotency(a, lam, Vb)
         M = NpV.T @ om @ Wb
-        i, j = np.unravel_index(np.argmax(np.abs(M)), M.shape)
+        i, j = divmod(int(np.argmax(np.abs(M))), M.shape[1])
         if abs(M[i, j]) < tol.tol_form:
             raise NormalFormError("degenerate off-circle pairing")
-        e_cols = _chain(N, Vb[:, i], p)
-        g_cols = _chain(Nw, Wb[:, j] / M[i, j], p)[::-1]  # (A - 1/lam)^{j-1} w
+        e_cols = _chain(a, lam, Vb[:, i], p)
+        g_cols = _chain(a, 1.0 / lam, Wb[:, j], p)[::-1]  # (A - 1/lam)^{j-1} w
         f_cols = _dual_basis(om, e_cols, g_cols)
         if is_real:
             yield (NormalFormBlock(case="OffCircleReal", size=2 * (p + 1),
                                    lambda_param=(float(lam),), jordan_order=p + 1),
-                   np.column_stack(e_cols), np.column_stack(f_cols))
+                   np.array(e_cols).T, np.array(f_cols).T)
         else:
             xs, ys = _realify_pairs(e_cols, f_cols)
             r, phi = float(abs(lam)), float(np.angle(lam))
             yield (NormalFormBlock(case="OffCircleComplex", size=4 * (p + 1),
                                    lambda_param=(r, phi), jordan_order=p + 1),
-                   np.column_stack(xs), np.column_stack(ys))
+                   np.array(xs).T, np.array(ys).T)
+        if p + 1 == Vb.shape[1]:     # the block spans the eigenspace
+            return
         Wb = _complement(om, Wb, np.column_stack(e_cols), "off-circle")
         Vb = _complement(om, Vb, np.column_stack(f_cols), "off-circle")
 
@@ -284,12 +291,12 @@ def _clean(om, N, x, p, sums, y=None):
     return x
 
 
-def _case_plus_minus_one(a, om, lam, mult, tol):
-    lam = float(lam.real)
-    Vb = generalized_eigenspace(a, lam, tol, multiplicity=mult)
+def _case_plus_minus_one(a, om, lam, Vb, tol):
+    """(block, E, F) per block of lam = +-1, from a basis Vb of E_lam of A."""
+    lam = float(lam)
     N = a - lam * np.eye(a.shape[0])
     while Vb.shape[1] > 0:
-        p, NpV = _nilpotency(N, Vb, np.linalg.norm(Vb))
+        p, NpV = _nilpotency(a, lam, Vb)
         M = NpV.T @ om @ Vb
         if p % 2 == 1:
             # symmetric top form: block [[J(lam,k), C(k,d,lam)], [0, J^-T]]
@@ -302,7 +309,7 @@ def _case_plus_minus_one(a, om, lam, mult, tol):
             v = v / np.sqrt(abs(_pair(om, np.linalg.matrix_power(N, p) @ v, v)))
             # kill Omega(N^i v, N^j v) for i, j <= k-1: even sums vanish by
             # antisymmetry, odd sums are cleaned in descending order
-            chain = _chain(N, _clean(om, N, v, p, range(p - 2, 0, -2)), p)
+            chain = _chain(a, lam, _clean(om, N, v, p, range(p - 2, 0, -2)), p)
             e_cols, f_cols = chain[:k], _dual_basis(om, chain[:k], chain[k:])
             # the sign invariant is read off the realized coupling row
             B_real = _block_payload(
@@ -324,8 +331,8 @@ def _case_plus_minus_one(a, om, lam, mult, tol):
             v = _clean(om, N, v, p, range(p - 1, -1, -1), w)
             w = w / _pair(om, np.linalg.matrix_power(N, p) @ v, w)
             w = _clean(om, N, w, p, range(p - 1, -1, -1), v)
-            e_cols = _chain(N, v, p)
-            f_cols = _dual_basis(om, e_cols, _chain(N, w, p))
+            e_cols = _chain(a, lam, v, p)
+            f_cols = _dual_basis(om, e_cols, _chain(a, lam, w, p))
         E, F = np.column_stack(e_cols), np.column_stack(f_cols)
         yield (NormalFormBlock(case="PlusMinusOne", size=2 * k, lambda_param=(lam,),
                                jordan_order=k, d=d), E, F)
@@ -376,21 +383,23 @@ def _block_payload(a, om_full, E, F):
     return B
 
 
-def _case_unit(a, om, lam, mult, tol):
-    eye = np.eye(a.shape[0])
-    Vb = generalized_eigenspace(a, lam, tol, multiplicity=mult)
+def _case_unit(a, om, lam, Vb, tol):
+    """(block, E, F) per block of a unit non-real lam, from a basis Vb of
+    E_lam of A."""
     while Vb.shape[1] > 0:
         lam_cur = lam
-        N = a - lam_cur * eye
-        p, NpV = _nilpotency(N, Vb, np.linalg.norm(Vb))
-        w_eig, U = np.linalg.eigh(_hermitian_top_form(om, NpV, Vb))
-        imax = int(np.argmax(np.abs(w_eig)))
-        if abs(w_eig[imax]) < tol.tol_form:
+        p, NpV = _nilpotency(a, lam, Vb)
+        if Vb.shape[1] == 1:           # the top form is one pairing
+            v, top = Vb[:, 0], abs(_pair(om, NpV[:, 0], Vb[:, 0].conj()))
+        else:
+            w_eig, U = np.linalg.eigh(_hermitian_top_form(om, NpV, Vb))
+            imax = int(np.argmax(np.abs(w_eig)))
+            v, top = Vb @ U[:, imax], abs(w_eig[imax])
+        if top < tol.tol_form:
             raise NormalFormError("degenerate Krein-type pairing on unit eigenspace")
-        v = Vb @ U[:, imax]
         odd = p % 2 == 0               # an odd block has a middle vector u_{k+1}
         k = (p + 1) // 2               # u_1..u_k pair with u_{p+2-k}..u_{p+1}
-        u_chain = _chain(N, v, p)
+        u_chain = _chain(a, lam, v, p)
         if odd:
             u_mid = u_chain[k]
             c0 = _pair(om, u_mid.conj(), u_mid)        # purely imaginary
@@ -399,10 +408,8 @@ def _case_unit(a, om, lam, mult, tol):
             v = v * (1.0 / np.sqrt(abs(c0)))
             if (c0 / abs(c0)).imag > 0:
                 # swap lam and conj(lam) so the middle pairing is -i
-                lam_cur = np.conj(lam_cur)
-                v = v.conj()
-                N = a - lam_cur * eye
-            u_chain = _chain(N, v, p)
+                lam_cur, v = np.conj(lam_cur), v.conj()
+            u_chain = _chain(a, lam_cur, v, p)
             u_mid = u_chain[k]
         u_lo, Fv = u_chain[:k], []
         if k > 0:
@@ -416,25 +423,27 @@ def _case_unit(a, om, lam, mult, tol):
         if odd:
             xs.append(np.sqrt(2.0) * u_mid.real)
             ys.append(-np.sqrt(2.0) * u_mid.imag)
-        E, F = np.column_stack(xs), np.column_stack(ys)
+        E, F = np.array(xs).T, np.array(ys).T
         phi = float(np.angle(lam_cur))
         yield (NormalFormBlock(
             case="UnitNonRealOdd" if odd else "UnitNonRealEven", size=2 * (p + 1),
             lambda_param=(phi if odd else abs(phi),), jordan_order=p + 1,
             payload=None if p == 0 else _block_payload(a, om, E, F)), E, F)
+        if p + 1 == Vb.shape[1]:     # the block spans the eigenspace
+            return
         # complement within E_lam: symplectically orthogonal to the block span
         Vb = _complement(om, Vb, np.column_stack([E, F]).astype(complex),
                          "unit-eigenspace")
 
 
 # ---------------------------------------------------------------------------
-# simple isolated eigenvalues: blocks from eigenvectors
+# top level: each quadruple's basis, and the case's builder on it
 
 # An eigenvalue is isolated when no other eigenvalue of A lies within this
 # gap of it, relative to max(1, |lam|).  An eigenvector's error grows as the
 # inverse of that gap, and the eigenvalues semisimple_perturb splits off a
 # repeated one (about eps^(1/m) apart, eps <= 1e-6) lie closer: their
-# blocks keep the chain construction on a joint eigenspace.
+# blocks keep the basis of a joint generalized eigenspace.
 ISOLATION_GAP = 1e-3
 
 
@@ -443,54 +452,19 @@ def _isolated(evals: np.ndarray, lam: complex) -> bool:
     return np.count_nonzero(np.abs(evals - lam) <= gap) == 1
 
 
-def _eigenvector(a, evals, vecs, lam):
-    """The eigenvector of the eigenvalue of A nearest lam, checked as
-    ``generalized_eigenspace`` checks its basis."""
+def _basis(m, lam, mult, tol, eig=None):
+    """Basis of E_lam of m: for an isolated simple lam, its eigenvector in
+    ``eig`` = (evals, vecs) of m, checked as ``generalized_eigenspace``
+    checks the basis it returns for every other lam."""
+    if eig is None:
+        return generalized_eigenspace(m, lam, tol, multiplicity=mult)
+    evals, vecs = eig
     v = vecs[:, np.argmin(np.abs(evals - lam))]
-    res = np.linalg.norm(a @ v - lam * v)
-    if res > 1e-6 * (1.0 + np.linalg.norm(a - lam * np.eye(a.shape[0]))):
+    res = np.linalg.norm(m @ v - lam * v)
+    if res > 1e-6 * (1.0 + np.linalg.norm(m - lam * np.eye(m.shape[0]))):
         raise IllConditionedSpectrumError(
             f"eigenvector of {lam:.6g} is not invariant (residual {res:.3e})")
-    return v
-
-
-def _simple_unit(om, lam, v, tol):
-    """(block, E, F) of a simple unit eigenvalue: v scaled so that
-    Omega(conj v, v) = -i, conjugated (with lam) where the Krein sign asks."""
-    c0 = _pair(om, v.conj(), v)                   # purely imaginary
-    if abs(c0) < tol.tol_form:
-        raise NormalFormError("degenerate Krein-type pairing on unit eigenspace")
-    v = v / np.sqrt(abs(c0))
-    if c0.imag > 0:
-        lam, v = np.conj(lam), v.conj()
-    s2 = np.sqrt(2.0)
-    return (NormalFormBlock(case="UnitNonRealOdd", size=2,
-                            lambda_param=(float(np.angle(lam)),), jordan_order=1),
-            s2 * v.real[:, None], -s2 * v.imag[:, None])
-
-
-def _simple_off_circle(om, lam, v, w, is_real, tol):
-    """(block, E, F) of a simple off-circle quadruple: v of A and w of A^-1
-    for lam, f = w / Omega(v, w)."""
-    if is_real:
-        lam, v, w = lam.real, v.real, w.real
-    m = _pair(om, v, w)
-    if abs(m) < tol.tol_form:
-        raise NormalFormError("degenerate off-circle pairing")
-    f = w / m
-    if is_real:
-        return (NormalFormBlock(case="OffCircleReal", size=2,
-                                lambda_param=(float(lam),), jordan_order=1),
-                v[:, None], f[:, None])
-    xs, ys = _realify_pairs([v], [f])
-    return (NormalFormBlock(case="OffCircleComplex", size=4,
-                            lambda_param=(float(abs(lam)), float(np.angle(lam))),
-                            jordan_order=1),
-            np.column_stack(xs), np.column_stack(ys))
-
-
-# ---------------------------------------------------------------------------
-# top level
+    return v[:, None]
 
 
 def normal_form(A, tol: ToleranceProfile = DEFAULT_TOL) -> NormalFormReport:
@@ -503,28 +477,25 @@ def normal_form(A, tol: ToleranceProfile = DEFAULT_TOL) -> NormalFormReport:
     a = finite_matrix(A)
     om = omega_matrix(a.shape[0] // 2)
     evals, vecs = np.linalg.eig(a)
-    inverse = None   # A^-1 with its eigendecomposition, made once if needed
+    inverse = None   # eig of A^-1, made once if needed
     parts = []
     for q in eigen_quadruples(a, tol, eigenvalues=evals):
         lam, mult, regime = q.representative, q.multiplicity, q.regime
+        is_real = regime not in ("UnitNonReal", "OffCircleComplex")
+        lam = lam.real if is_real else lam
+        # the basis source, decided here only: eigenvectors or the chain's
+        simple = mult == 1 and _isolated(evals, lam)
+        Vb = _basis(a, lam, mult, tol, (evals, vecs) if simple else None)
         if regime in ("PlusOne", "MinusOne"):
-            parts.extend(_case_plus_minus_one(a, om, lam, mult, tol))
-        elif mult == 1 and _isolated(evals, lam):
-            v = _eigenvector(a, evals, vecs, lam)
-            if regime == "UnitNonReal":
-                parts.append(_simple_unit(om, lam, v, tol))
-            else:
-                if inverse is None:
-                    a_inv = om.T @ a.T @ om
-                    inverse = (a_inv, *np.linalg.eig(a_inv))
-                parts.append(_simple_off_circle(
-                    om, lam, v, _eigenvector(*inverse, lam),
-                    regime != "OffCircleComplex", tol))
+            parts.extend(_case_plus_minus_one(a, om, lam, Vb, tol))
         elif regime == "UnitNonReal":
-            parts.extend(_case_unit(a, om, lam, mult, tol))
+            parts.extend(_case_unit(a, om, lam, Vb, tol))
         else:
-            parts.extend(_case_off_circle(a, om, lam, mult,
-                                          regime != "OffCircleComplex", tol))
+            a_inv = om.T @ a.T @ om
+            if simple and inverse is None:
+                inverse = np.linalg.eig(a_inv)
+            Wb = _basis(a_inv, lam, mult, tol, inverse if simple else None)
+            parts.extend(_case_off_circle(a, om, lam, Vb, Wb, is_real, tol))
     blocks = [b for b, _, _ in parts]
     K = np.column_stack([E for _, E, _ in parts] + [F for _, _, F in parts])
     N = direct_sum_many([b.matrix() for b in blocks])
@@ -561,6 +532,8 @@ def semisimple_perturb(A, eps: float = 1e-6, seed: int = 0) -> np.ndarray:
     order-m Jordan chain by about eps^(1/m).  Of 8 draws, the first whose
     eigenvalues are ``_separated`` and whose det(A' - Id) keeps its sign.
     """
+    if not (isinstance(eps, numbers.Real) and 0 < eps < math.inf):
+        raise ParameterError(f"eps must be a positive finite number, got {eps!r}")
     a = SympMatrix(A).entries
     eye = np.eye(a.shape[0])
     jm = j_matrix(a.shape[0] // 2)

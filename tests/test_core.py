@@ -234,6 +234,15 @@ class TestHalfInt:
         with pytest.raises(Exception):
             HalfInt.from_float(1.3)
 
+    def test_hash_agrees_with_equality(self):
+        # equal values must hash alike, or sets and dicts miss them
+        assert 1 in {HalfInt(2)} and 1.5 in {HalfInt(3)}
+        assert HalfInt(-3) in {-1.5} and HalfInt(0) in {0, 0.0}
+        assert {HalfInt(4): "two"}[2] == "two"
+        big = 2 ** 80 + 1
+        assert HalfInt(2 * big) == big and hash(HalfInt(2 * big)) == hash(big)
+        assert len({HalfInt(3), HalfInt(3), HalfInt(5)}) == 2
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000),

@@ -12,17 +12,20 @@ from hypothesis.extra.numpy import arrays
 
 from sympindex import (ConstPath, ContractError, DimensionError, ExpPath,
                        LoopPath, ParameterError, SympindexError,
-                       SympMatrix, complex_det, cz_dim2_closed_form,
-                       extension_winding, lagrangian_rs_index, make_shear,
-                       normal_form, rho, rs2_index, rs_index,
-                       semisimple_perturb, vertical_frame)
+                       SympMatrix, assemble, complex_det, cz_dim2_closed_form,
+                       direct_sum_many, extension_winding, lagrangian_rs_index,
+                       make_shear, normal_form, random_symplectic, rho,
+                       rs2_index, rs_index, semisimple_perturb, vertical_frame)
 from sympindex.lagrangian import LagrangianFrame
+from sympindex.sampling import winding
 from sympindex.spectral import (eigen_quadruples, first_kind_eigenvalues,
                                 generalized_eigenspace, krein_form)
 from sympindex.tolerances import DEFAULT_TOL, ToleranceProfile
 
 NAN_2 = [[np.nan, 0.0], [0.0, 1.0]]
 WIDE = np.ones((2, 3))
+# eigenvalue 2 repeated: only a positive eps parts it
+REPEATED = np.diag([2.0, 2.0, 0.5, 0.5])
 
 REPRODUCERS = {
     "rho-nan": lambda: rho(NAN_2),
@@ -58,6 +61,18 @@ REPRODUCERS = {
         lambda t: np.array([[np.nan], [1.0]]), vertical_frame(1)),
     "eigenspace-lam-nan": lambda: generalized_eigenspace(np.eye(2), np.nan),
     "loop-wind-nan": lambda: LoopPath(wind=np.nan, dim_n=1),
+    "closed-form-T-inf": lambda: cz_dim2_closed_form(np.eye(2), np.inf),
+    "closed-form-T-nan": lambda: cz_dim2_closed_form(np.eye(2), np.nan),
+    "closed-form-T-text": lambda: cz_dim2_closed_form(np.eye(2), "a"),
+    "perturb-eps-nan": lambda: semisimple_perturb(REPEATED, eps=np.nan),
+    "perturb-eps-inf": lambda: semisimple_perturb(REPEATED, eps=np.inf),
+    "perturb-eps-zero": lambda: semisimple_perturb(REPEATED, eps=0.0),
+    "winding-coarse-zero": lambda: winding(lambda t: np.exp(2j * t), coarse=0),
+    "winding-coarse-negative": lambda: winding(lambda t: np.exp(2j * t),
+                                               coarse=-3),
+    "random-symplectic-scale-nan": lambda: random_symplectic(1, 0, scale=np.nan),
+    "direct-sum-empty": lambda: direct_sum_many([]),
+    "assemble-empty": lambda: assemble([]),
 }
 
 

@@ -3,10 +3,11 @@ import importlib
 import numpy as np
 import pytest
 
-from sympindex import (DEFAULT_TOL, NormalFormBlock, NormalFormReport,
-                       ParameterError, PerturbationFailureError, assemble,
-                       invariants_of, normal_form, random_symplectic,
-                       semisimple_perturb, symplectic_residual)
+from sympindex import (DEFAULT_TOL, NormalFormBlock, NormalFormError,
+                       NormalFormReport, ParameterError,
+                       PerturbationFailureError, assemble, invariants_of,
+                       normal_form, random_symplectic, semisimple_perturb,
+                       symplectic_residual)
 from conftest import random_canonical_blocks, unit_jordan_real
 
 nf = importlib.import_module("sympindex.normal_form")
@@ -168,9 +169,8 @@ class TestSemisimplePerturb:
 
 
 class TestRoutes:
-    """Which construction builds which block: a simple isolated eigenvalue
-    reads its block from eigenvectors, everything else takes the chain
-    construction on ``generalized_eigenspace``."""
+    """Which basis feeds a case's one block builder: a simple isolated
+    eigenvalue's eigenvector, or else ``generalized_eigenspace``."""
 
     @staticmethod
     def spy_eigenspaces(monkeypatch):
@@ -204,12 +204,13 @@ class TestRoutes:
             n -= blocks[-1].size // 2
         return blocks
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_simple_spectrum_takes_eigenvectors(self, seed, monkeypatch):
-        calls = self.spy_eigenspaces(monkeypatch)
+    @classmethod
+    def check_seeded_simple_spectrum(cls, seed):
+        """The normal form of a seeded conjugate of ``simple_blocks``, with
+        the blocks' invariants, a small residual and a symplectic basis."""
         rng = np.random.default_rng(seed)
         n = 1 + seed % 4
-        blocks = self.simple_blocks(rng, n)
+        blocks = cls.simple_blocks(rng, n)
         k = random_symplectic(n, seed, 0.3, max_cond=10)
         a = k @ assemble(blocks) @ np.linalg.inv(k)
         rep = normal_form(a)
@@ -218,7 +219,40 @@ class TestRoutes:
                              residual=0.0))
         assert rep.residual <= DEFAULT_TOL.tol_nf * np.linalg.norm(a)
         assert symplectic_residual(rep.basis) < 1e-7
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_simple_spectrum_takes_eigenvectors(self, seed, monkeypatch):
+        calls = self.spy_eigenspaces(monkeypatch)
+        self.check_seeded_simple_spectrum(seed)
         assert calls == []
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_chain_source_gives_the_same_blocks(self, seed, monkeypatch):
+        # the same builders, fed generalized eigenspaces for every quadruple
+        monkeypatch.setattr(nf, "_isolated", lambda evals, lam: False)
+        calls = self.spy_eigenspaces(monkeypatch)
+        self.check_seeded_simple_spectrum(seed)
+        assert len(calls) > 0
+
+    def test_a_lone_column_is_a_chain_of_one(self):
+        # (A - 2) v is 1.5e-5, above the nilpotency threshold, yet a chain
+        # cannot outgrow its one-column eigenspace
+        a = np.diag([2.0, 0.5])
+        v = np.array([[1.0], [1e-5]])
+        p, NpV = nf._nilpotency(a, 2.0, v)
+        assert p == 0 and NpV is v
+        # a Jordan block on its whole two-column eigenspace has p = 1
+        p, NpV = nf._nilpotency(np.array([[2.0, 1.0], [0.0, 2.0]]), 2.0,
+                                np.eye(2))
+        assert p == 1 and np.allclose(NpV, [[0.0, 1.0], [0.0, 0.0]])
+
+    def test_one_by_one_dual_pairing(self):
+        om = nf.omega_matrix(1)
+        e, g = np.array([1.0, 0.0]), np.array([0.0, 4.0])
+        (f,) = nf._dual_basis(om, [e], [g])
+        assert nf._pair(om, e, f) == 1.0
+        with pytest.raises(NormalFormError, match="degenerate chain pairing"):
+            nf._dual_basis(om, [e], [e])
 
     def test_every_case_is_drawn(self):
         cases = {b.case for seed in range(12) for b in self.simple_blocks(
